@@ -10,9 +10,11 @@
 
 Config precedence: defaults < config file < environment < flags. The
 environment may only set provider endpoints and the API credential.
-Every stage records a fingerprint of its inputs and relevant config;
-rerunning with nothing changed is a no-op. Exit codes: 0 success,
-1 pipeline error, 2 usage error.
+``stage_table`` is the one place that lists each stage's input files,
+fingerprinted config keys and output files; ``run_stage`` fingerprints
+them, skips a stage whose inputs, config and outputs are unchanged, and
+otherwise runs its body. Exit codes: 0 success, 1 pipeline error,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,13 +43,13 @@ from .corpus import (
     write_scores,
 )
 from .embedding import (
+    SCORE_SLOTS,
     ItemEmbedding,
     assemble_corpus,
     embedding_matrix,
     fit_feature_reducer,
     fit_standardizer,
     identity_standardizer,
-    load_bundle,
     save_bundle,
     write_embeddings,
 )
@@ -62,16 +66,6 @@ from .quality_labels import (
 )
 from .selector import init_selector, load_selector, predict_items, save_selector, train
 
-_INDICATOR_COLUMNS = {"clip": 0, "length": 1, "reward": 2, "gpt": 3}
-
-
-def _log(stage: str, message: str) -> None:
-    print(f"[{stage}] {message}")
-
-
-def _feature_files(cfg: PipelineConfig) -> list[Path]:
-    return [cfg.features_path() / f"{name}.txt" for name in REQUIRED_MATRICES]
-
 
 def _load_embedding_list(cfg: PipelineConfig, manifest) -> list[ItemEmbedding]:
     rows, _ = read_feature_file(cfg.embeddings_path())
@@ -83,38 +77,15 @@ def _load_embedding_list(cfg: PipelineConfig, manifest) -> list[ItemEmbedding]:
     return embeddings
 
 
-# -- stages ---------------------------------------------------------------
+# -- stage bodies: each does its stage's work and returns its log message ---
 
-def cmd_synth(cfg: PipelineConfig, args) -> int:
-    stage = "synth"
-    conf = {"n": cfg.synth_n, "seed": cfg.seed,
-            "image_dim": cfg.image_dim, "text_dim": cfg.text_dim}
-    outputs = [cfg.manifest_path(), cfg.scores_path(), cfg.oracle_path(),
-               *_feature_files(cfg)]
-    value = fingerprint([], conf)
-    if stage_is_current(cfg.workdir, stage, value, outputs):
-        _log(stage, "up-to-date, skipping")
-        return 0
-    started = time.perf_counter()
-    Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
+def _synth(cfg: PipelineConfig, args, value: str) -> str:
     corpus = synth_mod.generate(cfg.synth_n, cfg.seed, cfg.image_dim, cfg.text_dim)
     synth_mod.write_corpus(corpus, cfg.workdir)
-    stage_mark_done(cfg.workdir, stage, value)
-    _log(stage, f"n={cfg.synth_n} seed={cfg.seed} -> {cfg.manifest_path()} "
-                f"({time.perf_counter() - started:.2f}s)")
-    return 0
+    return f"n={cfg.synth_n} seed={cfg.seed} -> {cfg.manifest_path()}"
 
 
-def cmd_score(cfg: PipelineConfig, args) -> int:
-    stage = "score"
-    inputs = [cfg.manifest_path(), *_feature_files(cfg)]
-    conf = {"provider": cfg.provider, "reward_url": cfg.reward_url,
-            "rating_url": cfg.rating_url, "workers": cfg.workers}
-    value = fingerprint(inputs, conf)
-    if stage_is_current(cfg.workdir, stage, value, [cfg.scores_path()]):
-        _log(stage, "up-to-date, skipping")
-        return 0
-    started = time.perf_counter()
+def _score(cfg: PipelineConfig, args, value: str) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest)
     cache = read_scores(cfg.scores_path()) if cfg.scores_path().exists() else ScoreCache()
@@ -126,21 +97,10 @@ def cmd_score(cfg: PipelineConfig, args) -> int:
     score_corpus(manifest, features, cache, gpt_provider, reward_provider,
                  workers=cfg.workers)
     write_scores(cache, cfg.scores_path())
-    stage_mark_done(cfg.workdir, stage, value)
-    _log(stage, f"scored {len(manifest)} samples ({time.perf_counter() - started:.2f}s)")
-    return 0
+    return f"scored {len(manifest)} samples"
 
 
-def cmd_embed(cfg: PipelineConfig, args) -> int:
-    stage = "embed"
-    inputs = [cfg.manifest_path(), cfg.scores_path(), *_feature_files(cfg)]
-    conf = {"m": cfg.m, "standardize": cfg.standardize, "reducer_mode": cfg.reducer_mode}
-    value = fingerprint(inputs, conf)
-    outputs = [cfg.embeddings_path(), cfg.bundle_path() / "embedding_bundle.json"]
-    if stage_is_current(cfg.workdir, stage, value, outputs):
-        _log(stage, "up-to-date, skipping")
-        return 0
-    started = time.perf_counter()
+def _embed(cfg: PipelineConfig, args, value: str) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest)
     cache = read_scores(cfg.scores_path())
@@ -150,29 +110,10 @@ def cmd_embed(cfg: PipelineConfig, args) -> int:
     embeddings = assemble_corpus(manifest, cache, features, std, reducer)
     write_embeddings(cfg.embeddings_path(), embeddings)
     save_bundle(cfg.bundle_path(), std, reducer, fingerprint=value)
-    stage_mark_done(cfg.workdir, stage, value)
-    _log(stage, f"embedded {len(embeddings)} samples, dim {4 + cfg.m} "
-                f"({time.perf_counter() - started:.2f}s)")
-    return 0
+    return f"embedded {len(embeddings)} samples, dim {4 + cfg.m}"
 
 
-def cmd_split(cfg: PipelineConfig, args) -> int:
-    stage = "split"
-    inputs = [cfg.manifest_path(), cfg.embeddings_path()]
-    if cfg.subset_space == "image":
-        inputs.extend(_feature_files(cfg))
-    if args.oracle_reports:
-        inputs.append(cfg.oracle_path())
-    conf = {"n_subsets": cfg.n_subsets, "capacity": cfg.capacity, "seed": cfg.seed,
-            "subset_space": cfg.subset_space, "oracle": bool(args.oracle_reports)}
-    value = fingerprint(inputs, conf)
-    outputs = [cfg.subsets_path() / "subsets.json"]
-    if args.oracle_reports:
-        outputs.append(cfg.reports_path())
-    if stage_is_current(cfg.workdir, stage, value, outputs):
-        _log(stage, "up-to-date, skipping")
-        return 0
-    started = time.perf_counter()
+def _split(cfg: PipelineConfig, args, value: str) -> str:
     manifest = load_manifest(cfg.manifest_path())
     embeddings = _load_embedding_list(cfg, manifest)
     vectors = None
@@ -200,25 +141,10 @@ def cmd_split(cfg: PipelineConfig, args) -> int:
             cfg.reports_path(),
             synth_mod.oracle_eval_reports(subsets, oracle, seed=cfg.seed),
         )
-    stage_mark_done(cfg.workdir, stage, value)
-    _log(stage, f"{cfg.n_subsets} subsets x {blob['capacity']} samples "
-                f"({time.perf_counter() - started:.2f}s)")
-    return 0
+    return f"{cfg.n_subsets} subsets x {blob['capacity']} samples"
 
 
-def cmd_train_selector(cfg: PipelineConfig, args) -> int:
-    stage = "train-selector"
-    inputs = [cfg.embeddings_path(), cfg.subsets_path() / "subsets.json",
-              cfg.reports_path()]
-    conf = {"kind": cfg.selector_kind, "d_model": cfg.d_model, "ff_dim": cfg.ff_dim,
-            "layers": cfg.layers, "epochs": cfg.epochs, "lr": cfg.lr,
-            "seed": cfg.seed, "optimizer": cfg.optimizer}
-    value = fingerprint(inputs, conf)
-    outputs = [cfg.model_path() / "meta.json", cfg.model_path() / "params.txt"]
-    if stage_is_current(cfg.workdir, stage, value, outputs):
-        _log(stage, "up-to-date, skipping")
-        return 0
-    started = time.perf_counter()
+def _train_selector(cfg: PipelineConfig, args, value: str) -> str:
     rows, dim = read_feature_file(cfg.embeddings_path())
     with open(cfg.subsets_path() / "subsets.json", encoding="utf-8") as fh:
         blob = json.load(fh)
@@ -243,34 +169,16 @@ def cmd_train_selector(cfg: PipelineConfig, args) -> int:
     with open(cfg.model_path() / "losses.json", "w", encoding="utf-8") as fh:
         json.dump({"losses": result.losses}, fh, indent=2)
         fh.write("\n")
-    stage_mark_done(cfg.workdir, stage, value)
-    _log(stage, f"kind={cfg.selector_kind} loss {result.losses[0]:.4f} -> "
-                f"{result.losses[-1]:.4f} over {cfg.epochs} epochs "
-                f"({time.perf_counter() - started:.2f}s)")
-    return 0
+    return (f"kind={cfg.selector_kind} loss {result.losses[0]:.4f} -> "
+            f"{result.losses[-1]:.4f} over {cfg.epochs} epochs")
 
 
-def cmd_curate(cfg: PipelineConfig, args) -> int:
-    stage = "curate"
-    inputs = [cfg.manifest_path(), cfg.embeddings_path(), *_feature_files(cfg)]
-    if cfg.indicator:
-        inputs.append(cfg.scores_path())
-    else:
-        inputs.extend([cfg.model_path() / "meta.json", cfg.model_path() / "params.txt"])
-    conf = {"k_clusters": cfg.k_clusters, "alpha": cfg.alpha, "seed": cfg.seed,
-            "clustering": cfg.clustering, "indicator": cfg.indicator}
-    value = fingerprint(inputs, conf)
-    outputs = [cfg.curated_path() / "selected.manifest.jsonl",
-               cfg.curated_path() / "summary.json"]
-    if stage_is_current(cfg.workdir, stage, value, outputs):
-        _log(stage, "up-to-date, skipping")
-        return 0
-    started = time.perf_counter()
+def _curate(cfg: PipelineConfig, args, value: str) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest)
     if cfg.indicator:
         cache = read_scores(cfg.scores_path())
-        item_scores = indicator_matrix(manifest, cache)[:, _INDICATOR_COLUMNS[cfg.indicator]]
+        item_scores = indicator_matrix(manifest, cache)[:, SCORE_SLOTS.index(cfg.indicator)]
     else:
         model = load_selector(cfg.model_path())
         embeddings = _load_embedding_list(cfg, manifest)
@@ -281,34 +189,116 @@ def cmd_curate(cfg: PipelineConfig, args) -> int:
         use_clusters=cfg.clustering,
     )
     report_mod.write_selection(cfg.curated_path(), result, manifest)
-    stage_mark_done(cfg.workdir, stage, value)
-    _log(stage, f"selected {len(result.selected_ids)} of {len(manifest)} across "
-                f"{len(result.quotas)} clusters ({time.perf_counter() - started:.2f}s)")
-    return 0
+    return (f"selected {len(result.selected_ids)} of {len(manifest)} across "
+            f"{len(result.quotas)} clusters")
 
 
-def cmd_report(cfg: PipelineConfig, args) -> int:
-    stage = "report"
-    inputs = [cfg.curated_path() / "summary.json"]
-    oracle = None
-    if cfg.oracle_path().exists():
-        inputs.append(cfg.oracle_path())
-        oracle = synth_mod.read_oracle(cfg.oracle_path())
-    value = fingerprint(inputs, {"seed": cfg.seed})
-    if stage_is_current(cfg.workdir, stage, value,
-                        [cfg.curated_path() / "report.json"]):
-        _log(stage, "up-to-date, skipping")
-        return 0
-    started = time.perf_counter()
+def _report(cfg: PipelineConfig, args, value: str) -> str:
+    oracle = synth_mod.read_oracle(cfg.oracle_path()) if cfg.oracle_path().exists() else None
     manifest = load_manifest(cfg.manifest_path())
     report = report_mod.write_report(cfg.curated_path(), manifest, oracle, seed=cfg.seed)
-    stage_mark_done(cfg.workdir, stage, value)
     note = ""
     if "oracle_comparison" in report:
         comp = report["oracle_comparison"]
-        note = (f" uplift={comp['uplift']:.4f} z={comp['z']:.1f}")
-    _log(stage, f"wrote {cfg.curated_path() / 'report.json'}{note} "
-                f"({time.perf_counter() - started:.2f}s)")
+        note = f" uplift={comp['uplift']:.4f} z={comp['z']:.1f}"
+    return f"wrote {cfg.curated_path() / 'report.json'}{note}"
+
+
+# -- the stage table and its runner ---------------------------------------
+
+@dataclass(frozen=True)
+class Stage:
+    """One stage: the files it reads, the config it depends on, the files
+    it writes, and ``body(cfg, args, fingerprint) -> log message``."""
+
+    inputs: list[Path]
+    config: dict
+    outputs: list[Path]
+    body: Callable[[PipelineConfig, argparse.Namespace, str], str]
+
+
+def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stage]:
+    """Every stage's declared inputs, config subset and outputs.
+
+    A stage reruns when the bytes of an input or a config value change, or
+    when an output is missing. The config keys name what a stage's output
+    depends on; ``n`` and ``kind`` keep their historical spellings so that
+    existing fingerprints stay valid.
+    """
+    features = [cfg.features_path() / f"{name}.txt" for name in REQUIRED_MATRICES]
+    model = [cfg.model_path() / "meta.json", cfg.model_path() / "params.txt"]
+    subsets = cfg.subsets_path() / "subsets.json"
+    summary = cfg.curated_path() / "summary.json"
+    oracle_reports = bool(getattr(args, "oracle_reports", False))
+    return {
+        "synth": Stage(
+            inputs=[],
+            config={"n": cfg.synth_n, "seed": cfg.seed,
+                    "image_dim": cfg.image_dim, "text_dim": cfg.text_dim},
+            outputs=[cfg.manifest_path(), cfg.scores_path(), cfg.oracle_path(), *features],
+            body=_synth,
+        ),
+        "score": Stage(
+            inputs=[cfg.manifest_path(), *features],
+            config={"provider": cfg.provider, "reward_url": cfg.reward_url,
+                    "rating_url": cfg.rating_url, "workers": cfg.workers},
+            outputs=[cfg.scores_path()],
+            body=_score,
+        ),
+        "embed": Stage(
+            inputs=[cfg.manifest_path(), cfg.scores_path(), *features],
+            config={"m": cfg.m, "standardize": cfg.standardize,
+                    "reducer_mode": cfg.reducer_mode},
+            outputs=[cfg.embeddings_path(), cfg.bundle_path() / "embedding_bundle.json"],
+            body=_embed,
+        ),
+        "split": Stage(
+            inputs=[cfg.manifest_path(), cfg.embeddings_path(),
+                    *(features if cfg.subset_space == "image" else []),
+                    *([cfg.oracle_path()] if oracle_reports else [])],
+            config={"n_subsets": cfg.n_subsets, "capacity": cfg.capacity,
+                    "seed": cfg.seed, "subset_space": cfg.subset_space,
+                    "oracle": oracle_reports},
+            outputs=[subsets, *([cfg.reports_path()] if oracle_reports else [])],
+            body=_split,
+        ),
+        "train-selector": Stage(
+            inputs=[cfg.embeddings_path(), subsets, cfg.reports_path()],
+            config={"kind": cfg.selector_kind, "d_model": cfg.d_model,
+                    "ff_dim": cfg.ff_dim, "layers": cfg.layers, "epochs": cfg.epochs,
+                    "lr": cfg.lr, "seed": cfg.seed, "optimizer": cfg.optimizer},
+            outputs=model,
+            body=_train_selector,
+        ),
+        "curate": Stage(
+            inputs=[cfg.manifest_path(), cfg.embeddings_path(), *features,
+                    *([cfg.scores_path()] if cfg.indicator else model)],
+            config={"k_clusters": cfg.k_clusters, "alpha": cfg.alpha, "seed": cfg.seed,
+                    "clustering": cfg.clustering, "indicator": cfg.indicator},
+            outputs=[cfg.curated_path() / "selected.manifest.jsonl", summary],
+            body=_curate,
+        ),
+        "report": Stage(
+            inputs=[cfg.manifest_path(), summary,
+                    *([cfg.oracle_path()] if cfg.oracle_path().exists() else [])],
+            config={"seed": cfg.seed},
+            outputs=[cfg.curated_path() / "report.json"],
+            body=_report,
+        ),
+    }
+
+
+def run_stage(name: str, cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    """Run one stage unless its fingerprint and outputs are current."""
+    stage = stage_table(cfg, args)[name]
+    value = fingerprint(stage.inputs, stage.config)
+    if stage_is_current(cfg.workdir, name, value, stage.outputs):
+        print(f"[{name}] up-to-date, skipping")
+        return 0
+    started = time.perf_counter()
+    message = stage.body(cfg, args, value)
+    stage_mark_done(cfg.workdir, name, value)
+    print(f"[{name}] {message} ({time.perf_counter() - started:.2f}s)")
     return 0
 
 
@@ -378,17 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "score": cmd_score,
-    "embed": cmd_embed,
-    "split": cmd_split,
-    "train-selector": cmd_train_selector,
-    "curate": cmd_curate,
-    "report": cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     known = config_mod.config_keys()
@@ -398,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         cfg = build_config(args.config, flag_values)
-        return _COMMANDS[args.command](cfg, args)
+        return run_stage(args.command, cfg, args)
     except (VlcurateError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

@@ -155,7 +155,12 @@ def read_feature_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
                 raise DimensionMismatch(
                     f"{path}:{line_no}: expected {dim} values, got {len(parts) - 1}"
                 )
-            vec = np.array([float(v) for v in parts[1:]], dtype=float)
+            try:
+                vec = np.array([float(v) for v in parts[1:]], dtype=float)
+            except ValueError:
+                raise MalformedRecord(
+                    line_no, f"{path}: non-numeric value in row {parts[0]!r}"
+                ) from None
             if not np.isfinite(vec).all():
                 raise NonFiniteFeature(f"{path}:{line_no}: non-finite entry")
             rows[parts[0]] = vec
@@ -244,14 +249,19 @@ def read_scores(path: str | Path) -> ScoreCache:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(line_no, f"invalid JSON ({exc.msg})") from exc
+            if not isinstance(raw, dict):
+                raise MalformedRecord(line_no, "record is not an object")
             if "id" not in raw:
                 raise MalformedRecord(line_no, "missing id")
-            record = ScoreRecord(
-                clip=None if raw.get("clip") is None else float(raw["clip"]),
-                length=None if raw.get("length") is None else int(raw["length"]),
-                reward=None if raw.get("reward") is None else float(raw["reward"]),
-                gpt=None if raw.get("gpt") is None else float(raw["gpt"]),
-            )
+            try:
+                record = ScoreRecord(
+                    clip=None if raw.get("clip") is None else float(raw["clip"]),
+                    length=None if raw.get("length") is None else int(raw["length"]),
+                    reward=None if raw.get("reward") is None else float(raw["reward"]),
+                    gpt=None if raw.get("gpt") is None else float(raw["gpt"]),
+                )
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MalformedRecord(line_no, f"non-numeric score field ({exc})") from None
             record.validate()
             cache.records[str(raw["id"])] = record
     return cache

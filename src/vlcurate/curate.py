@@ -26,8 +26,9 @@ def allocate(sizes: list[int], alpha: int) -> list[int]:
     """Largest-remainder quotas: floor the proportional shares, then hand the
     leftover units to the largest fractional parts (ties to the lower index).
 
-    Quotas never exceed their cluster size; with alpha <= N the floor+1 bound
-    makes the clamp unreachable, but it is enforced anyway.
+    Quotas never exceed their cluster size: with alpha < N each floor share
+    is below its size, so one extra unit still fits, and with alpha = N
+    every share is exact and no unit is left over.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes) or not sizes:
@@ -40,28 +41,9 @@ def allocate(sizes: list[int], alpha: int) -> list[int]:
     quotas = [alpha * s // total for s in sizes]
     rems = [alpha * s % total for s in sizes]
     order = sorted(range(len(sizes)), key=lambda i: (-rems[i], i))
-    remaining = alpha - sum(quotas)
-    for i in order:
-        if remaining == 0:
-            break
-        if quotas[i] < sizes[i]:
-            quotas[i] += 1
-            remaining -= 1
-    # clamp-and-redistribute guard for the (unreachable) overflow case
-    while True:
-        excess = 0
-        for i, s in enumerate(sizes):
-            if quotas[i] > s:
-                excess += quotas[i] - s
-                quotas[i] = s
-        if excess == 0:
-            break
-        for i in order:
-            if excess == 0:
-                break
-            if quotas[i] < sizes[i]:
-                quotas[i] += 1
-                excess -= 1
+    # the leftover is sum(rems) / total < len(sizes): at most one unit each
+    for i in order[:alpha - sum(quotas)]:
+        quotas[i] += 1
     assert sum(quotas) == alpha
     return quotas
 

@@ -74,6 +74,8 @@ def render_gpt_prompt(
 
 def parse_gpt_reply(body: str) -> float:
     """Parse the first nonempty line of a rating reply as a number in [0, 100]."""
+    if not isinstance(body, str):
+        raise UnparseableScore(f"reply {body!r} is not text")
     for line in body.splitlines():
         stripped = line.strip()
         if not stripped:
@@ -111,7 +113,48 @@ def length_score(response: str) -> int:
 
 # -- providers ---------------------------------------------------------
 
-class RatingClient:
+class _JsonClient:
+    """POST a JSON payload, read one field of the JSON reply; retried on failure.
+
+    Any failed attempt -- transport error, HTTP error status, a reply that
+    is not an object holding the field, or a value ``parse`` rejects --
+    counts against ``retries``; once they are spent the call raises
+    ScoringFailed.
+    """
+
+    def __init__(
+        self,
+        url: str,
+        retries: int = 3,
+        timeout: float = 30.0,
+        headers: dict[str, str] | None = None,
+        session: requests.Session | None = None,
+    ):
+        self.url = url
+        self.retries = retries
+        self.timeout = timeout
+        self.headers = headers or {}
+        self.session = session or requests.Session()
+
+    def _post(self, sample_id: str, payload: dict, field: str, parse) -> float:
+        last_error = "no attempts made"
+        for _ in range(max(1, self.retries)):
+            try:
+                reply = self.session.post(
+                    self.url, json=payload, timeout=self.timeout, headers=self.headers
+                )
+                reply.raise_for_status()
+                body = reply.json()
+                if not isinstance(body, dict) or field not in body:
+                    raise UnparseableScore(f"reply has no {field!r} field")
+                return parse(body[field])
+            except (UnparseableScore, ScoreOutOfRange, requests.RequestException,
+                    TypeError, ValueError) as exc:
+                last_error = f"{type(exc).__name__}: {exc}"
+        raise ScoringFailed(sample_id, last_error)
+
+
+class RatingClient(_JsonClient):
     """HTTP auto-grader: POST {system, user}, reply {content}; retried on failure."""
 
     def __init__(
@@ -123,73 +166,24 @@ class RatingClient:
         headers: dict[str, str] | None = None,
         session: requests.Session | None = None,
     ):
-        self.url = url
+        super().__init__(url, retries, timeout, headers, session)
         self.template = template or default_prompt_template()
-        self.retries = retries
-        self.timeout = timeout
-        self.headers = headers or {}
-        self.session = session or requests.Session()
 
     def score(self, triplet: Triplet, template: PromptTemplate | None = None) -> float:
         system, user = render_gpt_prompt(
             template or self.template, triplet.instruction, triplet.response
         )
-        last_error = "no attempts made"
-        for _ in range(max(1, self.retries)):
-            try:
-                reply = self.session.post(
-                    self.url,
-                    json={"system": system, "user": user},
-                    timeout=self.timeout,
-                    headers=self.headers,
-                )
-                reply.raise_for_status()
-                return parse_gpt_reply(reply.json()["content"])
-            except (UnparseableScore, ScoreOutOfRange, requests.RequestException, KeyError, ValueError) as exc:
-                last_error = f"{type(exc).__name__}: {exc}"
-        raise ScoringFailed(triplet.id, last_error)
+        return self._post(triplet.id, {"system": system, "user": user},
+                          "content", parse_gpt_reply)
 
 
-class RewardClient:
+class RewardClient(_JsonClient):
     """HTTP reward model: POST {question, answer}, reply {score} (unbounded real)."""
 
-    def __init__(
-        self,
-        url: str,
-        retries: int = 3,
-        timeout: float = 30.0,
-        headers: dict[str, str] | None = None,
-        session: requests.Session | None = None,
-    ):
-        self.url = url
-        self.retries = retries
-        self.timeout = timeout
-        self.headers = headers or {}
-        self.session = session or requests.Session()
-
     def score(self, triplet: Triplet) -> float:
-        last_error = "no attempts made"
-        for _ in range(max(1, self.retries)):
-            try:
-                reply = self.session.post(
-                    self.url,
-                    json={"question": triplet.instruction, "answer": triplet.response},
-                    timeout=self.timeout,
-                    headers=self.headers,
-                )
-                reply.raise_for_status()
-                return float(reply.json()["score"])
-            except (requests.RequestException, KeyError, ValueError, TypeError) as exc:
-                last_error = f"{type(exc).__name__}: {exc}"
-        raise ScoringFailed(triplet.id, last_error)
-
-
-def gpt_score(client: RatingClient, template: PromptTemplate, triplet: Triplet) -> float:
-    return client.score(triplet, template)
-
-
-def reward_score(client: RewardClient, triplet: Triplet) -> float:
-    return client.score(triplet)
+        return self._post(triplet.id,
+                          {"question": triplet.instruction, "answer": triplet.response},
+                          "score", float)
 
 
 # -- corpus-level scoring ----------------------------------------------

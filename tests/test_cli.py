@@ -1,13 +1,17 @@
 """Config precedence, stage fingerprints, and the CLI driving a small
 end-to-end pipeline in-process."""
 
+import builtins
+import io
 import json
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vlcurate.cli import main
+from vlcurate.cli import build_parser, main, stage_table
 from vlcurate.config import (
     PipelineConfig,
     build_config,
@@ -215,6 +219,13 @@ STAGES = (
 )
 
 
+# stage runs whose entries declare other inputs than the default pipeline's
+VARIANTS = (
+    ["split", "--n-subsets", "6", "--space", "image", "--seed", "0"],
+    ["curate", "--alpha", "10", "--indicator", "gpt", "--seed", "0"],
+)
+
+
 def run_stages(work, stages=STAGES):
     for stage in stages:
         assert main([*stage, "--workdir", str(work)]) == 0, stage
@@ -365,6 +376,70 @@ def test_pipeline_no_standardize_keeps_raw_indicators(pipeline, tmp_path):
         rec = cache.records[t.id]
         assert rows[t.id][0] == pytest.approx(rec.clip, abs=1e-12)
         assert rows[t.id][1] == pytest.approx(float(rec.length), abs=1e-12)
+
+
+def _stage_entry(work, argv):
+    """The stage table entry ``main`` would run for argv."""
+    args = build_parser().parse_args([*argv, "--workdir", str(work)])
+    flags = {k: v for k, v in vars(args).items()
+             if k in config_keys() and v is not None}
+    return stage_table(build_config(None, flags), args)[args.command]
+
+
+def test_every_declared_input_is_fingerprinted(pipeline, tmp_path, capsys):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    checked = 0
+    for argv in STAGES + VARIANTS:
+        for path in _stage_entry(work, argv).inputs:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n")   # new bytes, same content to every reader
+            capsys.readouterr()
+            assert main([*argv, "--workdir", str(work)]) == 0
+            out = capsys.readouterr().out
+            assert "up-to-date" not in out, (argv[0], path.name)
+            checked += 1
+    assert checked >= 20
+
+
+def test_stages_read_only_declared_files(pipeline, tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    root = work.resolve()
+    opened = []
+    real_open = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            opened.append(Path(file).resolve())
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for argv in STAGES + VARIANTS:
+        entry = _stage_entry(work, argv)
+        (work / ".fingerprints" / f"{argv[0]}.sha256").unlink()
+        opened.clear()
+        assert main([*argv, "--workdir", str(work)]) == 0
+        declared = {Path(p).resolve() for p in [*entry.inputs, *entry.outputs]}
+        read = {p for p in opened if root in p.parents}
+        assert read <= declared, (argv[0], sorted(str(p) for p in read - declared))
+
+
+def test_score_non_numeric_feature_exits_1(tmp_path, capsys):
+    work = tmp_path / "work"
+    assert main(["synth", "--n", "30", "--seed", "4", "--workdir", str(work)]) == 0
+    image = work / "features" / "image.txt"
+    lines = image.read_text(encoding="utf-8").splitlines()
+    row = lines[5].split()
+    row[3] = "abc"
+    lines[5] = " ".join(row)
+    image.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", "--workdir", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert "error[MalformedRecord]" in err
+    assert "Traceback" not in err
 
 
 def test_score_without_provider_exits_1(tmp_path, capsys):

@@ -152,6 +152,14 @@ def test_feature_file_nan_entry(tmp_path):
         read_feature_file(path)
 
 
+def test_feature_file_non_numeric_entry(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("id 2\na 1.0 2.0\nb 1.0 abc\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        read_feature_file(path)
+    assert err.value.line_no == 3
+
+
 def test_load_features_consistent_store(tmp_path):
     manifest = [Triplet("a", "x", "q", "r"), Triplet("b", "y", "q", "r")]
     rng = np.random.default_rng(0)
@@ -221,6 +229,21 @@ def test_scores_negative_length_rejected(tmp_path):
     path.write_text('{"id": "a", "length": -1}\n', encoding="utf-8")
     with pytest.raises(ScoreOutOfRange):
         read_scores(path)
+
+
+@pytest.mark.parametrize("line", [
+    '5',
+    '["a", 0.5]',
+    '{"id": "a", "gpt": "high"}',
+    '{"id": "a", "clip": [0.5]}',
+    '{"id": "a", "length": 1e999}',
+])
+def test_scores_malformed_line_rejected(tmp_path, line):
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"id": "ok", "gpt": 50}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        read_scores(path)
+    assert err.value.line_no == 2
 
 
 def test_write_scores_validates():

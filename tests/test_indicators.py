@@ -206,6 +206,17 @@ def test_reward_client_table_driven(http_stub):
         assert client.score(t) == table[f"answer {i}"]
 
 
+@pytest.mark.parametrize("body", [[1, 2], {"content": 5}, {"score": None}, "plain"])
+@pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
+def test_clients_turn_malformed_replies_into_scoring_failed(http_stub, body, make_client):
+    http_stub.handler = lambda payload: body
+    client = make_client(http_stub.url, retries=2)
+    with pytest.raises(ScoringFailed) as err:
+        client.score(_triplet(4))
+    assert err.value.sample_id == "t4"
+    assert len(http_stub.requests) == 2
+
+
 # -- corpus-level scoring -------------------------------------------------
 
 class CountingProvider:
