@@ -38,7 +38,8 @@ from .corpus import (
     ScoreCache,
     load_features,
     load_manifest,
-    read_feature_file,
+    read_json,
+    read_matrix,
     read_scores,
     write_scores,
 )
@@ -46,7 +47,6 @@ from .embedding import (
     SCORE_SLOTS,
     ItemEmbedding,
     assemble_corpus,
-    embedding_matrix,
     fit_feature_reducer,
     fit_standardizer,
     identity_standardizer,
@@ -54,7 +54,7 @@ from .embedding import (
     write_embeddings,
 )
 from .curate import curate as run_curation
-from .errors import MissingFeature, VlcurateError
+from .errors import MalformedRecord, VlcurateError
 from .indicators import RatingClient, RewardClient, indicator_matrix, score_corpus
 from .quality_labels import (
     SubsetRecord,
@@ -67,16 +67,6 @@ from .quality_labels import (
 from .selector import init_selector, load_selector, predict_items, save_selector, train
 
 
-def _load_embedding_list(cfg: PipelineConfig, manifest) -> list[ItemEmbedding]:
-    rows, _ = read_feature_file(cfg.embeddings_path())
-    embeddings = []
-    for t in manifest:
-        if t.id not in rows:
-            raise MissingFeature(t.id, "embeddings")
-        embeddings.append(ItemEmbedding(id=t.id, vector=rows[t.id]))
-    return embeddings
-
-
 # -- stage bodies: each does its stage's work and returns its log message ---
 
 def _synth(cfg: PipelineConfig, args, value: str) -> str:
@@ -87,22 +77,24 @@ def _synth(cfg: PipelineConfig, args, value: str) -> str:
 
 def _score(cfg: PipelineConfig, args, value: str) -> str:
     manifest = load_manifest(cfg.manifest_path())
-    features = load_features(cfg.features_path(), manifest)
+    features = load_features(cfg.features_path(), manifest, ("image", "text_clip"))
     cache = read_scores(cfg.scores_path()) if cfg.scores_path().exists() else ScoreCache()
     gpt_provider = reward_provider = None
     if cfg.provider == "http":
         headers = {"Authorization": f"Bearer {cfg.api_key}"} if cfg.api_key else None
         reward_provider = RewardClient(cfg.reward_url, headers=headers)
         gpt_provider = RatingClient(cfg.rating_url, headers=headers)
-    score_corpus(manifest, features, cache, gpt_provider, reward_provider,
-                 workers=cfg.workers)
-    write_scores(cache, cfg.scores_path())
+    try:
+        score_corpus(manifest, features, cache, gpt_provider, reward_provider,
+                     workers=cfg.workers)
+    finally:  # keep every score already paid for, also when one call fails
+        write_scores(cache, cfg.scores_path())
     return f"scored {len(manifest)} samples"
 
 
 def _embed(cfg: PipelineConfig, args, value: str) -> str:
     manifest = load_manifest(cfg.manifest_path())
-    features = load_features(cfg.features_path(), manifest)
+    features = load_features(cfg.features_path(), manifest, ("image", "text_llm"))
     cache = read_scores(cfg.scores_path())
     scores = indicator_matrix(manifest, cache)
     std = fit_standardizer(scores) if cfg.standardize else identity_standardizer()
@@ -115,10 +107,12 @@ def _embed(cfg: PipelineConfig, args, value: str) -> str:
 
 def _split(cfg: PipelineConfig, args, value: str) -> str:
     manifest = load_manifest(cfg.manifest_path())
-    embeddings = _load_embedding_list(cfg, manifest)
+    ids = [t.id for t in manifest]
+    embeddings = [ItemEmbedding(id=i, vector=v)
+                  for i, v in zip(ids, read_matrix(cfg.embeddings_path(), ids))]
     vectors = None
     if cfg.subset_space == "image":
-        vectors = load_features(cfg.features_path(), manifest).matrix("image")
+        vectors = load_features(cfg.features_path(), manifest, ("image",)).matrix("image")
     subsets = build_subsets(
         embeddings, cfg.n_subsets, seed=cfg.seed, vectors=vectors,
         capacity=cfg.capacity or None,
@@ -145,19 +139,20 @@ def _split(cfg: PipelineConfig, args, value: str) -> str:
 
 
 def _train_selector(cfg: PipelineConfig, args, value: str) -> str:
-    rows, dim = read_feature_file(cfg.embeddings_path())
-    with open(cfg.subsets_path() / "subsets.json", encoding="utf-8") as fh:
-        blob = json.load(fh)
+    path = cfg.subsets_path() / "subsets.json"
+    try:
+        entries = [(int(entry["subset_id"]), tuple(entry["member_ids"]))
+                   for entry in read_json(path, ("subsets",))["subsets"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedRecord(None, f"{path}: bad subset entry ({exc!r})") from None
+    rows = read_matrix(cfg.embeddings_path(), [i for _, members in entries for i in members])
+    blocks = np.split(rows, np.cumsum([len(members) for _, members in entries])[:-1])
     subsets = [
-        SubsetRecord(
-            subset_id=int(entry["subset_id"]),
-            member_ids=tuple(entry["member_ids"]),
-            embeddings=np.stack([rows[i] for i in entry["member_ids"]]),
-        )
-        for entry in blob["subsets"]
+        SubsetRecord(subset_id=subset_id, member_ids=members, embeddings=block)
+        for (subset_id, members), block in zip(entries, blocks)
     ]
     labeled = attach_labels(subsets, read_eval_reports(cfg.reports_path()))
-    model = init_selector(cfg.selector_kind, input_dim=dim, seed=cfg.seed,
+    model = init_selector(cfg.selector_kind, input_dim=rows.shape[1], seed=cfg.seed,
                           d_model=cfg.d_model, ff_dim=cfg.ff_dim, layers=cfg.layers)
     result = train(
         model,
@@ -175,14 +170,13 @@ def _train_selector(cfg: PipelineConfig, args, value: str) -> str:
 
 def _curate(cfg: PipelineConfig, args, value: str) -> str:
     manifest = load_manifest(cfg.manifest_path())
-    features = load_features(cfg.features_path(), manifest)
+    features = load_features(cfg.features_path(), manifest, ("image",))
     if cfg.indicator:
         cache = read_scores(cfg.scores_path())
         item_scores = indicator_matrix(manifest, cache)[:, SCORE_SLOTS.index(cfg.indicator)]
     else:
-        model = load_selector(cfg.model_path())
-        embeddings = _load_embedding_list(cfg, manifest)
-        item_scores = predict_items(model, embedding_matrix(embeddings))
+        embeddings = read_matrix(cfg.embeddings_path(), [t.id for t in manifest])
+        item_scores = predict_items(load_selector(cfg.model_path()), embeddings)
     result = run_curation(
         manifest, item_scores, features.matrix("image"),
         k_clusters=cfg.k_clusters, alpha=cfg.alpha, seed=cfg.seed,
@@ -225,7 +219,9 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
     depends on; ``n`` and ``kind`` keep their historical spellings so that
     existing fingerprints stay valid.
     """
-    features = [cfg.features_path() / f"{name}.txt" for name in REQUIRED_MATRICES]
+    def features(*names: str) -> list[Path]:
+        return [cfg.features_path() / f"{name}.txt" for name in names]
+
     model = [cfg.model_path() / "meta.json", cfg.model_path() / "params.txt"]
     subsets = cfg.subsets_path() / "subsets.json"
     summary = cfg.curated_path() / "summary.json"
@@ -235,18 +231,19 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
             inputs=[],
             config={"n": cfg.synth_n, "seed": cfg.seed,
                     "image_dim": cfg.image_dim, "text_dim": cfg.text_dim},
-            outputs=[cfg.manifest_path(), cfg.scores_path(), cfg.oracle_path(), *features],
+            outputs=[cfg.manifest_path(), cfg.scores_path(), cfg.oracle_path(),
+                     *features(*REQUIRED_MATRICES)],
             body=_synth,
         ),
         "score": Stage(
-            inputs=[cfg.manifest_path(), *features],
+            inputs=[cfg.manifest_path(), *features("image", "text_clip")],
             config={"provider": cfg.provider, "reward_url": cfg.reward_url,
                     "rating_url": cfg.rating_url, "workers": cfg.workers},
             outputs=[cfg.scores_path()],
             body=_score,
         ),
         "embed": Stage(
-            inputs=[cfg.manifest_path(), cfg.scores_path(), *features],
+            inputs=[cfg.manifest_path(), cfg.scores_path(), *features("image", "text_llm")],
             config={"m": cfg.m, "standardize": cfg.standardize,
                     "reducer_mode": cfg.reducer_mode},
             outputs=[cfg.embeddings_path(), cfg.bundle_path() / "embedding_bundle.json"],
@@ -254,7 +251,7 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
         ),
         "split": Stage(
             inputs=[cfg.manifest_path(), cfg.embeddings_path(),
-                    *(features if cfg.subset_space == "image" else []),
+                    *(features("image") if cfg.subset_space == "image" else []),
                     *([cfg.oracle_path()] if oracle_reports else [])],
             config={"n_subsets": cfg.n_subsets, "capacity": cfg.capacity,
                     "seed": cfg.seed, "subset_space": cfg.subset_space,
@@ -271,8 +268,9 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
             body=_train_selector,
         ),
         "curate": Stage(
-            inputs=[cfg.manifest_path(), cfg.embeddings_path(), *features,
-                    *([cfg.scores_path()] if cfg.indicator else model)],
+            inputs=[cfg.manifest_path(), *features("image"),
+                    *([cfg.scores_path()] if cfg.indicator
+                      else [cfg.embeddings_path(), *model])],
             config={"k_clusters": cfg.k_clusters, "alpha": cfg.alpha, "seed": cfg.seed,
                     "clustering": cfg.clustering, "indicator": cfg.indicator},
             outputs=[cfg.curated_path() / "selected.manifest.jsonl", summary],

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -176,24 +177,44 @@ def write_feature_file(path: str | Path, ids: Iterable[str], matrix: np.ndarray)
             fh.write(sample_id + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
+def read_matrix(path: str | Path, ids: list[str]) -> np.ndarray:
+    """The rows of a feature file for ``ids``, in that order, as an (N, dim)
+    array. An id the file lacks raises MissingFeature named after the
+    file's stem (``image``, ``embeddings``, ...)."""
+    rows, dim = read_feature_file(path)
+    out = np.empty((len(ids), dim), dtype=float)
+    for i, sample_id in enumerate(ids):
+        if sample_id not in rows:
+            raise MissingFeature(sample_id, Path(path).stem)
+        out[i] = rows[sample_id]
+    return out
+
+
 def load_features(
     feature_dir: str | Path,
     manifest: list[Triplet],
     names: tuple[str, ...] = REQUIRED_MATRICES,
 ) -> FeatureStore:
     """Load one ``<name>.txt`` file per matrix and align rows to the manifest."""
-    feature_dir = Path(feature_dir)
-    matrices: dict[str, np.ndarray] = {}
     ids = [t.id for t in manifest]
-    for name in names:
-        rows, dim = read_feature_file(feature_dir / f"{name}.txt")
-        stacked = np.empty((len(ids), dim), dtype=float)
-        for i, sample_id in enumerate(ids):
-            if sample_id not in rows:
-                raise MissingFeature(sample_id, name)
-            stacked[i] = rows[sample_id]
-        matrices[name] = stacked
-    return FeatureStore(matrices, ids)
+    return FeatureStore(
+        {name: read_matrix(Path(feature_dir) / f"{name}.txt", ids) for name in names}, ids
+    )
+
+
+def read_json(path: str | Path, keys: tuple[str, ...]) -> dict:
+    """A JSON object file holding at least ``keys``; MalformedRecord otherwise."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(exc.lineno, f"{path}: invalid JSON ({exc.msg})") from None
+    if not isinstance(blob, dict):
+        raise MalformedRecord(None, f"{path}: not a JSON object")
+    missing = [k for k in keys if k not in blob]
+    if missing:
+        raise MalformedRecord(None, f"{path}: missing key(s) {missing}")
+    return blob
 
 
 # -- score cache -------------------------------------------------------
@@ -268,9 +289,12 @@ def read_scores(path: str | Path) -> ScoreCache:
 
 
 def write_scores(cache: ScoreCache, path: str | Path) -> None:
+    """Write the cache to a temporary file and move it over ``path``, so a
+    failed write leaves the previous cache whole."""
     for record in cache.records.values():
         record.validate()
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = Path(f"{path}.tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         for sample_id, record in cache.records.items():
             row: dict[str, object] = {"id": sample_id}
             for field in ("clip", "length", "reward", "gpt"):
@@ -278,3 +302,4 @@ def write_scores(cache: ScoreCache, path: str | Path) -> None:
                 if value is not None:
                     row[field] = value
             fh.write(json.dumps(row) + "\n")
+    os.replace(tmp, path)

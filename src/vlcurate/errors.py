@@ -18,8 +18,8 @@ class DuplicateId(VlcurateError):
 
 
 class MalformedRecord(VlcurateError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    def __init__(self, line_no: int | None, reason: str):
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
         self.line_no = line_no
 
 

@@ -12,6 +12,7 @@ they enter only through the rating prompt's instruction slot.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -177,13 +178,22 @@ class RatingClient(_JsonClient):
                           "content", parse_gpt_reply)
 
 
+def _finite_reward(value) -> float:
+    # a NaN or infinite reward would fail the cache's validation and so
+    # keep every other paid score from being written; fail the call instead
+    score = float(value)
+    if not math.isfinite(score):
+        raise ScoreOutOfRange(f"non-finite reward {score}")
+    return score
+
+
 class RewardClient(_JsonClient):
     """HTTP reward model: POST {question, answer}, reply {score} (unbounded real)."""
 
     def score(self, triplet: Triplet) -> float:
         return self._post(triplet.id,
                           {"question": triplet.instruction, "answer": triplet.response},
-                          "score", float)
+                          "score", _finite_reward)
 
 
 # -- corpus-level scoring ----------------------------------------------

@@ -117,20 +117,26 @@ def attach_labels(
     return labeled
 
 
-def read_eval_reports(path: str | Path) -> list[EvalReport]:
+def _parse_eval_reports(lines) -> list[EvalReport]:
+    """One ``{"subset_id": ..., "scores": {...}}`` object per non-blank line."""
     reports = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                blob = json.loads(line)
-                subset_id = int(blob["subset_id"])
-                scores = {str(k): float(v) for k, v in blob["scores"].items()}
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecord(line_no, f"bad eval report: {exc}") from exc
-            reports.append(EvalReport(subset_id=subset_id, scores=scores))
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            blob = json.loads(line)
+            subset_id = int(blob["subset_id"])
+            scores = {str(k): float(v) for k, v in blob["scores"].items()}
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
+                ValueError) as exc:
+            raise MalformedRecord(line_no, f"bad eval report: {exc}") from exc
+        reports.append(EvalReport(subset_id=subset_id, scores=scores))
     return reports
+
+
+def read_eval_reports(path: str | Path) -> list[EvalReport]:
+    with open(path, encoding="utf-8") as fh:
+        return _parse_eval_reports(fh)
 
 
 def write_eval_reports(path: str | Path, reports: list[EvalReport]) -> None:
@@ -145,15 +151,4 @@ def load_reference_reports() -> list[EvalReport]:
     text = (
         resources.files("vlcurate").joinpath("assets/reference_labels.jsonl").read_text("utf-8")
     )
-    reports = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        blob = json.loads(line)
-        reports.append(
-            EvalReport(
-                subset_id=int(blob["subset_id"]),
-                scores={str(k): float(v) for k, v in blob["scores"].items()},
-            )
-        )
-    return reports
+    return _parse_eval_reports(text.splitlines())

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Triplet
+from .corpus import Triplet, read_json
 from .curate import CurationResult
 
 
@@ -148,8 +148,9 @@ def write_report(
 ) -> dict:
     """Render report.json plus histogram SVGs from a persisted selection."""
     out_dir = Path(out_dir)
-    with open(out_dir / "summary.json", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    summary = read_json(out_dir / "summary.json", (
+        "alpha", "k_clusters", "quotas", "cluster_sizes", "cluster_labels",
+        "item_scores", "selected_ids"))
     scores = np.array(summary["item_scores"], dtype=float)
     labels = np.array(summary["cluster_labels"], dtype=int)
     selected = summary["selected_ids"]

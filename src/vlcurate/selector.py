@@ -10,9 +10,15 @@ one scalar quality score out.
              mean-pool over items, scalar head
 
 Scores must not depend on item order. Float addition is not associative, so
-instead of relying on symmetric pooling alone every forward pass first sorts
-the rows lexicographically; permuted inputs then produce bit-identical
-scores.
+instead of relying on symmetric pooling alone every set's rows are first
+sorted lexicographically; permuted inputs then produce bit-identical scores.
+
+One forward and one backward take a (B, T, D) batch of B sorted sets of T
+items: ``predict`` is B = 1, ``loss_and_grad`` stacks its equal-length
+sets, and ``predict_items`` runs N one-item sets (T = 1, where attention
+weights are exactly 1 and nothing needs sorting). Products stay stacked per
+set, one BLAS call each, and per-set terms are added in set order, so a set
+gets the same bits alone as in a batch.
 
 Parameters live in one flat float64 vector addressed through a shape table,
 and gradients are computed by hand (no autodiff). The scalar head is
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,9 +140,10 @@ def _canonical(X: np.ndarray) -> np.ndarray:
     return X[np.lexsort(X.T[::-1])]
 
 
-def _check_input(model: SelectorModel, X) -> np.ndarray:
+def _check_input(model: SelectorModel, X, min_rows: int) -> np.ndarray:
+    """X as a finite float (N, D) matrix of the selector's width, N >= min_rows."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
+    if X.ndim != 2 or X.shape[0] < min_rows:
         raise DimensionMismatch(f"expected a (T, D) item matrix, got shape {X.shape}")
     if X.shape[1] != model.input_dim:
         raise DimensionMismatch(
@@ -144,148 +151,145 @@ def _check_input(model: SelectorModel, X) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise NonFiniteFeature("non-finite value in selector input")
-    return _canonical(X)
+    return X
+
+
+def _table(model: SelectorModel):
+    return shape_table(model.kind, model.input_dim, model.d_model, model.ff_dim, model.layers)
+
+
+def _T(A: np.ndarray) -> np.ndarray:
+    """Transpose every matrix of a (B, m, n) stack."""
+    return A.transpose(0, 2, 1)
 
 
 def _softmax_rows(S: np.ndarray) -> np.ndarray:
-    shifted = S - S.max(axis=1, keepdims=True)
+    shifted = S - S.max(axis=-1, keepdims=True)
     E = np.exp(shifted)
-    return E / E.sum(axis=1, keepdims=True)
+    return E / E.sum(axis=-1, keepdims=True)
 
 
-def _forward(model: SelectorModel, X: np.ndarray):
-    """Returns (score, cache). X is already canonicalized."""
-    p = _views(model.params, shape_table(
-        model.kind, model.input_dim, model.d_model, model.ff_dim, model.layers))
-    T = X.shape[0]
-    if model.kind == "linear":
-        pooled = X.mean(axis=0)
-        score = float(pooled @ p["head.w"] + p["head.b"][0])
-        return score, {"pooled": pooled}
+def _forward(model: SelectorModel, p, X: np.ndarray):
+    """(scores (B,), cache) for a (B, T, D) batch of canonical sets; p: param views."""
     if model.kind == "mlp":
         H1 = np.tanh(X @ p["l1.W"] + p["l1.b"])
         H2 = np.tanh(H1 @ p["l2.W"] + p["l2.b"])
         items = H2 @ p["head.w"] + p["head.b"][0]
-        return float(items.mean()), {"H1": H1, "H2": H2}
-    scale = 1.0 / math.sqrt(model.d_model)
-    H = X @ p["in.W"] + p["in.b"]
-    blocks = []
-    for i in range(model.layers):
-        a = f"blk{i}.att."
-        f = f"blk{i}.ff."
-        Q = H @ p[a + "Wq"] + p[a + "bq"]
-        K = H @ p[a + "Wk"] + p[a + "bk"]
-        V = H @ p[a + "Wv"] + p[a + "bv"]
-        P = _softmax_rows(Q @ K.T * scale)
-        C = P @ V
-        H1 = H + (C @ p[a + "Wo"] + p[a + "bo"])
-        Z = np.tanh(H1 @ p[f + "W1"] + p[f + "b1"])
-        H2 = H1 + (Z @ p[f + "W2"] + p[f + "b2"])
-        blocks.append({"Hin": H, "Q": Q, "K": K, "V": V, "P": P, "C": C,
-                       "H1": H1, "Z": Z})
-        H = H2
-    pooled = H.mean(axis=0)
-    score = float(pooled @ p["head.w"] + p["head.b"][0])
-    return score, {"blocks": blocks, "pooled": pooled, "T": T}
+        return items.mean(axis=1), {"H1": H1, "H2": H2}
+    H, blocks = X, []
+    if model.kind == "attention":
+        scale = 1.0 / math.sqrt(model.d_model)
+        H = X @ p["in.W"] + p["in.b"]
+        for i in range(model.layers):
+            a = f"blk{i}.att."
+            f = f"blk{i}.ff."
+            Q = H @ p[a + "Wq"] + p[a + "bq"]
+            K = H @ p[a + "Wk"] + p[a + "bk"]
+            V = H @ p[a + "Wv"] + p[a + "bv"]
+            P = _softmax_rows(Q @ _T(K) * scale)
+            C = P @ V
+            H1 = H + (C @ p[a + "Wo"] + p[a + "bo"])
+            Z = np.tanh(H1 @ p[f + "W1"] + p[f + "b1"])
+            blocks.append({"Hin": H, "Q": Q, "K": K, "V": V, "P": P, "C": C,
+                           "H1": H1, "Z": Z})
+            H = H1 + (Z @ p[f + "W2"] + p[f + "b2"])
+    pooled = H.mean(axis=1)
+    # (B, 1, m) @ (m,): one dot product per set, as for a single set
+    scores = (pooled[:, None, :] @ p["head.w"])[:, 0] + p["head.b"][0]
+    return scores, {"blocks": blocks, "pooled": pooled}
 
 
 def predict(model: SelectorModel, X) -> float:
     """Score one set of item embeddings; invariant to row order."""
-    Xc = _check_input(model, X)
-    score, _ = _forward(model, Xc)
-    return score
+    X = _canonical(_check_input(model, X, min_rows=1))
+    scores, _ = _forward(model, _views(model.params, _table(model)), X[None])
+    return float(scores[0])
 
 
 def predict_items(model: SelectorModel, X) -> np.ndarray:
     """Score each row as its own singleton set (curation-time use)."""
-    X = np.asarray(X, dtype=float)
-    return np.array([predict(model, X[i:i + 1]) for i in range(X.shape[0])])
+    X = _check_input(model, X, min_rows=0)
+    return _forward(model, _views(model.params, _table(model)), X[:, None, :])[0]
 
 
 # -- backward ------------------------------------------------------------
 
-def _backward(model: SelectorModel, X: np.ndarray, cache, dscore: float,
-              grad_views: dict[str, np.ndarray]) -> None:
-    """Accumulate d(loss)/d(params) into grad_views for one set."""
-    p = _views(model.params, shape_table(
-        model.kind, model.input_dim, model.d_model, model.ff_dim, model.layers))
-    g = grad_views
-    T = X.shape[0]
-    if model.kind == "linear":
-        g["head.w"] += dscore * cache["pooled"]
-        g["head.b"][0] += dscore
-        return
+def _sum_sets(S: np.ndarray) -> np.ndarray:
+    """Sum per-set terms over the batch axis one set after another, in list
+    order (``sum`` would add a 1-D axis pairwise)."""
+    return np.add.accumulate(S, axis=0)[-1]
+
+
+def _affine_grad(g, name_W: str, name_b: str, Hin: np.ndarray, dOut: np.ndarray) -> None:
+    """Add the gradients of Out = Hin @ W + b, summed over items, then sets."""
+    g[name_W] += _sum_sets(_T(Hin) @ dOut)
+    g[name_b] += _sum_sets(dOut.sum(axis=1))
+
+
+def _backward(model: SelectorModel, p, X: np.ndarray, cache, dscore: np.ndarray,
+              g: dict[str, np.ndarray]) -> None:
+    """Add d(loss)/d(params) into the views g, given d(loss)/d(score) per set."""
+    T = X.shape[1]
     if model.kind == "mlp":
         H1, H2 = cache["H1"], cache["H2"]
-        d_items = np.full(T, dscore / T)
-        g["head.w"] += H2.T @ d_items
-        g["head.b"][0] += d_items.sum()
-        dH2 = np.outer(d_items, p["head.w"])
-        dU2 = dH2 * (1.0 - H2 * H2)
-        g["l2.W"] += H1.T @ dU2
-        g["l2.b"] += dU2.sum(axis=0)
-        dH1 = dU2 @ p["l2.W"].T
-        dU1 = dH1 * (1.0 - H1 * H1)
-        g["l1.W"] += X.T @ dU1
-        g["l1.b"] += dU1.sum(axis=0)
+        d_items = np.repeat((dscore / T)[:, None], T, axis=1)
+        g["head.w"] += _sum_sets((_T(H2) @ d_items[:, :, None])[:, :, 0])
+        g["head.b"][0] += _sum_sets(d_items.sum(axis=1))
+        dU2 = d_items[:, :, None] * p["head.w"] * (1.0 - H2 * H2)
+        _affine_grad(g, "l2.W", "l2.b", H1, dU2)
+        dU1 = (dU2 @ p["l2.W"].T) * (1.0 - H1 * H1)
+        _affine_grad(g, "l1.W", "l1.b", X, dU1)
+        return
+    g["head.w"] += _sum_sets(dscore[:, None] * cache["pooled"])
+    g["head.b"][0] += _sum_sets(dscore)
+    if model.kind == "linear":
         return
     scale = 1.0 / math.sqrt(model.d_model)
-    g["head.w"] += dscore * cache["pooled"]
-    g["head.b"][0] += dscore
-    dH = np.tile(dscore * p["head.w"] / T, (T, 1))
+    dH = np.repeat((dscore[:, None] * p["head.w"] / T)[:, None, :], T, axis=1)
     for i in reversed(range(model.layers)):
         a = f"blk{i}.att."
         f = f"blk{i}.ff."
         blk = cache["blocks"][i]
-        H1, Z = blk["H1"], blk["Z"]
         # feed-forward residual: H2 = H1 + tanh(H1 W1 + b1) W2 + b2
-        g[f + "W2"] += Z.T @ dH
-        g[f + "b2"] += dH.sum(axis=0)
-        dU = (dH @ p[f + "W2"].T) * (1.0 - Z * Z)
-        g[f + "W1"] += H1.T @ dU
-        g[f + "b1"] += dU.sum(axis=0)
+        _affine_grad(g, f + "W2", f + "b2", blk["Z"], dH)
+        dU = (dH @ p[f + "W2"].T) * (1.0 - blk["Z"] * blk["Z"])
+        _affine_grad(g, f + "W1", f + "b1", blk["H1"], dU)
         dH1 = dH + dU @ p[f + "W1"].T
         # attention residual: H1 = Hin + (P V) Wo + bo
         Hin, Q, K, V, P, C = blk["Hin"], blk["Q"], blk["K"], blk["V"], blk["P"], blk["C"]
-        g[a + "Wo"] += C.T @ dH1
-        g[a + "bo"] += dH1.sum(axis=0)
+        _affine_grad(g, a + "Wo", a + "bo", C, dH1)
         dC = dH1 @ p[a + "Wo"].T
-        dP = dC @ V.T
-        dV = P.T @ dC
-        dS = P * (dP - (dP * P).sum(axis=1, keepdims=True))
+        dP = dC @ _T(V)
+        dV = _T(P) @ dC
+        dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True))
         dQ = dS @ K * scale
-        dK = dS.T @ Q * scale
-        g[a + "Wq"] += Hin.T @ dQ
-        g[a + "bq"] += dQ.sum(axis=0)
-        g[a + "Wk"] += Hin.T @ dK
-        g[a + "bk"] += dK.sum(axis=0)
-        g[a + "Wv"] += Hin.T @ dV
-        g[a + "bv"] += dV.sum(axis=0)
+        dK = _T(dS) @ Q * scale
+        for m, dM in (("q", dQ), ("k", dK), ("v", dV)):
+            _affine_grad(g, a + "W" + m, a + "b" + m, Hin, dM)
         dH = dH1 + dQ @ p[a + "Wq"].T + dK @ p[a + "Wk"].T + dV @ p[a + "Wv"].T
-    g["in.W"] += X.T @ dH
-    g["in.b"] += dH.sum(axis=0)
+    _affine_grad(g, "in.W", "in.b", X, dH)
 
 
 def loss_and_grad(
     model: SelectorModel, sets: list[np.ndarray], labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean squared error over the labeled sets, with its full gradient."""
+    """Mean squared error over equal-length labeled sets, with its full gradient."""
     if len(sets) != len(labels) or len(sets) == 0:
         raise BadConfig("need one label per set and at least one set")
     labels = np.asarray(labels, dtype=float)
+    canonical = [_canonical(_check_input(model, X, min_rows=1)) for X in sets]
+    lengths = {X.shape[0] for X in canonical}
+    if len(lengths) != 1:
+        raise DimensionMismatch(f"training sets differ in length: {sorted(lengths)}")
+    X = np.stack(canonical)
+    table = _table(model)
+    p = _views(model.params, table)
     grad = np.zeros_like(model.params)
-    table = shape_table(model.kind, model.input_dim, model.d_model,
-                        model.ff_dim, model.layers)
-    g = _views(grad, table)
+    scores, cache = _forward(model, p, X)
+    err = scores - labels
     n = len(sets)
-    loss = 0.0
-    for X, y in zip(sets, labels):
-        Xc = _check_input(model, X)
-        score, cache = _forward(model, Xc)
-        err = score - y
-        loss += err * err / n
-        _backward(model, Xc, cache, 2.0 * err / n, g)
-    return loss, grad
+    _backward(model, p, X, cache, 2.0 * err / n, _views(grad, table))
+    return float(_sum_sets(err * err / n)), grad
 
 
 def train(
@@ -304,10 +308,7 @@ def train(
     if len(sets) < 2:
         raise BadConfig("training needs at least 2 labeled sets")
     params = model.params.copy()
-    current = SelectorModel(
-        kind=model.kind, input_dim=model.input_dim, d_model=model.d_model,
-        ff_dim=model.ff_dim, layers=model.layers, params=params,
-    )
+    current = replace(model, params=params)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -374,8 +375,7 @@ def load_selector(model_dir: str | Path) -> SelectorModel:
         dims = {k: int(meta[k]) for k in ("input_dim", "d_model", "ff_dim", "layers")}
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelLoadError(f"selector metadata incomplete: {exc}") from exc
-    expected = num_params(kind, dims["input_dim"], dims["d_model"],
-                          dims["ff_dim"], dims["layers"])
+    expected = num_params(kind, **dims)
     if params.size != expected or int(meta.get("n_params", -1)) != expected:
         raise ModelLoadError(
             f"parameter count {params.size} != expected {expected} for {kind}"

@@ -2,6 +2,7 @@
 end-to-end pipeline in-process."""
 
 import builtins
+import dataclasses
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vlcurate import cli
 from vlcurate.cli import build_parser, main, stage_table
 from vlcurate.config import (
     PipelineConfig,
@@ -403,17 +405,35 @@ def test_every_declared_input_is_fingerprinted(pipeline, tmp_path, capsys):
 
 
 def test_stages_read_only_declared_files(pipeline, tmp_path, monkeypatch):
+    """A stage body reads exactly the inputs its entry declares, plus at most
+    its own outputs (``score`` reads the cache it refills)."""
     work = tmp_path / "work"
     shutil.copytree(pipeline, work)
     root = work.resolve()
     opened = []
+    in_body = [False]
     real_open = io.open
+    real_table = cli.stage_table
 
     def recording_open(file, mode="r", *args, **kwargs):
-        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+        if in_body[0] and isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
             opened.append(Path(file).resolve())
         return real_open(file, mode, *args, **kwargs)
 
+    def recorded(body):
+        def run(*args):
+            in_body[0] = True
+            try:
+                return body(*args)
+            finally:
+                in_body[0] = False
+        return run
+
+    # record the body's reads only, not the fingerprint's
+    monkeypatch.setattr(cli, "stage_table", lambda cfg, args: {
+        name: dataclasses.replace(stage, body=recorded(stage.body))
+        for name, stage in real_table(cfg, args).items()
+    })
     monkeypatch.setattr(io, "open", recording_open)
     monkeypatch.setattr(builtins, "open", recording_open)
     for argv in STAGES + VARIANTS:
@@ -421,9 +441,10 @@ def test_stages_read_only_declared_files(pipeline, tmp_path, monkeypatch):
         (work / ".fingerprints" / f"{argv[0]}.sha256").unlink()
         opened.clear()
         assert main([*argv, "--workdir", str(work)]) == 0
-        declared = {Path(p).resolve() for p in [*entry.inputs, *entry.outputs]}
-        read = {p for p in opened if root in p.parents}
-        assert read <= declared, (argv[0], sorted(str(p) for p in read - declared))
+        inputs = {Path(p).resolve() for p in entry.inputs}
+        outputs = {Path(p).resolve() for p in entry.outputs}
+        read = {p for p in opened if root in p.parents} - outputs
+        assert read == inputs, (argv[0], sorted(str(p) for p in read ^ inputs))
 
 
 def test_score_non_numeric_feature_exits_1(tmp_path, capsys):
@@ -440,6 +461,93 @@ def test_score_non_numeric_feature_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error[MalformedRecord]" in err
     assert "Traceback" not in err
+
+
+def _drop_key(key):
+    def edit(text):
+        blob = json.loads(text)
+        del blob[key]
+        return json.dumps(blob)
+    return edit
+
+
+def _unknown_member(text):
+    blob = json.loads(text)
+    blob["subsets"][2]["member_ids"][0] = "no-such-id"
+    return json.dumps(blob)
+
+
+def _drop_member_ids(text):
+    blob = json.loads(text)
+    del blob["subsets"][1]["member_ids"]
+    return json.dumps(blob)
+
+
+TRAIN = ["train-selector", "--epochs", "3", "--seed", "0"]
+
+
+@pytest.mark.parametrize("argv,relpath,edit,error", [
+    (TRAIN, "subsets/subsets.json", _unknown_member, "MissingFeature"),
+    (TRAIN, "subsets/subsets.json", lambda text: text[:-20], "MalformedRecord"),
+    (TRAIN, "subsets/subsets.json", _drop_key("subsets"), "MalformedRecord"),
+    (TRAIN, "subsets/subsets.json", _drop_member_ids, "MalformedRecord"),
+    (TRAIN, "subsets/subsets.json", lambda text: "[]", "MalformedRecord"),
+    (["report", "--seed", "0"], "curated/summary.json", lambda text: text[:-20],
+     "MalformedRecord"),
+    (["report", "--seed", "0"], "curated/summary.json", _drop_key("item_scores"),
+     "MalformedRecord"),
+], ids=["unknown-member", "subsets-not-json", "no-subsets-key", "no-member-ids",
+        "subsets-not-object", "summary-not-json", "no-item-scores-key"])
+def test_malformed_stage_input_exits_1(pipeline, tmp_path, capsys, argv, relpath,
+                                       edit, error):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    path = work / relpath
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, "--workdir", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert f"error[{error}]" in err
+    assert "Traceback" not in err
+
+
+def test_score_failure_keeps_paid_scores(tmp_path):
+    # the two stubs share one budget: after `paid` answers every call fails
+    work = tmp_path / "work"
+    n, paid = 30, 7
+    assert main(["synth", "--n", str(n), "--seed", "5", "--workdir", str(work)]) == 0
+    (work / "scores.jsonl").unlink()
+    reward_stub, rating_stub = StubEndpoint(), StubEndpoint()
+    served = []
+
+    def budget(reply):
+        def handle(payload):
+            if len(served) >= paid:
+                return 500
+            served.append(1)
+            return reply
+        return handle
+
+    argv = ["score", "--provider", "http", "--reward-url", reward_stub.url,
+            "--rating-url", rating_stub.url, "--workdir", str(work)]
+    try:
+        reward_stub.handler = budget({"score": 0.5})
+        rating_stub.handler = budget({"content": "66"})
+        assert main(argv) == 1
+        cache = read_scores(work / "scores.jsonl")
+        fetched = sum((r.reward is not None) + (r.gpt is not None)
+                      for r in cache.records.values())
+        assert fetched == paid
+        reward_stub.requests.clear()
+        rating_stub.requests.clear()
+        reward_stub.handler = lambda payload: {"score": 0.5}
+        rating_stub.handler = lambda payload: {"content": "66"}
+        assert main(argv) == 0
+        assert len(reward_stub.requests) + len(rating_stub.requests) == 2 * n - paid
+        assert all(r.complete() for r in read_scores(work / "scores.jsonl").records.values())
+    finally:
+        reward_stub.close()
+        rating_stub.close()
 
 
 def test_score_without_provider_exits_1(tmp_path, capsys):

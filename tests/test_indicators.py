@@ -206,7 +206,8 @@ def test_reward_client_table_driven(http_stub):
         assert client.score(t) == table[f"answer {i}"]
 
 
-@pytest.mark.parametrize("body", [[1, 2], {"content": 5}, {"score": None}, "plain"])
+@pytest.mark.parametrize("body", [[1, 2], {"content": 5}, {"score": None}, "plain",
+                                  '{"score": NaN}', '{"score": -Infinity}'])
 @pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
 def test_clients_turn_malformed_replies_into_scoring_failed(http_stub, body, make_client):
     http_stub.handler = lambda payload: body

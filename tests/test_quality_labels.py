@@ -209,6 +209,10 @@ def test_eval_reports_roundtrip(tmp_path):
 
 def test_eval_reports_malformed(tmp_path):
     path = tmp_path / "reports.jsonl"
-    path.write_text('{"subset_id": "x", "scores": {"a": "high"}}\n')
-    with pytest.raises(MalformedRecord):
-        read_eval_reports(path)
+    for line in ('{"subset_id": "x", "scores": {"a": "high"}}',
+                 '{"subset_id": 1, "scores": [30.0, 28.5]}',
+                 '{"subset_id": 1}', '[1, 2]', 'not json'):
+        path.write_text('{"subset_id": 0, "scores": {"a": 1.0}}\n' + line + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            read_eval_reports(path)
+        assert err.value.line_no == 2, line

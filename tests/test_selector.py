@@ -150,14 +150,16 @@ def test_predict_rejects_bad_input():
         predict(model, np.array([[1.0, 2.0, np.nan, 0.0, 0.0]]))
 
 
-def test_predict_items_matches_singletons():
-    model = _nonzero_head("attention")
+@pytest.mark.parametrize("kind", ["linear", "mlp", "attention"])
+@pytest.mark.parametrize("n,dim", [(6, 5), (500, 10)])
+def test_predict_items_matches_singletons(kind, n, dim):
+    model = _nonzero_head(kind, input_dim=dim)
     rng = np.random.default_rng(4)
-    X = rng.normal(size=(6, 5))
+    X = rng.normal(size=(n, dim))
     per_item = predict_items(model, X)
-    assert per_item.shape == (6,)
-    for i in range(6):
-        assert per_item[i] == predict(model, X[i:i + 1])
+    assert per_item.shape == (n,)
+    for i in range(n):
+        assert per_item[i] == predict(model, X[i:i + 1])  # bitwise
 
 
 # -- gradients ------------------------------------------------------------
@@ -200,6 +202,14 @@ def test_gradients_match_finite_differences(kind, seed):
     _, grad = loss_and_grad(model, sets, labels)
     fd = fd_gradient(model, sets, labels)
     assert max_rel_err(grad, fd) < 1e-4
+
+
+def test_loss_rejects_sets_of_unequal_length():
+    model = _nonzero_head("mlp")
+    rng = np.random.default_rng(8)
+    sets = [rng.normal(size=(4, 5)), rng.normal(size=(5, 5))]
+    with pytest.raises(DimensionMismatch):
+        loss_and_grad(model, sets, np.zeros(2))
 
 
 def test_perfect_model_zero_loss_zero_grad():
