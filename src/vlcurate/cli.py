@@ -12,9 +12,9 @@ Config precedence: defaults < config file < environment < flags. The
 environment may only set provider endpoints and the API credential.
 ``stage_table`` is the one place that lists each stage's input files,
 fingerprinted config keys and output files; ``run_stage`` fingerprints
-them, skips a stage whose inputs, config and outputs are unchanged, and
-otherwise runs its body. Exit codes: 0 success, 1 pipeline error,
-2 usage error.
+them, skips a stage whose inputs, config and output digests are
+unchanged, and otherwise runs its body. Exit codes: 0 success,
+1 pipeline error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .config import PipelineConfig, build_config, fingerprint, stage_is_current,
 from .corpus import (
     REQUIRED_MATRICES,
     ScoreCache,
+    atomic_write,
     load_features,
     load_manifest,
     read_json,
@@ -126,7 +127,7 @@ def _split(cfg: PipelineConfig, args, value: str) -> str:
             for s in subsets
         ],
     }
-    with open(cfg.subsets_path() / "subsets.json", "w", encoding="utf-8") as fh:
+    with atomic_write(cfg.subsets_path() / "subsets.json") as fh:
         json.dump(blob, fh, indent=2)
         fh.write("\n")
     if args.oracle_reports:
@@ -161,7 +162,7 @@ def _train_selector(cfg: PipelineConfig, args, value: str) -> str:
         epochs=cfg.epochs, lr=cfg.lr, optimizer=cfg.optimizer,
     )
     save_selector(cfg.model_path(), result.model)
-    with open(cfg.model_path() / "losses.json", "w", encoding="utf-8") as fh:
+    with atomic_write(cfg.model_path() / "losses.json") as fh:
         json.dump({"losses": result.losses}, fh, indent=2)
         fh.write("\n")
     return (f"kind={cfg.selector_kind} loss {result.losses[0]:.4f} -> "
@@ -203,21 +204,26 @@ def _report(cfg: PipelineConfig, args, value: str) -> str:
 @dataclass(frozen=True)
 class Stage:
     """One stage: the files it reads, the config it depends on, the files
-    it writes, and ``body(cfg, args, fingerprint) -> log message``."""
+    it writes, and ``body(cfg, args, fingerprint) -> log message``.
+    ``handed_on`` are outputs that a later stage rewrites (``synth``'s score
+    cache, which ``score`` fills): only their presence keeps the stage
+    current, while the other outputs must also keep the digests recorded
+    when the stage ran."""
 
     inputs: list[Path]
     config: dict
     outputs: list[Path]
     body: Callable[[PipelineConfig, argparse.Namespace, str], str]
+    handed_on: tuple[Path, ...] = ()
 
 
 def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stage]:
     """Every stage's declared inputs, config subset and outputs.
 
     A stage reruns when the bytes of an input or a config value change, or
-    when an output is missing. The config keys name what a stage's output
-    depends on; ``n`` and ``kind`` keep their historical spellings so that
-    existing fingerprints stay valid.
+    when an output is missing or its bytes changed. The config keys name
+    what a stage's output depends on; ``n`` and ``kind`` keep their
+    historical spellings so that existing fingerprints stay valid.
     """
     def features(*names: str) -> list[Path]:
         return [cfg.features_path() / f"{name}.txt" for name in names]
@@ -231,9 +237,9 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
             inputs=[],
             config={"n": cfg.synth_n, "seed": cfg.seed,
                     "image_dim": cfg.image_dim, "text_dim": cfg.text_dim},
-            outputs=[cfg.manifest_path(), cfg.scores_path(), cfg.oracle_path(),
-                     *features(*REQUIRED_MATRICES)],
+            outputs=[cfg.manifest_path(), cfg.oracle_path(), *features(*REQUIRED_MATRICES)],
             body=_synth,
+            handed_on=(cfg.scores_path(),),
         ),
         "score": Stage(
             inputs=[cfg.manifest_path(), *features("image", "text_clip")],
@@ -290,12 +296,12 @@ def run_stage(name: str, cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Run one stage unless its fingerprint and outputs are current."""
     stage = stage_table(cfg, args)[name]
     value = fingerprint(stage.inputs, stage.config)
-    if stage_is_current(cfg.workdir, name, value, stage.outputs):
+    if stage_is_current(cfg.workdir, name, value, [*stage.outputs, *stage.handed_on]):
         print(f"[{name}] up-to-date, skipping")
         return 0
     started = time.perf_counter()
     message = stage.body(cfg, args, value)
-    stage_mark_done(cfg.workdir, name, value)
+    stage_mark_done(cfg.workdir, name, value, stage.outputs)
     print(f"[{name}] {message} ({time.perf_counter() - started:.2f}s)")
     return 0
 

@@ -7,7 +7,9 @@ outright so a typo cannot silently fall back to a default.
 
 Stage fingerprints (sha256 over input files plus the relevant config
 subset) make every pipeline stage resumable: a rerun with unchanged
-inputs is a no-op.
+inputs is a no-op. Each stage's record also holds the sha256 of every
+output, so an output edited or damaged after the stage ran makes it run
+again.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
+from .corpus import atomic_write
 from .errors import BadConfig
 
 ENV_REWARD_URL = "VLCURATE_REWARD_URL"
@@ -217,18 +221,56 @@ def _fingerprint_file(workdir: str | Path, stage: str) -> Path:
     return Path(workdir) / ".fingerprints" / f"{stage}.sha256"
 
 
+def _output_key(workdir: str | Path, path: str | Path) -> str:
+    """An output's name in a record: relative to the workdir where it lies
+    inside, so a copied workdir keeps its records valid."""
+    path = Path(path).resolve()
+    try:
+        return path.relative_to(Path(workdir).resolve()).as_posix()
+    except ValueError:
+        return str(path)
+
+
+def _file_digest(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def stage_is_current(
     workdir: str | Path, stage: str, value: str, outputs: list[Path]
 ) -> bool:
-    record = _fingerprint_file(workdir, stage)
-    if not record.exists():
+    """True when the stage's record holds fingerprint ``value``, every
+    output exists, and every output the record has a digest for still has
+    that digest. A record in an older format is never current."""
+    try:
+        record = json.loads(_fingerprint_file(workdir, stage).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
         return False
-    if record.read_text(encoding="utf-8").strip() != value:
+    if not isinstance(record, dict) or record.get("fingerprint") != value:
         return False
-    return all(Path(p).exists() for p in outputs)
+    digests = record.get("outputs")
+    if not isinstance(digests, dict):
+        return False
+    for path in outputs:
+        if not Path(path).exists():
+            return False
+        stored = digests.get(_output_key(workdir, path))
+        if stored is not None and stored != _file_digest(path):
+            return False
+    return True
 
 
-def stage_mark_done(workdir: str | Path, stage: str, value: str) -> None:
+def stage_mark_done(
+    workdir: str | Path, stage: str, value: str, outputs: Sequence[Path] = ()
+) -> None:
+    """Record fingerprint ``value`` and the sha256 of each of ``outputs``."""
     record = _fingerprint_file(workdir, stage)
     record.parent.mkdir(parents=True, exist_ok=True)
-    record.write_text(value + "\n", encoding="utf-8")
+    blob = {"fingerprint": value,
+            "outputs": {_output_key(workdir, p): _file_digest(p) for p in outputs}}
+    with atomic_write(record) as fh:
+        json.dump(blob, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -90,8 +91,24 @@ def load_manifest(path: str | Path) -> list[Triplet]:
     return triplets
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file to write ``path`` through: the block writes a
+    temporary file in the same directory, which replaces ``path`` only when
+    the block ends without error, so a failed write leaves the previous
+    file whole (no fsync: it guards against errors, not power loss)."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_manifest(triplets: Iterable[Triplet], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for t in triplets:
             fh.write(
                 json.dumps(
@@ -171,7 +188,7 @@ def read_feature_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
 def write_feature_file(path: str | Path, ids: Iterable[str], matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=float)
     ids = list(ids)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"id {matrix.shape[1]}\n")
         for sample_id, row in zip(ids, matrix):
             fh.write(sample_id + " " + " ".join(repr(float(v)) for v in row) + "\n")
@@ -289,12 +306,9 @@ def read_scores(path: str | Path) -> ScoreCache:
 
 
 def write_scores(cache: ScoreCache, path: str | Path) -> None:
-    """Write the cache to a temporary file and move it over ``path``, so a
-    failed write leaves the previous cache whole."""
     for record in cache.records.values():
         record.validate()
-    tmp = Path(f"{path}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for sample_id, record in cache.records.items():
             row: dict[str, object] = {"id": sample_id}
             for field in ("clip", "length", "reward", "gpt"):
@@ -302,4 +316,3 @@ def write_scores(cache: ScoreCache, path: str | Path) -> None:
                 if value is not None:
                     row[field] = value
             fh.write(json.dumps(row) + "\n")
-    os.replace(tmp, path)

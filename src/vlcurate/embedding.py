@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import FeatureStore, ScoreCache, Triplet, write_feature_file
+from .corpus import FeatureStore, ScoreCache, Triplet, atomic_write, write_feature_file
 from .errors import DimensionMismatch, MissingScore, ModelLoadError
 from .indicators import indicator_matrix, scores_from_record
 from .numerics import PcaModel, pca_fit, pca_transform
@@ -233,7 +233,7 @@ def save_bundle(
             },
         },
     }
-    with open(bundle_dir / "embedding_bundle.json", "w", encoding="utf-8") as fh:
+    with atomic_write(bundle_dir / "embedding_bundle.json") as fh:
         json.dump(blob, fh, indent=2)
         fh.write("\n")
 

@@ -94,6 +94,10 @@ class DegenerateAffinity(VlcurateError):
     pass
 
 
+class EigensolverNotConverged(VlcurateError):
+    pass
+
+
 # -- quality labels ----------------------------------------------------
 
 class EmptyReport(VlcurateError):

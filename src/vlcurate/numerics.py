@@ -1,9 +1,13 @@
 """Deterministic numerical engines: PCA, k-means++, spectral clustering.
 
 Everything is seeded and pure: identical (data, seed) always reproduces
-identical output. The symmetric eigenproblems (PCA covariance, graph
-Laplacian) go through ``np.linalg.eigh``; tests cross-check the results
-against independent brute-force routes.
+identical output. ``np.linalg.eigh`` solves PCA's d x d covariance (and
+the small projected matrix inside ``top_eigenpairs``). Spectral
+clustering never forms the N x N Laplacian or decomposes it whole: it
+builds the normalized affinity in place in one N x N buffer and takes its
+k leading eigenpairs from a seeded block Krylov solver. Tests cross-check
+the results against independent brute-force routes, dense ``eigh`` of the
+Laplacian among them.
 
 Balanced k-means adds a capacity post-pass on top of standard Lloyd:
 each oversized cluster keeps its ``capacity`` closest members, evicted
@@ -22,12 +26,27 @@ from .errors import (
     BadRank,
     DegenerateAffinity,
     DimensionMismatch,
+    EigensolverNotConverged,
     InfeasibleCapacity,
     TooManyClusters,
 )
 
 LLOYD_MAX_ITER = 300
 DEFAULT_RESTARTS = 10
+
+# top_eigenpairs: the block is k + EIG_OVERSAMPLE columns wide (at most N),
+# a Krylov basis holds at most EIG_DEPTH blocks before a restart, and a Ritz
+# pair has converged when |M u - theta u| <= EIG_TOL for unit u (an absolute
+# bound, sized for |M| <= 1 as for a normalized affinity). A new direction
+# shorter than EIG_DROP of its column's length is rounding noise and is not
+# added to the basis. The start block is seeded, so the same matrix always
+# gives bit-identical eigenpairs.
+EIG_OVERSAMPLE = 6
+EIG_DEPTH = 24
+EIG_TOL = 1e-10
+EIG_MAX_RESTARTS = 10
+EIG_DROP = 1e-13
+EIG_SEED = 0
 
 
 # -- PCA -----------------------------------------------------------------
@@ -92,12 +111,11 @@ class ClusterAssignment:
 
 
 def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        (data * data).sum(axis=1)[:, None]
-        - 2.0 * data @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    """|x|^2 - 2 x.c + |c|^2, clamped at zero, built in one (N, k) buffer."""
+    d2 = (2.0 * data) @ centroids.T
+    np.subtract((data * data).sum(axis=1)[:, None], d2, out=d2)
+    d2 += (centroids * centroids).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _dsq_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -241,33 +259,124 @@ def kmeans_pp(
 # -- spectral clustering -------------------------------------------------
 
 def pairwise_distances(data: np.ndarray) -> np.ndarray:
-    d2 = _squared_distances(data, data)
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    dist = _squared_distances(data, data)
+    np.fill_diagonal(dist, 0.0)
+    return np.sqrt(dist, out=dist)
+
+
+def _median_distance(data: np.ndarray) -> float:
+    """The median off-diagonal pairwise distance, 0.0 below two rows.
+
+    Partitions one distance matrix in place instead of copying out its
+    off-diagonal: the n zero diagonal entries sort before every distance,
+    so the off-diagonal order statistic j sits at flat position n + j."""
+    n = data.shape[0]
+    half = n * (n - 1) // 2
+    if half == 0:
+        return 0.0
+    flat = pairwise_distances(data).reshape(-1)
+    middle = [n + half - 1, n + half]
+    flat.partition(middle)
+    return float(np.mean(flat[middle]))
+
+
+def _normalized_affinity(data: np.ndarray) -> np.ndarray:
+    """M = D^-1/2 A D^-1/2 for the Gaussian affinity A (zero diagonal,
+    kernel width the median off-diagonal distance), built in place in one
+    (N, N) distance buffer."""
+    sigma = _median_distance(data)
+    if sigma == 0.0:
+        raise DegenerateAffinity("median pairwise distance is zero")
+    buf = pairwise_distances(data)
+    np.multiply(buf, buf, out=buf)
+    np.negative(buf, out=buf)
+    buf /= 2.0 * sigma * sigma
+    np.exp(buf, out=buf)
+    np.fill_diagonal(buf, 0.0)
+    degree = buf.sum(axis=1)
+    inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
+    buf *= inv_sqrt[:, None]
+    buf *= inv_sqrt[None, :]
+    return buf
+
+
+def _extend_basis(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the part of ``block`` outside the span
+    of the orthonormal ``basis``. The columns are scaled to unit length
+    first (the span is what counts, and the image of a direction with a
+    small eigenvalue is short), then go through two Gram-Schmidt passes,
+    each followed by a QR. A direction that the first pass leaves below
+    EIG_DROP, or the second shrinks below half its length, lies in the span
+    to rounding and is dropped."""
+    norms = np.linalg.norm(block, axis=0)
+    block = block[:, norms > 0.0] / norms[norms > 0.0]
+    floor = EIG_DROP
+    for _ in range(2):
+        block = block - basis @ (basis.T @ block)
+        q, r = np.linalg.qr(block)
+        block = q[:, np.abs(np.diag(r)) > floor]
+        floor = 0.5
+    return block
+
+
+def top_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k algebraically largest eigenvalues (descending) of a symmetric
+    matrix and orthonormal eigenvectors for them.
+
+    Block Krylov iteration with explicit restarts. A cycle starts from a
+    seeded block of ``k + EIG_OVERSAMPLE`` columns and grows the
+    orthonormal basis of [X, MX, M^2 X, ...] one block at a time, up to
+    ``EIG_DEPTH`` blocks. After each block, Rayleigh-Ritz runs over the
+    whole basis and ranks the Ritz pairs by algebraic value, so eigenvalues
+    near -1 never crowd out those near +1 as they do in plain subspace
+    iteration. The answer is returned as soon as each of the k leading
+    Ritz pairs has residual norm at most ``EIG_TOL``; a full basis starts
+    the next cycle from the leading Ritz vectors, and after
+    ``EIG_MAX_RESTARTS`` cycles EigensolverNotConverged is raised.
+    """
+    n = matrix.shape[0]
+    if not 1 <= k <= n:
+        raise BadRank(f"k={k} outside [1, {n}]")
+    width = min(n, k + EIG_OVERSAMPLE)
+    start = np.random.default_rng(EIG_SEED).standard_normal((n, width))
+    worst = float("inf")
+    for _ in range(EIG_MAX_RESTARTS):
+        block = _extend_basis(np.empty((n, 0)), start)
+        basis, image = block, matrix @ block
+        for depth in range(1, EIG_DEPTH + 1):
+            projected = basis.T @ image
+            theta, coords = np.linalg.eigh((projected + projected.T) / 2.0)
+            order = np.argsort(-theta, kind="stable")[:width]
+            theta, coords = theta[order], coords[:, order]
+            vectors = basis @ coords
+            residual = image @ coords[:, :k] - vectors[:, :k] * theta[:k]
+            worst = float(np.linalg.norm(residual, axis=0).max())
+            if worst <= EIG_TOL:
+                return theta[:k], vectors[:, :k]
+            if depth == EIG_DEPTH:
+                break
+            block = _extend_basis(basis, image[:, -block.shape[1]:])
+            if not block.shape[1]:   # the basis spans an invariant subspace
+                break
+            basis = np.hstack([basis, block])
+            image = np.hstack([image, matrix @ block])
+        start = vectors
+    raise EigensolverNotConverged(
+        f"top-{k} eigenpairs of a {n}x{n} matrix: residual {worst:.3g} > {EIG_TOL:g} "
+        f"after {EIG_MAX_RESTARTS} restarts")
 
 
 def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the normalized Laplacian plus the row-normalized
-    matrix of its k smallest-eigenvalue eigenvectors."""
+    """The k smallest eigenvalues (ascending) of the normalized Laplacian
+    L = I - D^-1/2 A D^-1/2 plus the row-normalized (N, k) matrix of their
+    eigenvectors. L is never formed: they are the k largest eigenpairs of
+    the normalized affinity, found by ``top_eigenpairs``."""
     data = np.asarray(data, dtype=float)
-    n = data.shape[0]
-    dist = pairwise_distances(data)
-    off_diag = dist[~np.eye(n, dtype=bool)]
-    sigma = float(np.median(off_diag)) if off_diag.size else 0.0
-    if sigma == 0.0:
-        raise DegenerateAffinity("median pairwise distance is zero")
-    affinity = np.exp(-(dist * dist) / (2.0 * sigma * sigma))
-    np.fill_diagonal(affinity, 0.0)
-    degree = affinity.sum(axis=1)
-    inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
-    lap = np.eye(n) - (inv_sqrt[:, None] * affinity) * inv_sqrt[None, :]
-    lap = (lap + lap.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(lap)
-    rows = eigvecs[:, :k].copy()
+    theta, rows = top_eigenpairs(_normalized_affinity(data), k)
     norms = np.linalg.norm(rows, axis=1)
     nonzero = norms > 0.0
     rows[nonzero] /= norms[nonzero, None]
-    return eigvals, rows
+    return 1.0 - theta, rows
 
 
 def rank_data(values: np.ndarray) -> np.ndarray:

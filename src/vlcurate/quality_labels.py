@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Triplet, write_manifest
+from .corpus import Triplet, atomic_write, write_manifest
 from .embedding import ItemEmbedding, embedding_matrix
 from .errors import DuplicateId, EmptyReport, MalformedRecord, MissingLabel, UnknownSubset
 from .numerics import kmeans_pp
@@ -140,7 +140,7 @@ def read_eval_reports(path: str | Path) -> list[EvalReport]:
 
 
 def write_eval_reports(path: str | Path, reports: list[EvalReport]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rep in reports:
             fh.write(json.dumps({"subset_id": rep.subset_id, "scores": rep.scores}))
             fh.write("\n")

@@ -4,7 +4,8 @@ Plots are self-contained SVG files written with fixed-precision
 coordinates, so identical inputs produce byte-identical output. When a
 planted-quality oracle is available the report compares the selected
 subset's mean quality against seed-matched random subsets of the same
-size.
+size, and gives the Spearman correlation of item score and planted
+quality over the whole corpus (``spearman_q``).
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Triplet, read_json
+from .corpus import Triplet, atomic_write, read_json
 from .curate import CurationResult
+from .numerics import spearman
 
 
 def svg_histogram(
@@ -114,7 +116,7 @@ def write_selection(
         [by_id[i] for i in result.selected_ids], out_dir / "selected.manifest.jsonl"
     )
     index = {t.id: i for i, t in enumerate(manifest)}
-    with open(out_dir / "selection.jsonl", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "selection.jsonl") as fh:
         for cluster, picks in enumerate(result.ranked_per_cluster):
             for rank, sample_id in enumerate(picks):
                 fh.write(json.dumps({
@@ -135,7 +137,7 @@ def write_selection(
         "item_scores": [float(v) for v in result.item_scores],
         "selected_ids": list(result.selected_ids),
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -155,19 +157,16 @@ def write_report(
     labels = np.array(summary["cluster_labels"], dtype=int)
     selected = summary["selected_ids"]
 
-    (out_dir / "score_hist.svg").write_text(
-        svg_histogram(scores, title="selector scores, full corpus"), encoding="utf-8"
-    )
+    with atomic_write(out_dir / "score_hist.svg") as fh:
+        fh.write(svg_histogram(scores, title="selector scores, full corpus"))
     for j in range(summary["k_clusters"]):
         member_scores = scores[labels == j]
-        (out_dir / f"cluster_{j:02d}_scores.svg").write_text(
-            svg_histogram(
+        with atomic_write(out_dir / f"cluster_{j:02d}_scores.svg") as fh:
+            fh.write(svg_histogram(
                 member_scores,
                 title=f"cluster {j}: {member_scores.size} samples, "
                       f"quota {summary['quotas'][j]}",
-            ),
-            encoding="utf-8",
-        )
+            ))
 
     report = {
         "alpha": summary["alpha"],
@@ -183,10 +182,11 @@ def write_report(
         },
     }
     if oracle is not None:
-        report["oracle_comparison"] = uplift_stats(
-            oracle, selected, [t.id for t in manifest], seed=seed
-        )
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+        ids = [t.id for t in manifest]
+        report["oracle_comparison"] = uplift_stats(oracle, selected, ids, seed=seed)
+        report["oracle_comparison"]["spearman_q"] = spearman(
+            scores, np.array([oracle[i] for i in ids]))
+    with atomic_write(out_dir / "report.json") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return report

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import atomic_write
 from .errors import (
     BadConfig,
     DimensionMismatch,
@@ -346,10 +347,10 @@ def save_selector(model_dir: str | Path, model: SelectorModel) -> None:
         "layers": model.layers,
         "n_params": int(model.params.size),
     }
-    with open(model_dir / "meta.json", "w", encoding="utf-8") as fh:
+    with atomic_write(model_dir / "meta.json") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
-    with open(model_dir / "params.txt", "w", encoding="utf-8") as fh:
+    with atomic_write(model_dir / "params.txt") as fh:
         for value in model.params:
             fh.write(float(value).hex())
             fh.write("\n")

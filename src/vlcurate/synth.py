@@ -27,6 +27,7 @@ from .corpus import (
     ScoreCache,
     ScoreRecord,
     Triplet,
+    atomic_write,
     write_feature_file,
     write_manifest,
     write_scores,
@@ -163,7 +164,7 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> None:
 
 
 def write_oracle(oracle: dict[str, float], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for sample_id, value in oracle.items():
             fh.write(json.dumps({"id": sample_id, "q": value}) + "\n")
 

@@ -25,6 +25,7 @@ from vlcurate.config import (
 )
 from vlcurate.corpus import load_manifest, read_feature_file, read_scores
 from vlcurate.errors import BadConfig, VlcurateError
+from vlcurate.numerics import spearman
 from vlcurate.report import svg_histogram, uplift_stats
 from vlcurate.synth import read_oracle
 
@@ -157,6 +158,18 @@ def test_stage_current_roundtrip(tmp_path):
     out.write_text("x", encoding="utf-8")
     assert stage_is_current(tmp_path, "demo", "abc", [out])
     assert not stage_is_current(tmp_path, "demo", "other", [out])
+
+
+def test_stage_current_checks_output_digests(tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_text("x", encoding="utf-8")
+    stage_mark_done(tmp_path, "demo", "abc", [out])
+    assert stage_is_current(tmp_path, "demo", "abc", [out])
+    out.write_text("y", encoding="utf-8")
+    assert not stage_is_current(tmp_path, "demo", "abc", [out])
+    # a record in the older one-line format reruns its stage once
+    (tmp_path / ".fingerprints" / "demo.sha256").write_text("abc\n", encoding="utf-8")
+    assert not stage_is_current(tmp_path, "demo", "abc", [out])
 
 
 # ------------------------------------------------------------------ report
@@ -310,6 +323,8 @@ def test_pipeline_report_consistent(pipeline):
     manifest = load_manifest(pipeline / "manifest.jsonl")
     direct = uplift_stats(oracle, summary["selected_ids"],
                           [t.id for t in manifest], seed=0)
+    direct["spearman_q"] = spearman(np.array(summary["item_scores"]),
+                                    np.array([oracle[t.id] for t in manifest]))
     assert comp == pytest.approx(direct)
 
 
@@ -545,6 +560,37 @@ def test_score_failure_keeps_paid_scores(tmp_path):
         assert main(argv) == 0
         assert len(reward_stub.requests) + len(rating_stub.requests) == 2 * n - paid
         assert all(r.complete() for r in read_scores(work / "scores.jsonl").records.values())
+    finally:
+        reward_stub.close()
+        rating_stub.close()
+
+
+def test_score_reruns_after_cache_gutted(tmp_path, capsys):
+    # the score cache is both the stage's input and its output: deleting one
+    # score must make `score` run again, fetching only what is missing
+    work = tmp_path / "work"
+    assert main(["synth", "--n", "30", "--seed", "4", "--workdir", str(work)]) == 0
+    reward_stub, rating_stub = StubEndpoint(), StubEndpoint()
+    argv = ["score", "--provider", "http", "--reward-url", reward_stub.url,
+            "--rating-url", rating_stub.url, "--workdir", str(work)]
+    try:
+        reward_stub.handler = lambda payload: {"score": 0.5}
+        rating_stub.handler = lambda payload: {"content": "66"}
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert reward_stub.requests == rating_stub.requests == []
+        path = work / "scores.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        gutted = rows[3]["id"]
+        del rows[3]["gpt"]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "up-to-date" not in capsys.readouterr().out
+        assert reward_stub.requests == []
+        assert len(rating_stub.requests) == 1
+        assert read_scores(path).records[gutted].gpt == 66.0
+        assert main(["embed", "--workdir", str(work)]) == 0
     finally:
         reward_stub.close()
         rating_stub.close()

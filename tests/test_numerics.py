@@ -1,6 +1,7 @@
 """PCA / k-means++ / spectral clustering against independent oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from vlcurate.errors import (
     BadRank,
     DegenerateAffinity,
     DimensionMismatch,
+    EigensolverNotConverged,
     InfeasibleCapacity,
     TooManyClusters,
 )
+from vlcurate import numerics
 from vlcurate.numerics import (
     kmeans_pp,
     pairwise_distances,
@@ -22,6 +25,7 @@ from vlcurate.numerics import (
     spearman,
     spectral_cluster,
     spectral_embedding,
+    top_eigenpairs,
 )
 
 
@@ -332,6 +336,151 @@ def test_spectral_degenerate_affinity():
 def test_spectral_too_many_clusters():
     with pytest.raises(TooManyClusters):
         spectral_cluster(np.random.default_rng(0).normal(size=(4, 2)), 5, seed=0)
+
+
+# -- the truncated eigensolver against dense eigh of the Laplacian -------------
+
+def dense_laplacian(data):
+    """Normalized Laplacian I - D^-1/2 A D^-1/2, built from broadcast
+    differences and a full matrix, independent of the library's kernels."""
+    data = np.asarray(data, dtype=float)
+    n = len(data)
+    dist = np.sqrt(((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=-1))
+    sigma = np.median(dist[~np.eye(n, dtype=bool)])
+    affinity = np.exp(-(dist * dist) / (2.0 * sigma * sigma))
+    np.fill_diagonal(affinity, 0.0)
+    degree = affinity.sum(axis=1)
+    inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
+    lap = np.eye(n) - inv_sqrt[:, None] * affinity * inv_sqrt[None, :]
+    return (lap + lap.T) / 2.0
+
+
+def largest_angle(a, b):
+    """Largest principal angle between span(a) and span(b), for dim a <= dim b
+    (0 when span(a) lies inside span(b)); taken as an arcsine, which stays
+    accurate for small angles."""
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    return float(np.arcsin(min(1.0, np.linalg.norm(qa - qb @ (qb.T @ qa), 2))))
+
+
+def _blobs_and_isolated_pairs(pairs=12):
+    """Three blobs plus tight pairs far from everything: each pair is its own
+    component, giving the normalized affinity eigenvalues +1 and -1."""
+    data, _ = _three_blobs()
+    centers = [np.array([1000.0 * (i + 1), -500.0]) for i in range(pairs)]
+    return np.vstack([data, *[[c, c + [0.1, 0.0]] for c in centers]])
+
+
+def _check_against_oracle(data, k):
+    eigvals, vecs = np.linalg.eigh(dense_laplacian(data))
+    got_vals, got_rows = spectral_embedding(data, k)
+    assert got_vals.shape == (k,) and got_rows.shape == (len(data), k)
+    assert np.abs(got_vals - eigvals[:k]).max() < 1e-8
+    # row normalization scales the rows of any basis of the eigenspace alike,
+    # so it keeps the column span equal to that of the normalized oracle
+    want_rows = vecs[:, :k] / np.linalg.norm(vecs[:, :k], axis=1, keepdims=True)
+    assert largest_angle(got_rows, want_rows) < 1e-6
+
+
+@pytest.mark.parametrize("n,k", [(30, 3), (200, 4), (1000, 3), (1000, 10)])
+def test_spectral_embedding_matches_dense_oracle_on_random_data(n, k):
+    data = np.random.default_rng(n + k).normal(size=(n, 5))
+    _check_against_oracle(data, k)
+
+
+@pytest.mark.parametrize("make,k", [(_two_groups, 2), (_three_blobs, 3), (_three_blobs, 5)])
+def test_spectral_embedding_repeated_unit_eigenvalue(make, k):
+    data, truth = make()
+    _check_against_oracle(data, k)
+    _, rows = spectral_embedding(data, k)
+    if k == truth.max() + 1:    # one unit eigenvalue per component
+        for label in np.unique(truth):
+            member_rows = rows[truth == label]
+            assert np.abs(member_rows - member_rows[0]).max() < 1e-8
+
+
+def test_spectral_embedding_isolated_pairs():
+    # eigenvalue 1 of M has multiplicity 13 and -1 multiplicity 12; iterating
+    # on M alone converges by magnitude and returns L-eigenvalues near
+    # [0.15, 0.19, 0.26] here instead of [0, 0, 0]
+    data = _blobs_and_isolated_pairs()
+    eigvals, vecs = np.linalg.eigh(dense_laplacian(data))
+    assert int((eigvals < 1e-8).sum()) == 13
+    got_vals, _ = spectral_embedding(data, 3)
+    assert np.abs(got_vals).max() < 1e-8
+    theta, got = top_eigenpairs(np.eye(len(data)) - dense_laplacian(data), 3)
+    assert np.abs(theta - 1.0).max() < 1e-8
+    assert largest_angle(got, vecs[:, :13]) < 1e-6
+
+
+def test_spectral_embedding_wanted_eigenvalues_near_the_band():
+    # ten tight, far-apart blobs and k = 10: the wide kernel leaves the last
+    # wanted eigenvalues of M just above the dense band near -1/degree that
+    # the zero diagonal puts there; a Krylov basis of eight blocks per cycle
+    # stalls here, short of the residual bound
+    rng = np.random.default_rng(0)
+    centers = rng.normal(size=(10, 3)) * 10.0
+    data = centers[np.arange(240) % 10] + rng.normal(scale=0.01, size=(240, 3))
+    eigvals = np.linalg.eigvalsh(dense_laplacian(data))
+    got_vals, _ = spectral_embedding(data, 10)
+    assert np.abs(got_vals - eigvals[:10]).max() < 1e-8
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (8, 3), (9, 3), (6, 6)])
+def test_spectral_embedding_block_covers_all_rows(n, k):
+    # N at most the block width k + EIG_OVERSAMPLE: the basis is the whole space
+    assert n <= k + numerics.EIG_OVERSAMPLE
+    data = np.random.default_rng(n).normal(size=(n, 3))
+    eigvals, _ = np.linalg.eigh(dense_laplacian(data))
+    got_vals, got_rows = spectral_embedding(data, k)
+    assert np.abs(got_vals - eigvals[:k]).max() < 1e-8
+    assert got_rows.shape == (n, k)
+
+
+def test_spectral_embedding_k1():
+    data = np.random.default_rng(11).normal(size=(120, 4))
+    got_vals, got_rows = spectral_embedding(data, 1)
+    assert got_vals.shape == (1,)
+    assert abs(got_vals[0]) < 1e-8
+    # the trivial eigenvector D^1/2 1 is positive or negative throughout
+    assert np.abs(np.abs(got_rows) - 1.0).max() < 1e-12
+    _check_against_oracle(data, 1)
+
+
+def test_spectral_embedding_bit_identical_across_calls():
+    data = np.random.default_rng(12).normal(size=(300, 6))
+    first = spectral_embedding(data, 4)
+    second = spectral_embedding(data, 4)
+    assert first[0].tobytes() == second[0].tobytes()
+    assert first[1].tobytes() == second[1].tobytes()
+
+
+def test_spectral_embedding_unconverged_raises(monkeypatch):
+    data = np.random.default_rng(13).normal(size=(50, 3))
+    monkeypatch.setattr(numerics, "EIG_MAX_RESTARTS", 0)
+    with pytest.raises(EigensolverNotConverged):
+        spectral_embedding(data, 3)
+
+
+def test_top_eigenpairs_rejects_bad_k():
+    with pytest.raises(BadRank):
+        top_eigenpairs(np.eye(4), 0)
+    with pytest.raises(BadRank):
+        top_eigenpairs(np.eye(4), 5)
+
+
+def test_spectral_embedding_memory_peak():
+    # one (N, N) float64 buffer at a time: the median partitions a distance
+    # matrix in place, and the affinity is then built in a fresh one
+    n = 1500
+    data = np.random.default_rng(14).normal(size=(n, 16))
+    tracemalloc.start()
+    try:
+        spectral_embedding(data, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8
 
 
 def test_pairwise_distances_basic():
