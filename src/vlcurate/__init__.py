@@ -9,9 +9,9 @@ training set spread over spectral clusters by proportional quota.
 
 __version__ = "0.1.0"
 
-from .corpus import FeatureStore, ScoreCache, ScoreRecord, Triplet, load_manifest
+from .corpus import ScoreCache, ScoreRecord, Triplet, load_manifest
 from .curate import CurationResult, aggregate_judgments, allocate, curate, select_topk
-from .embedding import ItemEmbedding, assemble, assemble_corpus, fit_feature_reducer, fit_standardizer
+from .embedding import assemble_corpus, fit_feature_reducer, fit_standardizer
 from .errors import VlcurateError
 from .quality_labels import EvalReport, SubsetRecord, attach_labels, build_subsets
 from .selector import SelectorModel, init_selector, loss_and_grad, predict, train
@@ -19,8 +19,6 @@ from .selector import SelectorModel, init_selector, loss_and_grad, predict, trai
 __all__ = [
     "CurationResult",
     "EvalReport",
-    "FeatureStore",
-    "ItemEmbedding",
     "ScoreCache",
     "ScoreRecord",
     "SelectorModel",
@@ -29,7 +27,6 @@ __all__ = [
     "VlcurateError",
     "aggregate_judgments",
     "allocate",
-    "assemble",
     "assemble_corpus",
     "attach_labels",
     "build_subsets",

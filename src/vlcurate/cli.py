@@ -42,17 +42,15 @@ from .corpus import (
     read_json,
     read_matrix,
     read_scores,
+    write_feature_file,
     write_scores,
 )
 from .embedding import (
     SCORE_SLOTS,
-    ItemEmbedding,
     assemble_corpus,
     fit_feature_reducer,
     fit_standardizer,
     identity_standardizer,
-    save_bundle,
-    write_embeddings,
 )
 from .curate import curate as run_curation
 from .errors import MalformedRecord, VlcurateError
@@ -70,13 +68,13 @@ from .selector import init_selector, load_selector, predict_items, save_selector
 
 # -- stage bodies: each does its stage's work and returns its log message ---
 
-def _synth(cfg: PipelineConfig, args, value: str) -> str:
+def _synth(cfg: PipelineConfig, args) -> str:
     corpus = synth_mod.generate(cfg.synth_n, cfg.seed, cfg.image_dim, cfg.text_dim)
     synth_mod.write_corpus(corpus, cfg.workdir)
     return f"n={cfg.synth_n} seed={cfg.seed} -> {cfg.manifest_path()}"
 
 
-def _score(cfg: PipelineConfig, args, value: str) -> str:
+def _score(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_clip"))
     cache = read_scores(cfg.scores_path()) if cfg.scores_path().exists() else ScoreCache()
@@ -93,7 +91,7 @@ def _score(cfg: PipelineConfig, args, value: str) -> str:
     return f"scored {len(manifest)} samples"
 
 
-def _embed(cfg: PipelineConfig, args, value: str) -> str:
+def _embed(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_llm"))
     cache = read_scores(cfg.scores_path())
@@ -101,22 +99,19 @@ def _embed(cfg: PipelineConfig, args, value: str) -> str:
     std = fit_standardizer(scores) if cfg.standardize else identity_standardizer()
     reducer = fit_feature_reducer(features, cfg.m, cfg.reducer_mode)
     embeddings = assemble_corpus(manifest, cache, features, std, reducer)
-    write_embeddings(cfg.embeddings_path(), embeddings)
-    save_bundle(cfg.bundle_path(), std, reducer, fingerprint=value)
+    write_feature_file(cfg.embeddings_path(), [t.id for t in manifest], embeddings)
     return f"embedded {len(embeddings)} samples, dim {4 + cfg.m}"
 
 
-def _split(cfg: PipelineConfig, args, value: str) -> str:
+def _split(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
     ids = [t.id for t in manifest]
-    embeddings = [ItemEmbedding(id=i, vector=v)
-                  for i, v in zip(ids, read_matrix(cfg.embeddings_path(), ids))]
     vectors = None
     if cfg.subset_space == "image":
-        vectors = load_features(cfg.features_path(), manifest, ("image",)).matrix("image")
+        vectors = load_features(cfg.features_path(), manifest, ("image",))["image"]
     subsets = build_subsets(
-        embeddings, cfg.n_subsets, seed=cfg.seed, vectors=vectors,
-        capacity=cfg.capacity or None,
+        ids, read_matrix(cfg.embeddings_path(), ids), cfg.n_subsets, seed=cfg.seed,
+        vectors=vectors, capacity=cfg.capacity or None,
     )
     write_subset_manifests(subsets, manifest, cfg.subsets_path())
     blob = {
@@ -139,7 +134,7 @@ def _split(cfg: PipelineConfig, args, value: str) -> str:
     return f"{cfg.n_subsets} subsets x {blob['capacity']} samples"
 
 
-def _train_selector(cfg: PipelineConfig, args, value: str) -> str:
+def _train_selector(cfg: PipelineConfig, args) -> str:
     path = cfg.subsets_path() / "subsets.json"
     try:
         entries = [(int(entry["subset_id"]), tuple(entry["member_ids"]))
@@ -169,7 +164,7 @@ def _train_selector(cfg: PipelineConfig, args, value: str) -> str:
             f"{result.losses[-1]:.4f} over {cfg.epochs} epochs")
 
 
-def _curate(cfg: PipelineConfig, args, value: str) -> str:
+def _curate(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image",))
     if cfg.indicator:
@@ -179,7 +174,7 @@ def _curate(cfg: PipelineConfig, args, value: str) -> str:
         embeddings = read_matrix(cfg.embeddings_path(), [t.id for t in manifest])
         item_scores = predict_items(load_selector(cfg.model_path()), embeddings)
     result = run_curation(
-        manifest, item_scores, features.matrix("image"),
+        manifest, item_scores, features["image"],
         k_clusters=cfg.k_clusters, alpha=cfg.alpha, seed=cfg.seed,
         use_clusters=cfg.clustering,
     )
@@ -188,7 +183,7 @@ def _curate(cfg: PipelineConfig, args, value: str) -> str:
             f"{len(result.quotas)} clusters")
 
 
-def _report(cfg: PipelineConfig, args, value: str) -> str:
+def _report(cfg: PipelineConfig, args) -> str:
     oracle = synth_mod.read_oracle(cfg.oracle_path()) if cfg.oracle_path().exists() else None
     manifest = load_manifest(cfg.manifest_path())
     report = report_mod.write_report(cfg.curated_path(), manifest, oracle, seed=cfg.seed)
@@ -204,7 +199,7 @@ def _report(cfg: PipelineConfig, args, value: str) -> str:
 @dataclass(frozen=True)
 class Stage:
     """One stage: the files it reads, the config it depends on, the files
-    it writes, and ``body(cfg, args, fingerprint) -> log message``.
+    it writes, and ``body(cfg, args) -> log message``.
     ``handed_on`` are outputs that a later stage rewrites (``synth``'s score
     cache, which ``score`` fills): only their presence keeps the stage
     current, while the other outputs must also keep the digests recorded
@@ -213,7 +208,7 @@ class Stage:
     inputs: list[Path]
     config: dict
     outputs: list[Path]
-    body: Callable[[PipelineConfig, argparse.Namespace, str], str]
+    body: Callable[[PipelineConfig, argparse.Namespace], str]
     handed_on: tuple[Path, ...] = ()
 
 
@@ -252,7 +247,7 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
             inputs=[cfg.manifest_path(), cfg.scores_path(), *features("image", "text_llm")],
             config={"m": cfg.m, "standardize": cfg.standardize,
                     "reducer_mode": cfg.reducer_mode},
-            outputs=[cfg.embeddings_path(), cfg.bundle_path() / "embedding_bundle.json"],
+            outputs=[cfg.embeddings_path()],
             body=_embed,
         ),
         "split": Stage(
@@ -300,7 +295,7 @@ def run_stage(name: str, cfg: PipelineConfig, args: argparse.Namespace) -> int:
         print(f"[{name}] up-to-date, skipping")
         return 0
     started = time.perf_counter()
-    message = stage.body(cfg, args, value)
+    message = stage.body(cfg, args)
     stage_mark_done(cfg.workdir, name, value, stage.outputs)
     print(f"[{name}] {message} ({time.perf_counter() - started:.2f}s)")
     return 0

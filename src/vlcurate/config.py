@@ -39,7 +39,6 @@ class PipelineConfig:
     scores: str = ""
     oracle: str = ""
     embeddings: str = ""
-    bundle_dir: str = ""
     subsets_dir: str = ""
     reports: str = ""
     model_dir: str = ""
@@ -92,9 +91,6 @@ class PipelineConfig:
 
     def embeddings_path(self) -> Path:
         return self._derived(self.embeddings, "embeddings.txt")
-
-    def bundle_path(self) -> Path:
-        return self._derived(self.bundle_dir, "embedding_bundle")
 
     def subsets_path(self) -> Path:
         return self._derived(self.subsets_dir, "subsets")

@@ -22,7 +22,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -124,34 +124,6 @@ def write_manifest(triplets: Iterable[Triplet], path: str | Path) -> None:
             )
 
 
-class FeatureStore:
-    """Named feature matrices with rows aligned to the manifest order."""
-
-    def __init__(self, matrices: Mapping[str, np.ndarray], ids: list[str]):
-        self.ids = list(ids)
-        self._index = {sample_id: row for row, sample_id in enumerate(self.ids)}
-        self.matrices = {name: np.asarray(m, dtype=float) for name, m in matrices.items()}
-        for name, m in self.matrices.items():
-            if m.ndim != 2 or m.shape[0] != len(self.ids):
-                raise DimensionMismatch(
-                    f"matrix {name!r} has shape {m.shape}, expected ({len(self.ids)}, dim)"
-                )
-            if not np.isfinite(m).all():
-                raise NonFiniteFeature(f"matrix {name!r} contains non-finite entries")
-
-    def matrix(self, name: str) -> np.ndarray:
-        return self.matrices[name]
-
-    def dim(self, name: str) -> int:
-        return self.matrices[name].shape[1]
-
-    def vector(self, name: str, sample_id: str) -> np.ndarray:
-        return self.matrices[name][self._index[sample_id]]
-
-    def row_index(self, sample_id: str) -> int:
-        return self._index[sample_id]
-
-
 def read_feature_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
     """Parse one ``id <dim>`` header + rows file into an id->vector map."""
     rows: dict[str, np.ndarray] = {}
@@ -211,12 +183,10 @@ def load_features(
     feature_dir: str | Path,
     manifest: list[Triplet],
     names: tuple[str, ...] = REQUIRED_MATRICES,
-) -> FeatureStore:
-    """Load one ``<name>.txt`` file per matrix and align rows to the manifest."""
+) -> dict[str, np.ndarray]:
+    """One (N, dim) matrix per ``<name>.txt`` file, rows in manifest order."""
     ids = [t.id for t in manifest]
-    return FeatureStore(
-        {name: read_matrix(Path(feature_dir) / f"{name}.txt", ids) for name in names}, ids
-    )
+    return {name: read_matrix(Path(feature_dir) / f"{name}.txt", ids) for name in names}
 
 
 def read_json(path: str | Path, keys: tuple[str, ...]) -> dict:

@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 import requests
 
-from .corpus import FeatureStore, ScoreCache, ScoreRecord, Triplet
+from .corpus import ScoreCache, Triplet
 from .errors import (
     DegenerateEmbedding,
     DimensionMismatch,
@@ -200,7 +200,7 @@ class RewardClient(_JsonClient):
 
 def score_corpus(
     manifest: list[Triplet],
-    features: FeatureStore,
+    features: dict[str, np.ndarray],
     cache: ScoreCache,
     gpt_provider: RatingClient | None = None,
     reward_provider: RewardClient | None = None,
@@ -208,22 +208,18 @@ def score_corpus(
 ) -> ScoreCache:
     """Fill the cache so every manifest id has complete indicator scores.
 
-    Cached values are reused, never recomputed. clip comes from the image
-    and text_clip feature matrices; length from the response text; reward
-    and gpt from the cache, else the provider, else MissingScore when the
-    provider is absent (cache-only mode).
+    Cached values are reused, never recomputed. clip comes from the rows of
+    the image and text_clip feature matrices, which follow the manifest
+    order; length from the response text; reward and gpt from the cache,
+    else the provider, else MissingScore when the provider is absent
+    (cache-only mode).
     """
+    image, text = features["image"], features["text_clip"]
+    if len(image) != len(manifest) or len(text) != len(manifest):
+        raise DimensionMismatch(
+            f"feature rows ({len(image)}, {len(text)}) != manifest size {len(manifest)}"
+        )
     lock = threading.Lock()
-
-    def fill_local(triplet: Triplet) -> None:
-        record = cache.get(triplet.id)
-        if record.clip is None:
-            record.clip = clip_score(
-                features.vector("image", triplet.id),
-                features.vector("text_clip", triplet.id),
-            )
-        if record.length is None:
-            record.length = length_score(triplet.response)
 
     def fill_remote(triplet: Triplet) -> None:
         with lock:
@@ -243,8 +239,12 @@ def score_corpus(
             with lock:
                 record.gpt = value
 
-    for triplet in manifest:
-        fill_local(triplet)
+    for i, triplet in enumerate(manifest):
+        record = cache.get(triplet.id)
+        if record.clip is None:
+            record.clip = clip_score(image[i], text[i])
+        if record.length is None:
+            record.length = length_score(triplet.response)
 
     pending = [
         t
@@ -284,8 +284,3 @@ def indicator_matrix(manifest: list[Triplet], cache: ScoreCache) -> np.ndarray:
         out[i] = (record.clip, float(record.length), record.reward, record.gpt)
     return out
 
-
-def scores_from_record(record: ScoreRecord) -> np.ndarray:
-    return np.array(
-        [record.clip, float(record.length), record.reward, record.gpt], dtype=float
-    )

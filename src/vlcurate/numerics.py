@@ -208,14 +208,11 @@ def kmeans_pp(
     capacity: int | None = None,
     n_init: int = DEFAULT_RESTARTS,
     max_iter: int = LLOYD_MAX_ITER,
-    init_centroids: np.ndarray | None = None,
 ) -> ClusterAssignment:
     """D^2-sampled seeding plus Lloyd iterations; best of ``n_init`` restarts.
 
     With ``balanced=True`` the capacity post-pass makes every cluster hold
     exactly ``capacity`` members (default N // k); leftovers get label -1.
-    ``init_centroids`` skips seeding and restarts (single run), mainly for
-    driving Lloyd into specific configurations in tests.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -233,13 +230,8 @@ def kmeans_pp(
 
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
-    runs = 1 if init_centroids is not None else max(1, n_init)
-    for _ in range(runs):
-        if init_centroids is not None:
-            start = np.asarray(init_centroids, dtype=float)
-        else:
-            start = _dsq_seed(data, k, rng)
-        result = _lloyd(data, start, max_iter)
+    for _ in range(max(1, n_init)):
+        result = _lloyd(data, _dsq_seed(data, k, rng), max_iter)
         if best is None or result[2] < best[2]:
             best = result
     labels, centroids, inertia, history = best

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Triplet, atomic_write, write_manifest
-from .embedding import ItemEmbedding, embedding_matrix
 from .errors import DuplicateId, EmptyReport, MalformedRecord, MissingLabel, UnknownSubset
 from .numerics import kmeans_pp
 
@@ -40,37 +39,32 @@ class EvalReport:
 
 
 def build_subsets(
-    embeddings: list[ItemEmbedding],
+    ids: list[str],
+    embeddings: np.ndarray,
     n: int = 30,
     seed: int = 0,
     vectors: np.ndarray | None = None,
     capacity: int | None = None,
 ) -> list[SubsetRecord]:
-    """Partition into n subsets of exactly `capacity` samples (N // n when
-    unset).
+    """Partition the samples ``ids`` (rows of the (N, D) ``embeddings``)
+    into n subsets of exactly `capacity` samples (N // n when unset).
 
     Clustering runs on `vectors` when given (e.g. raw image features),
     otherwise on the embeddings themselves; subset members always carry
-    their ItemEmbedding rows. Samples beyond n * capacity belong to no
-    subset.
+    their embedding rows. Samples beyond n * capacity belong to no subset.
     """
-    data = embedding_matrix(embeddings) if vectors is None else np.asarray(vectors, dtype=float)
-    if data.shape[0] != len(embeddings):
-        raise ValueError(
-            f"vector count {data.shape[0]} != embedding count {len(embeddings)}"
-        )
+    embeddings = np.asarray(embeddings, dtype=float)
+    data = embeddings if vectors is None else np.asarray(vectors, dtype=float)
+    if not len(ids) == embeddings.shape[0] == data.shape[0]:
+        raise ValueError(f"row counts differ: {len(ids)} ids, {embeddings.shape[0]} "
+                         f"embeddings, {data.shape[0]} vectors")
     assignment = kmeans_pp(data, n, seed=seed, balanced=True, capacity=capacity)
-    emb = embedding_matrix(embeddings)
     subsets = []
     for j in range(n):
         members = np.flatnonzero(assignment.labels == j)
-        subsets.append(
-            SubsetRecord(
-                subset_id=j,
-                member_ids=tuple(embeddings[i].id for i in members),
-                embeddings=emb[members],
-            )
-        )
+        subsets.append(SubsetRecord(subset_id=j,
+                                    member_ids=tuple(ids[i] for i in members),
+                                    embeddings=embeddings[members]))
     return subsets
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import Triplet, atomic_write, read_json
 from .curate import CurationResult
+from .errors import MalformedRecord
 from .numerics import spearman
 
 
@@ -148,44 +149,51 @@ def write_report(
     oracle: dict[str, float] | None = None,
     seed: int = 0,
 ) -> dict:
-    """Render report.json plus histogram SVGs from a persisted selection."""
+    """Render report.json plus histogram SVGs from a persisted selection.
+    A summary field of the wrong type or length raises MalformedRecord
+    before any file is written."""
     out_dir = Path(out_dir)
-    summary = read_json(out_dir / "summary.json", (
+    path = out_dir / "summary.json"
+    summary = read_json(path, (
         "alpha", "k_clusters", "quotas", "cluster_sizes", "cluster_labels",
         "item_scores", "selected_ids"))
-    scores = np.array(summary["item_scores"], dtype=float)
-    labels = np.array(summary["cluster_labels"], dtype=int)
-    selected = summary["selected_ids"]
+    try:
+        scores = np.array(summary["item_scores"], dtype=float)
+        labels = np.array(summary["cluster_labels"], dtype=int)
+        k = summary["k_clusters"]
+        members = [scores[labels == j] for j in range(k)]
+        report = {
+            "alpha": summary["alpha"],
+            "k_clusters": k,
+            "quota_table": [
+                {"cluster": j, "size": summary["cluster_sizes"][j],
+                 "quota": summary["quotas"][j]}
+                for j in range(k)
+            ],
+            "score_summary": {
+                "min": float(scores.min()),
+                "mean": float(scores.mean()),
+                "max": float(scores.max()),
+            },
+        }
+        if oracle is not None:
+            ids = [t.id for t in manifest]
+            report["oracle_comparison"] = uplift_stats(
+                oracle, summary["selected_ids"], ids, seed=seed)
+            report["oracle_comparison"]["spearman_q"] = spearman(
+                scores, np.array([oracle[i] for i in ids]))
+    except (TypeError, ValueError, IndexError) as exc:
+        raise MalformedRecord(None, f"{path}: bad summary field ({exc})") from None
 
     with atomic_write(out_dir / "score_hist.svg") as fh:
         fh.write(svg_histogram(scores, title="selector scores, full corpus"))
-    for j in range(summary["k_clusters"]):
-        member_scores = scores[labels == j]
+    for j, member_scores in enumerate(members):
         with atomic_write(out_dir / f"cluster_{j:02d}_scores.svg") as fh:
             fh.write(svg_histogram(
                 member_scores,
                 title=f"cluster {j}: {member_scores.size} samples, "
                       f"quota {summary['quotas'][j]}",
             ))
-
-    report = {
-        "alpha": summary["alpha"],
-        "k_clusters": summary["k_clusters"],
-        "quota_table": [
-            {"cluster": j, "size": summary["cluster_sizes"][j], "quota": summary["quotas"][j]}
-            for j in range(summary["k_clusters"])
-        ],
-        "score_summary": {
-            "min": float(scores.min()),
-            "mean": float(scores.mean()),
-            "max": float(scores.max()),
-        },
-    }
-    if oracle is not None:
-        ids = [t.id for t in manifest]
-        report["oracle_comparison"] = uplift_stats(oracle, selected, ids, seed=seed)
-        report["oracle_comparison"]["spearman_q"] = spearman(
-            scores, np.array([oracle[i] for i in ids]))
     with atomic_write(out_dir / "report.json") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -367,6 +367,8 @@ def load_selector(model_dir: str | Path) -> SelectorModel:
             )
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         raise ModelLoadError(f"cannot read selector from {model_dir}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ModelLoadError(f"{model_dir / 'meta.json'} is not a JSON object")
     if meta.get("version") != MODEL_VERSION:
         raise ModelLoadError(
             f"model version {meta.get('version')!r} != supported {MODEL_VERSION}"

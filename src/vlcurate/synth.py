@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
-    FeatureStore,
     ScoreCache,
     ScoreRecord,
     Triplet,
@@ -74,7 +73,7 @@ _VOCAB = (
 @dataclass(frozen=True)
 class SynthCorpus:
     manifest: list[Triplet]
-    features: FeatureStore
+    features: dict[str, np.ndarray]   # image, text_clip, text_llm; manifest order
     scores: ScoreCache          # reward and gpt pre-filled, clip/length left to scoring
     oracle: dict[str, float]    # id -> planted quality q
 
@@ -145,10 +144,7 @@ def generate(
         )
         oracle[sample_id] = float(q[i])
 
-    features = FeatureStore(
-        {"image": image, "text_clip": text_clip, "text_llm": text_llm},
-        [t.id for t in manifest],
-    )
+    features = {"image": image, "text_clip": text_clip, "text_llm": text_llm}
     return SynthCorpus(manifest=manifest, features=features, scores=scores, oracle=oracle)
 
 
@@ -156,9 +152,9 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     write_manifest(corpus.manifest, out_dir / "manifest.jsonl")
-    for name, matrix in corpus.features.matrices.items():
-        write_feature_file(out_dir / "features" / f"{name}.txt",
-                           corpus.features.ids, matrix)
+    ids = [t.id for t in corpus.manifest]
+    for name, matrix in corpus.features.items():
+        write_feature_file(out_dir / "features" / f"{name}.txt", ids, matrix)
     write_scores(corpus.scores, out_dir / "scores.jsonl")
     write_oracle(corpus.oracle, out_dir / "oracle.jsonl")
 

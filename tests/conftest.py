@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from vlcurate.corpus import FeatureStore, Triplet
+from vlcurate.corpus import Triplet
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 
@@ -102,11 +102,8 @@ def make_manifest(n, seed=0):
 def make_features(manifest, image_dim=4, text_dim=6, seed=0):
     rng = np.random.default_rng(seed)
     n = len(manifest)
-    return FeatureStore(
-        {
-            "image": rng.normal(size=(n, image_dim)),
-            "text_clip": rng.normal(size=(n, image_dim)),
-            "text_llm": rng.normal(size=(n, text_dim)),
-        },
-        [t.id for t in manifest],
-    )
+    return {
+        "image": rng.normal(size=(n, image_dim)),
+        "text_clip": rng.normal(size=(n, image_dim)),
+        "text_llm": rng.normal(size=(n, text_dim)),
+    }

@@ -103,20 +103,19 @@ def test_criterion_02_embedding_layout():
         (fsum((scores[i, j] - mu[j]) ** 2 for i in range(n)) / n) ** 0.5
         for j in range(4)
     ]
-    joint = np.hstack([features.matrix("image"), features.matrix("text_llm")])
+    joint = np.hstack([features["image"], features["text_llm"]])
     model = reducer.joint
+    assert embeddings.shape == (n, 4 + m)   # one row per sample, manifest order
     for i, emb in enumerate(embeddings):
-        assert emb.id == manifest[i].id
-        assert emb.vector.shape == (4 + m,)
         expect_z = [(scores[i, j] - mu[j]) / sd[j] for j in range(4)]
         expect_p = (joint[i] - model.mean) @ model.components.T
         expect = np.concatenate([expect_z, expect_p])
-        assert np.max(np.abs(emb.vector - expect)) < 1e-10
+        assert np.max(np.abs(emb - expect)) < 1e-10
     # slot order is fixed: clip, length, reward, gpt, then the m features
     rec = cache.records[manifest[0].id]
     raw = np.array([rec.clip, float(rec.length), rec.reward, rec.gpt])
     z = (raw - np.array(mu)) / np.array(sd)
-    assert embeddings[0].vector[:4] == pytest.approx(z, abs=1e-12)
+    assert embeddings[0, :4] == pytest.approx(z, abs=1e-12)
 
 
 # ----------------------------------------------------------- criterion 3

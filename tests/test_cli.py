@@ -262,7 +262,6 @@ def test_pipeline_artifacts_exist(pipeline):
         "features/text_clip.txt",
         "features/text_llm.txt",
         "embeddings.txt",
-        "embedding_bundle/embedding_bundle.json",
         "subsets/subsets.json",
         "eval_reports.jsonl",
         "selector_model/meta.json",
@@ -277,6 +276,7 @@ def test_pipeline_artifacts_exist(pipeline):
         "curated/cluster_02_scores.svg",
     ):
         assert (pipeline / rel).exists(), rel
+    assert not (pipeline / "embedding_bundle").exists()
 
 
 def test_pipeline_summary_consistent(pipeline):
@@ -498,7 +498,16 @@ def _drop_member_ids(text):
     return json.dumps(blob)
 
 
+def _set_key(key, value):
+    def edit(text):
+        blob = json.loads(text)
+        blob[key] = value
+        return json.dumps(blob)
+    return edit
+
+
 TRAIN = ["train-selector", "--epochs", "3", "--seed", "0"]
+CURATE = ["curate", "--alpha", "12", "--clusters", "3", "--seed", "0"]
 
 
 @pytest.mark.parametrize("argv,relpath,edit,error", [
@@ -511,8 +520,12 @@ TRAIN = ["train-selector", "--epochs", "3", "--seed", "0"]
      "MalformedRecord"),
     (["report", "--seed", "0"], "curated/summary.json", _drop_key("item_scores"),
      "MalformedRecord"),
+    (["report", "--seed", "0"], "curated/summary.json", _set_key("k_clusters", "3"),
+     "MalformedRecord"),
+    (CURATE, "selector_model/meta.json", lambda text: "[]", "ModelLoadError"),
 ], ids=["unknown-member", "subsets-not-json", "no-subsets-key", "no-member-ids",
-        "subsets-not-object", "summary-not-json", "no-item-scores-key"])
+        "subsets-not-object", "summary-not-json", "no-item-scores-key",
+        "summary-field-type", "meta-not-object"])
 def test_malformed_stage_input_exits_1(pipeline, tmp_path, capsys, argv, relpath,
                                        edit, error):
     work = tmp_path / "work"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from vlcurate.corpus import (
-    FeatureStore,
     ScoreCache,
     ScoreRecord,
     Triplet,
@@ -28,6 +27,7 @@ from vlcurate.errors import (
     NonFiniteFeature,
     ScoreOutOfRange,
 )
+from vlcurate.indicators import score_corpus
 
 from conftest import make_manifest
 
@@ -169,9 +169,9 @@ def test_load_features_consistent_store(tmp_path):
     for name, m in mats.items():
         write_feature_file(tmp_path / f"{name}.txt", ["a", "b"], m)
     store = load_features(tmp_path, manifest)
-    assert store.dim("image") == 4 and store.dim("text_llm") == 8
-    assert np.array_equal(store.vector("text_llm", "b"), mats["text_llm"][1])
-    assert store.row_index("a") == 0
+    assert store.keys() == mats.keys()
+    assert store["image"].shape == (2, 4) and store["text_llm"].shape == (2, 8)
+    assert np.array_equal(store["text_llm"][1], mats["text_llm"][1])
 
 
 def test_load_features_missing_row(tmp_path):
@@ -184,14 +184,19 @@ def test_load_features_missing_row(tmp_path):
     assert (err.value.sample_id, err.value.matrix) == ("b", "image")
 
 
-def test_feature_store_rejects_nan():
+def test_feature_store_rejects_nan(tmp_path):
+    manifest = [Triplet("a", "x", "q", "r")]
+    (tmp_path / "image.txt").write_text("id 2\na 1.0 nan\n", encoding="utf-8")
     with pytest.raises(NonFiniteFeature):
-        FeatureStore({"image": np.array([[1.0, np.nan]])}, ["a"])
+        load_features(tmp_path, manifest, ("image",))
 
 
 def test_feature_store_rejects_row_mismatch():
+    # score_corpus reads feature rows by position, so their count must match
+    manifest = [Triplet("a", "x", "q", "r"), Triplet("b", "y", "q", "r")]
+    features = {"image": np.ones((3, 2)), "text_clip": np.ones((3, 2))}
     with pytest.raises(DimensionMismatch):
-        FeatureStore({"image": np.ones((3, 2))}, ["a", "b"])
+        score_corpus(manifest, features, ScoreCache())
 
 
 # -- score cache ---------------------------------------------------------

@@ -1,27 +1,21 @@
-"""Embedding assembly: standardization, feature reduction, bundle I/O."""
+"""Embedding assembly: standardization, feature reduction, the embedding matrix."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from vlcurate.corpus import ScoreCache, ScoreRecord, read_feature_file
+from vlcurate.corpus import ScoreCache, ScoreRecord, read_feature_file, write_feature_file
 from vlcurate.embedding import (
     FeatureReducer,
-    Standardizer,
-    assemble,
     assemble_corpus,
-    embedding_matrix,
     fit_feature_reducer,
     fit_standardizer,
     identity_standardizer,
-    load_bundle,
-    save_bundle,
     standardize,
-    write_embeddings,
 )
-from vlcurate.errors import DimensionMismatch, MissingScore, ModelLoadError
+from vlcurate.errors import DimensionMismatch, MissingScore
+from vlcurate.indicators import indicator_matrix
 from vlcurate.numerics import PcaModel, pca_transform
 
 from conftest import make_features, make_manifest
@@ -60,13 +54,6 @@ def test_fit_standardizer_matches_two_pass_oracle():
     assert np.abs(std.stds - stds).max() < 1e-12
 
 
-def test_fit_standardizer_accepts_records():
-    recs = [ScoreRecord(clip=0.1, length=10, reward=1.0, gpt=50.0),
-            ScoreRecord(clip=0.3, length=30, reward=2.0, gpt=70.0)]
-    std = fit_standardizer(recs)
-    assert std.means[1] == 20.0
-
-
 def test_standardize_mean_maps_to_zero():
     rng = np.random.default_rng(7)
     matrix = rng.normal(size=(20, 4))
@@ -98,7 +85,8 @@ def test_post_standardization_moments():
     rng = np.random.default_rng(9)
     matrix = rng.normal(size=(200, 4)) * [1.0, 80.0, 4.0, 25.0] + [0.2, 100.0, 0.0, 55.0]
     std = fit_standardizer(matrix)
-    z = np.stack([standardize(std, row) for row in matrix])
+    z = standardize(std, matrix)
+    assert np.array_equal(z, np.stack([standardize(std, row) for row in matrix]))
     assert np.abs(z.mean(axis=0)).max() < 1e-10
     assert np.abs(z.std(axis=0) - 1.0).max() < 1e-10
 
@@ -109,7 +97,7 @@ def test_reducer_width_default_m():
     manifest = make_manifest(50)
     features = make_features(manifest, image_dim=8, text_dim=8, seed=2)
     reducer = fit_feature_reducer(features, m=6)
-    out = reducer.transform(features.matrix("image"), features.matrix("text_llm"))
+    out = reducer.transform(features["image"], features["text_llm"])
     assert out.shape == (50, 6)
 
 
@@ -117,9 +105,9 @@ def test_reducer_full_rank_roundtrip():
     manifest = make_manifest(40)
     features = make_features(manifest, image_dim=4, text_dim=4, seed=3)
     reducer = fit_feature_reducer(features, m=8)
-    joint = np.hstack([features.matrix("image"), features.matrix("text_llm")])
-    reduced = reducer.transform(features.matrix("image"), features.matrix("text_llm"))
-    back = reduced @ reducer.pca.components + reducer.pca.mean
+    joint = np.hstack([features["image"], features["text_llm"]])
+    reduced = reducer.transform(features["image"], features["text_llm"])
+    back = reduced @ reducer.joint.components + reducer.joint.mean
     assert np.abs(back - joint).max() < 1e-9
 
 
@@ -127,21 +115,21 @@ def test_reducer_matches_power_oracle():
     manifest = make_manifest(50)
     features = make_features(manifest, image_dim=5, text_dim=7, seed=4)
     reducer = fit_feature_reducer(features, m=6)
-    joint = np.hstack([features.matrix("image"), features.matrix("text_llm")])
+    joint = np.hstack([features["image"], features["text_llm"]])
     comps, variances = pca_power_oracle(joint, 6)
-    assert np.abs(reducer.pca.components - comps).max() < 1e-8
-    assert np.abs(reducer.pca.explained_variance - variances).max() < 1e-8
+    assert np.abs(reducer.joint.components - comps).max() < 1e-8
+    assert np.abs(reducer.joint.explained_variance - variances).max() < 1e-8
 
 
 def test_reducer_split_mode():
     manifest = make_manifest(60)
     features = make_features(manifest, image_dim=6, text_dim=9, seed=5)
     reducer = fit_feature_reducer(features, m=6, mode="split")
-    out = reducer.transform(features.matrix("image"), features.matrix("text_llm"))
+    out = reducer.transform(features["image"], features["text_llm"])
     assert out.shape == (60, 6)
     manual = np.hstack([
-        pca_transform(reducer.image, features.matrix("image")),
-        pca_transform(reducer.text, features.matrix("text_llm")),
+        pca_transform(reducer.image, features["image"]),
+        pca_transform(reducer.text, features["text_llm"]),
     ])
     assert np.array_equal(out, manual)
     assert reducer.image.components.shape[0] == 3
@@ -156,7 +144,7 @@ def test_reducer_dim_mismatch():
         reducer.transform(np.ones((2, 5)), np.ones((2, 6)))
 
 
-# -- assemble ---------------------------------------------------------------
+# -- assemble_corpus ----------------------------------------------------------
 
 def _identity_reducer(width=6, image_dim=3, text_dim=3):
     model = PcaModel(mean=np.zeros(width), components=np.eye(width),
@@ -165,30 +153,38 @@ def _identity_reducer(width=6, image_dim=3, text_dim=3):
                           text_dim=text_dim, joint=model)
 
 
+def _one_row(record, image_vec, text_vec):
+    """A 1-sample corpus: its manifest, score cache and feature matrices."""
+    manifest = make_manifest(1)
+    cache = ScoreCache()
+    cache.records[manifest[0].id] = record
+    features = {"image": np.array([image_vec], dtype=float),
+                "text_llm": np.array([text_vec], dtype=float)}
+    return manifest, cache, features
+
+
 def test_assemble_direct_concatenation():
     scores = ScoreRecord(clip=0.5, length=120, reward=1.2, gpt=85.0)
-    emb = assemble(identity_standardizer(), _identity_reducer(), scores,
-                   [0.1, 0.1, 0.1], [0.1, 0.1, 0.1], "a")
-    assert emb.id == "a"
-    assert np.array_equal(emb.vector, [0.5, 120.0, 1.2, 85.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
-    assert emb.vector.shape == (10,)
+    manifest, cache, features = _one_row(scores, [0.1, 0.1, 0.1], [0.1, 0.1, 0.1])
+    emb = assemble_corpus(manifest, cache, features, identity_standardizer(),
+                          _identity_reducer())
+    assert emb.shape == (1, 10)
+    assert np.array_equal(emb[0], [0.5, 120.0, 1.2, 85.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
 
 
 def test_assemble_m2_dimension():
-    manifest = make_manifest(30)
-    features = make_features(manifest, seed=7)
+    manifest, features, cache = _scored_corpus(30, seed=7)
     reducer = fit_feature_reducer(features, m=2)
-    scores = ScoreRecord(clip=0.0, length=1, reward=0.0, gpt=50.0)
-    emb = assemble(identity_standardizer(), reducer, scores,
-                   features.matrix("image")[0], features.matrix("text_llm")[0], "x")
-    assert emb.vector.shape == (6,)
+    emb = assemble_corpus(manifest, cache, features, identity_standardizer(), reducer)
+    assert emb.shape == (30, 6)
 
 
 def test_assemble_incomplete_scores():
     scores = ScoreRecord(clip=0.5, length=3, gpt=20.0)  # reward missing
+    manifest, cache, features = _one_row(scores, [0.1] * 3, [0.1] * 3)
     with pytest.raises(MissingScore) as err:
-        assemble(identity_standardizer(), _identity_reducer(), scores,
-                 [0.1] * 3, [0.1] * 3, "z")
+        assemble_corpus(manifest, cache, features, identity_standardizer(),
+                        _identity_reducer())
     assert err.value.indicator == "reward"
 
 
@@ -202,31 +198,33 @@ def test_assemble_matches_hand_composition():
         rng.normal(size=10),
         rng.uniform(0, 100, 10),
     ])
+    cache = ScoreCache()
+    for i, t in enumerate(manifest):
+        cache.records[t.id] = ScoreRecord(clip=score_mat[i, 0], length=int(score_mat[i, 1]),
+                                          reward=score_mat[i, 2], gpt=score_mat[i, 3])
     std = fit_standardizer(score_mat)
     reducer = fit_feature_reducer(features, m=3)
     means, stds = two_pass_oracle(score_mat)
-    for i, t in enumerate(manifest):
-        rec = ScoreRecord(clip=score_mat[i, 0], length=int(score_mat[i, 1]),
-                          reward=score_mat[i, 2], gpt=score_mat[i, 3])
-        emb = assemble(std, reducer, rec,
-                       features.vector("image", t.id),
-                       features.vector("text_llm", t.id), t.id)
-        joint = np.concatenate([features.vector("image", t.id),
-                                features.vector("text_llm", t.id)])
+    emb = assemble_corpus(manifest, cache, features, std, reducer)
+    for i in range(len(manifest)):
+        joint = np.concatenate([features["image"][i], features["text_llm"][i]])
         hand = np.concatenate([
             (score_mat[i] - means) / stds,
-            (joint - reducer.pca.mean) @ reducer.pca.components.T,
+            (joint - reducer.joint.mean) @ reducer.joint.components.T,
         ])
-        assert np.abs(emb.vector - hand).max() < 1e-10
+        assert np.abs(emb[i] - hand).max() < 1e-10
 
 
 def test_assemble_is_pure():
     scores = ScoreRecord(clip=0.2, length=9, reward=0.4, gpt=33.0)
-    a = assemble(identity_standardizer(), _identity_reducer(), scores,
-                 [0.3, 0.1, -0.2], [1.0, 2.0, 3.0], "p")
-    b = assemble(identity_standardizer(), _identity_reducer(), scores,
-                 [0.3, 0.1, -0.2], [1.0, 2.0, 3.0], "p")
-    assert np.array_equal(a.vector, b.vector)
+    manifest, cache, features = _one_row(scores, [0.3, 0.1, -0.2], [1.0, 2.0, 3.0])
+    before = {name: m.copy() for name, m in features.items()}
+    a = assemble_corpus(manifest, cache, features, identity_standardizer(),
+                        _identity_reducer())
+    b = assemble_corpus(manifest, cache, features, identity_standardizer(),
+                        _identity_reducer())
+    assert np.array_equal(a, b)
+    assert all(np.array_equal(features[name], before[name]) for name in before)
 
 
 def _scored_corpus(n=3, seed=12):
@@ -243,17 +241,16 @@ def _scored_corpus(n=3, seed=12):
 
 
 def test_assemble_corpus_order_and_agreement():
+    # each row of a 7-sample corpus equals the 1-sample corpus of that sample
     manifest, features, cache = _scored_corpus(7)
-    from vlcurate.indicators import indicator_matrix
     std = fit_standardizer(indicator_matrix(manifest, cache))
     reducer = fit_feature_reducer(features, m=4)
     embs = assemble_corpus(manifest, cache, features, std, reducer)
-    assert [e.id for e in embs] == [t.id for t in manifest]
-    for e, t in zip(embs, manifest):
-        one = assemble(std, reducer, cache.records[t.id],
-                       features.vector("image", t.id),
-                       features.vector("text_llm", t.id), t.id)
-        assert np.abs(e.vector - one.vector).max() < 1e-12
+    assert embs.shape == (7, 8)
+    for i, t in enumerate(manifest):
+        one = assemble_corpus([t], cache, {name: m[i:i + 1] for name, m in features.items()},
+                              std, reducer)
+        assert np.abs(embs[i] - one[0]).max() < 1e-12
 
 
 def test_assemble_corpus_missing_reward():
@@ -263,65 +260,17 @@ def test_assemble_corpus_missing_reward():
     reducer = fit_feature_reducer(features, m=2)
     with pytest.raises(MissingScore) as err:
         assemble_corpus(manifest, cache, features, std, reducer)
-    assert err.value.sample_id == manifest[2].id
+    assert (err.value.sample_id, err.value.indicator) == (manifest[2].id, "reward")
 
 
 def test_embeddings_file_roundtrip(tmp_path):
     manifest, features, cache = _scored_corpus(6)
-    from vlcurate.indicators import indicator_matrix
     std = fit_standardizer(indicator_matrix(manifest, cache))
     reducer = fit_feature_reducer(features, m=3)
     embs = assemble_corpus(manifest, cache, features, std, reducer)
     path = tmp_path / "embeddings.txt"
-    write_embeddings(path, embs)
+    write_feature_file(path, [t.id for t in manifest], embs)
     rows, dim = read_feature_file(path)
     assert dim == 7
-    for e in embs:
-        assert np.array_equal(rows[e.id], e.vector)
-
-
-# -- bundle persistence ------------------------------------------------------
-
-def test_bundle_roundtrip(tmp_path):
-    manifest, features, cache = _scored_corpus(20, seed=13)
-    from vlcurate.indicators import indicator_matrix
-    std = fit_standardizer(indicator_matrix(manifest, cache))
-    reducer = fit_feature_reducer(features, m=5)
-    save_bundle(tmp_path, std, reducer, fingerprint="abc123")
-    std2, reducer2, fp = load_bundle(tmp_path)
-    assert fp == "abc123"
-    assert np.array_equal(std.means, std2.means)
-    assert np.array_equal(std.stds, std2.stds)
-    probe_i = features.matrix("image")[:3]
-    probe_t = features.matrix("text_llm")[:3]
-    assert np.array_equal(reducer.transform(probe_i, probe_t),
-                          reducer2.transform(probe_i, probe_t))
-
-
-def test_bundle_roundtrip_split_mode(tmp_path):
-    manifest, features, cache = _scored_corpus(25, seed=14)
-    reducer = fit_feature_reducer(features, m=4, mode="split")
-    save_bundle(tmp_path, identity_standardizer(), reducer)
-    _, reducer2, _ = load_bundle(tmp_path)
-    assert reducer2.mode == "split"
-    probe_i = features.matrix("image")[:2]
-    probe_t = features.matrix("text_llm")[:2]
-    assert np.array_equal(reducer.transform(probe_i, probe_t),
-                          reducer2.transform(probe_i, probe_t))
-
-
-def test_bundle_missing_file(tmp_path):
-    with pytest.raises(ModelLoadError):
-        load_bundle(tmp_path / "nope")
-
-
-def test_bundle_version_mismatch(tmp_path):
-    manifest, features, cache = _scored_corpus(10, seed=15)
-    reducer = fit_feature_reducer(features, m=2)
-    save_bundle(tmp_path, identity_standardizer(), reducer)
-    blob_path = tmp_path / "embedding_bundle.json"
-    blob = json.loads(blob_path.read_text())
-    blob["version"] = 99
-    blob_path.write_text(json.dumps(blob))
-    with pytest.raises(ModelLoadError):
-        load_bundle(tmp_path)
+    for t, row in zip(manifest, embs):
+        assert np.array_equal(rows[t.id], row)

@@ -255,14 +255,12 @@ def test_score_corpus_fills_from_stubs():
     cache = ScoreCache()
     gpt, reward = CountingProvider(60.0), CountingProvider(-0.5)
     score_corpus(manifest, features, cache, gpt, reward)
-    for t in manifest:
+    for i, t in enumerate(manifest):
         rec = cache.records[t.id]
         assert rec.complete()
         assert rec.gpt == 60.0 and rec.reward == -0.5
         assert rec.length == length_score(t.response)
-        assert rec.clip == clip_score(
-            features.vector("image", t.id), features.vector("text_clip", t.id)
-        )
+        assert rec.clip == clip_score(features["image"][i], features["text_clip"][i])
 
 
 def test_score_corpus_cache_only_missing_gpt():

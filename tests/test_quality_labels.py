@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from vlcurate.corpus import load_manifest
-from vlcurate.embedding import ItemEmbedding
 from vlcurate.errors import (
     DuplicateId,
     EmptyReport,
@@ -30,27 +29,24 @@ from vlcurate.quality_labels import (
 from conftest import make_manifest
 
 
-def _embeddings(vectors):
-    return [ItemEmbedding(id=f"e{i:04d}", vector=np.asarray(v, dtype=float))
-            for i, v in enumerate(vectors)]
+def _ids(n):
+    return [f"e{i:04d}" for i in range(n)]
 
 
 def test_build_subsets_singletons():
     rng = np.random.default_rng(0)
-    embs = _embeddings(rng.normal(size=(6, 3)))
-    subsets = build_subsets(embs, n=6, seed=0)
+    subsets = build_subsets(_ids(6), rng.normal(size=(6, 3)), n=6, seed=0)
     assert len(subsets) == 6
     assert sorted(len(s.member_ids) for s in subsets) == [1] * 6
     covered = {i for s in subsets for i in s.member_ids}
-    assert covered == {e.id for e in embs}
+    assert covered == set(_ids(6))
 
 
 def test_build_subsets_two_blobs():
     rng = np.random.default_rng(1)
     lo = rng.normal(0.0, 0.3, size=(20, 2))
     hi = rng.normal(50.0, 0.3, size=(20, 2))
-    embs = _embeddings(np.vstack([lo, hi]))
-    subsets = build_subsets(embs, n=2, seed=0)
+    subsets = build_subsets(_ids(40), np.vstack([lo, hi]), n=2, seed=0)
     groups = [set(s.member_ids) for s in subsets]
     lo_ids = {f"e{i:04d}" for i in range(20)}
     hi_ids = {f"e{i:04d}" for i in range(20, 40)}
@@ -59,8 +55,8 @@ def test_build_subsets_two_blobs():
 
 def test_build_subsets_partition_properties():
     rng = np.random.default_rng(2)
-    embs = _embeddings(rng.normal(size=(347, 5)))
-    subsets = build_subsets(embs, n=10, seed=3)
+    embs = rng.normal(size=(347, 5))
+    subsets = build_subsets(_ids(347), embs, n=10, seed=3)
     sizes = [len(s.member_ids) for s in subsets]
     assert sizes == [34] * 10  # capacity = 347 // 10
     all_ids = [i for s in subsets for i in s.member_ids]
@@ -69,38 +65,37 @@ def test_build_subsets_partition_properties():
         assert s.embeddings.shape == (34, 5)
         # embedding rows follow member order
         for row, member in zip(s.embeddings, s.member_ids):
-            assert np.array_equal(row, embs[int(member[1:])].vector)
+            assert np.array_equal(row, embs[int(member[1:])])
 
 
 def test_build_subsets_seed_reproducible():
     rng = np.random.default_rng(4)
-    embs = _embeddings(rng.normal(size=(50, 4)))
-    a = build_subsets(embs, n=5, seed=9)
-    b = build_subsets(embs, n=5, seed=9)
+    embs = rng.normal(size=(50, 4))
+    a = build_subsets(_ids(50), embs, n=5, seed=9)
+    b = build_subsets(_ids(50), embs, n=5, seed=9)
     assert [s.member_ids for s in a] == [s.member_ids for s in b]
 
 
 def test_build_subsets_on_external_vectors():
     rng = np.random.default_rng(5)
-    embs = _embeddings(rng.normal(size=(40, 3)))
+    embs = rng.normal(size=(40, 3))
     image_space = np.vstack([rng.normal(0, 0.1, (20, 2)),
                              rng.normal(30, 0.1, (20, 2))])
-    subsets = build_subsets(embs, n=2, seed=0, vectors=image_space)
+    subsets = build_subsets(_ids(40), embs, n=2, seed=0, vectors=image_space)
     groups = {frozenset(s.member_ids) for s in subsets}
     assert frozenset(f"e{i:04d}" for i in range(20)) in groups
 
 
 def test_build_subsets_too_many():
-    embs = _embeddings(np.random.default_rng(0).normal(size=(4, 2)))
+    embs = np.random.default_rng(0).normal(size=(4, 2))
     with pytest.raises(TooManyClusters):
-        build_subsets(embs, n=5, seed=0)
+        build_subsets(_ids(4), embs, n=5, seed=0)
 
 
 def test_write_subset_manifests(tmp_path):
     manifest = make_manifest(12, seed=6)
     rng = np.random.default_rng(6)
-    embs = [ItemEmbedding(id=t.id, vector=rng.normal(size=3)) for t in manifest]
-    subsets = build_subsets(embs, n=3, seed=0)
+    subsets = build_subsets([t.id for t in manifest], rng.normal(size=(12, 3)), n=3, seed=0)
     paths = write_subset_manifests(subsets, manifest, tmp_path)
     assert len(paths) == 3
     for sub, path in zip(subsets, paths):
@@ -143,8 +138,7 @@ def test_average_label_permutation_invariant_two_pass():
 
 def _reference_subsets():
     rng = np.random.default_rng(8)
-    embs = _embeddings(rng.normal(size=(90, 4)))
-    return build_subsets(embs, n=30, seed=0)
+    return build_subsets(_ids(90), rng.normal(size=(90, 4)), n=30, seed=0)
 
 
 def test_attach_labels_reference_fixture():

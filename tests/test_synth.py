@@ -35,9 +35,9 @@ def test_generate_shapes_and_ids():
     assert len(corpus.manifest) == 60
     assert corpus.manifest[0].id == "syn-00000"
     assert corpus.manifest[59].id == "syn-00059"
-    assert corpus.features.matrices["image"].shape == (60, 16)
-    assert corpus.features.matrices["text_clip"].shape == (60, 16)
-    assert corpus.features.matrices["text_llm"].shape == (60, 24)
+    assert corpus.features["image"].shape == (60, 16)
+    assert corpus.features["text_clip"].shape == (60, 16)
+    assert corpus.features["text_llm"].shape == (60, 24)
     assert set(corpus.oracle) == {t.id for t in corpus.manifest}
     q = np.array(list(corpus.oracle.values()))
     assert np.all((q >= 0.0) & (q <= 1.0))
@@ -53,16 +53,16 @@ def test_generate_shapes_and_ids():
 
 def test_generate_honors_dims():
     corpus = generate(40, seed=1, image_dim=5, text_dim=9)
-    assert corpus.features.matrices["image"].shape == (40, 5)
-    assert corpus.features.matrices["text_llm"].shape == (40, 9)
+    assert corpus.features["image"].shape == (40, 5)
+    assert corpus.features["text_llm"].shape == (40, 9)
 
 
 def test_generate_is_deterministic():
     a = generate(50, seed=3)
     b = generate(50, seed=3)
     assert [t.__dict__ for t in a.manifest] == [t.__dict__ for t in b.manifest]
-    for name in a.features.matrices:
-        assert np.array_equal(a.features.matrices[name], b.features.matrices[name])
+    for name in a.features:
+        assert np.array_equal(a.features[name], b.features[name])
     assert a.oracle == b.oracle
     assert all(
         a.scores.records[i].reward == b.scores.records[i].reward
@@ -75,7 +75,7 @@ def test_generate_seeds_differ():
     a = generate(40, seed=0)
     b = generate(40, seed=1)
     assert not np.array_equal(
-        a.features.matrices["image"], b.features.matrices["image"]
+        a.features["image"], b.features["image"]
     )
 
 
@@ -99,7 +99,7 @@ def test_text_clip_rows_are_unit_norm():
     # construction writes cos(image_i, text_clip_i) directly, so the text
     # embedding must be unit length
     corpus = generate(40, seed=6)
-    norms = np.linalg.norm(corpus.features.matrices["text_clip"], axis=1)
+    norms = np.linalg.norm(corpus.features["text_clip"], axis=1)
     assert np.allclose(norms, 1.0, atol=1e-9)
 
 
