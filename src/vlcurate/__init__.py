@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 from .corpus import ScoreCache, ScoreRecord, Triplet, load_manifest
 from .curate import CurationResult, aggregate_judgments, allocate, curate, select_topk
-from .embedding import assemble_corpus, fit_feature_reducer, fit_standardizer
+from .embedding import assemble_corpus, fit_feature_reducer, standardize
 from .errors import VlcurateError
-from .quality_labels import EvalReport, SubsetRecord, attach_labels, build_subsets
+from .quality_labels import EvalReport, build_subsets, subset_labels
 from .selector import SelectorModel, init_selector, loss_and_grad, predict, train
 
 __all__ = [
@@ -22,22 +22,21 @@ __all__ = [
     "ScoreCache",
     "ScoreRecord",
     "SelectorModel",
-    "SubsetRecord",
     "Triplet",
     "VlcurateError",
     "aggregate_judgments",
     "allocate",
     "assemble_corpus",
-    "attach_labels",
     "build_subsets",
     "curate",
     "fit_feature_reducer",
-    "fit_standardizer",
     "init_selector",
     "load_manifest",
     "loss_and_grad",
     "predict",
     "select_topk",
+    "standardize",
+    "subset_labels",
     "train",
     "__version__",
 ]

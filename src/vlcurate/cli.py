@@ -2,7 +2,7 @@
 
     synth           generate the seeded synthetic corpus
     score           fill the indicator score cache
-    embed           fit standardizer + PCA, write per-sample embeddings
+    embed           standardize scores + PCA features, write per-sample embeddings
     split           build the labeled training subsets
     train-selector  fit the quality selector on (subset, label) pairs
     curate          cluster, allocate quotas, select the final alpha samples
@@ -35,6 +35,7 @@ from . import synth as synth_mod
 from .config import PipelineConfig, build_config, fingerprint, stage_is_current, stage_mark_done
 from .corpus import (
     REQUIRED_MATRICES,
+    SCORE_SLOTS,
     ScoreCache,
     atomic_write,
     load_features,
@@ -45,25 +46,18 @@ from .corpus import (
     write_feature_file,
     write_scores,
 )
-from .embedding import (
-    SCORE_SLOTS,
-    assemble_corpus,
-    fit_feature_reducer,
-    fit_standardizer,
-    identity_standardizer,
-)
+from .embedding import assemble_corpus
 from .curate import curate as run_curation
 from .errors import MalformedRecord, VlcurateError
 from .indicators import RatingClient, RewardClient, indicator_matrix, score_corpus
 from .quality_labels import (
-    SubsetRecord,
-    attach_labels,
     build_subsets,
     read_eval_reports,
+    subset_labels,
     write_eval_reports,
     write_subset_manifests,
 )
-from .selector import init_selector, load_selector, predict_items, save_selector, train
+from .selector import KINDS, init_selector, load_selector, predict_items, save_selector, train
 
 
 # -- stage bodies: each does its stage's work and returns its log message ---
@@ -94,11 +88,8 @@ def _score(cfg: PipelineConfig, args) -> str:
 def _embed(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_llm"))
-    cache = read_scores(cfg.scores_path())
-    scores = indicator_matrix(manifest, cache)
-    std = fit_standardizer(scores) if cfg.standardize else identity_standardizer()
-    reducer = fit_feature_reducer(features, cfg.m, cfg.reducer_mode)
-    embeddings = assemble_corpus(manifest, cache, features, std, reducer)
+    embeddings = assemble_corpus(manifest, read_scores(cfg.scores_path()), features,
+                                 cfg.m, cfg.reducer_mode, cfg.standardize)
     write_feature_file(cfg.embeddings_path(), [t.id for t in manifest], embeddings)
     return f"embedded {len(embeddings)} samples, dim {4 + cfg.m}"
 
@@ -106,20 +97,19 @@ def _embed(cfg: PipelineConfig, args) -> str:
 def _split(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
     ids = [t.id for t in manifest]
-    vectors = None
     if cfg.subset_space == "image":
-        vectors = load_features(cfg.features_path(), manifest, ("image",))["image"]
-    subsets = build_subsets(
-        ids, read_matrix(cfg.embeddings_path(), ids), cfg.n_subsets, seed=cfg.seed,
-        vectors=vectors, capacity=cfg.capacity or None,
-    )
+        data = load_features(cfg.features_path(), manifest, ("image",))["image"]
+    else:
+        data = read_matrix(cfg.embeddings_path(), ids)
+    subsets = build_subsets(ids, data, cfg.n_subsets, seed=cfg.seed,
+                            capacity=cfg.capacity or None)
     write_subset_manifests(subsets, manifest, cfg.subsets_path())
     blob = {
         "n_subsets": cfg.n_subsets,
-        "capacity": len(subsets[0].member_ids),
+        "capacity": len(subsets[0]),
         "subsets": [
-            {"subset_id": s.subset_id, "member_ids": list(s.member_ids)}
-            for s in subsets
+            {"subset_id": subset_id, "member_ids": list(members)}
+            for subset_id, members in enumerate(subsets)
         ],
     }
     with atomic_write(cfg.subsets_path() / "subsets.json") as fh:
@@ -143,19 +133,12 @@ def _train_selector(cfg: PipelineConfig, args) -> str:
         raise MalformedRecord(None, f"{path}: bad subset entry ({exc!r})") from None
     rows = read_matrix(cfg.embeddings_path(), [i for _, members in entries for i in members])
     blocks = np.split(rows, np.cumsum([len(members) for _, members in entries])[:-1])
-    subsets = [
-        SubsetRecord(subset_id=subset_id, member_ids=members, embeddings=block)
-        for (subset_id, members), block in zip(entries, blocks)
-    ]
-    labeled = attach_labels(subsets, read_eval_reports(cfg.reports_path()))
+    labels = subset_labels([subset_id for subset_id, _ in entries],
+                           read_eval_reports(cfg.reports_path()))
     model = init_selector(cfg.selector_kind, input_dim=rows.shape[1], seed=cfg.seed,
                           d_model=cfg.d_model, ff_dim=cfg.ff_dim, layers=cfg.layers)
-    result = train(
-        model,
-        [s.embeddings for s in labeled],
-        np.array([s.label for s in labeled]),
-        epochs=cfg.epochs, lr=cfg.lr, optimizer=cfg.optimizer,
-    )
+    result = train(model, blocks, labels, epochs=cfg.epochs, lr=cfg.lr,
+                   optimizer=cfg.optimizer)
     save_selector(cfg.model_path(), result.model)
     with atomic_write(cfg.model_path() / "losses.json") as fh:
         json.dump({"losses": result.losses}, fh, indent=2)
@@ -251,8 +234,9 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
             body=_embed,
         ),
         "split": Stage(
-            inputs=[cfg.manifest_path(), cfg.embeddings_path(),
-                    *(features("image") if cfg.subset_space == "image" else []),
+            inputs=[cfg.manifest_path(),
+                    *(features("image") if cfg.subset_space == "image"
+                      else [cfg.embeddings_path()]),
                     *([cfg.oracle_path()] if oracle_reports else [])],
             config={"n_subsets": cfg.n_subsets, "capacity": cfg.capacity,
                     "seed": cfg.seed, "subset_space": cfg.subset_space,
@@ -342,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also derive eval reports from the planted oracle")
 
     p = sub.add_parser("train-selector", parents=[common], help="train the selector")
-    p.add_argument("--kind", dest="selector_kind",
-                   choices=("linear", "mlp", "attention"))
+    p.add_argument("--kind", dest="selector_kind", choices=KINDS)
     p.add_argument("--layers", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -359,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selector", dest="model_dir", help="selector model directory")
     p.add_argument("--no-clustering", dest="clustering",
                    action="store_const", const=False)
-    p.add_argument("--indicator", choices=("clip", "length", "reward", "gpt"),
+    p.add_argument("--indicator", choices=SCORE_SLOTS,
                    help="rank by one raw indicator instead of the selector")
 
     p = sub.add_parser("report", parents=[common], help="render report and plots")

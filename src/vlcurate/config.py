@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import atomic_write
+from .corpus import SCORE_SLOTS, atomic_write
 from .errors import BadConfig
+from .selector import KINDS
 
 ENV_REWARD_URL = "VLCURATE_REWARD_URL"
 ENV_RATING_URL = "VLCURATE_RATING_URL"
@@ -116,14 +117,14 @@ class PipelineConfig:
             (self.epochs >= 1, "epochs must be >= 1"),
             (self.lr > 0.0, "lr must be > 0"),
             (self.workers >= 1, "workers must be >= 1"),
-            (self.selector_kind in ("linear", "mlp", "attention"),
+            (self.selector_kind in KINDS,
              f"unknown selector_kind {self.selector_kind!r}"),
             (self.optimizer in ("adam", "sgd"), f"unknown optimizer {self.optimizer!r}"),
             (self.reducer_mode in ("joint", "split"),
              f"unknown reducer_mode {self.reducer_mode!r}"),
             (self.subset_space in ("embedding", "image"),
              f"unknown subset_space {self.subset_space!r}"),
-            (self.indicator in ("", "clip", "length", "reward", "gpt"),
+            (self.indicator in ("", *SCORE_SLOTS),
              f"unknown indicator {self.indicator!r}"),
             (self.provider in ("cache", "http"), f"unknown provider {self.provider!r}"),
         ]
@@ -161,17 +162,20 @@ def _coerce(key: str, raw: str):
 def read_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` lines; # starts a comment; unknown keys rejected."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise BadConfig(f"{path}:{line_no}: expected key = value")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _FIELDS:
-                raise BadConfig(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                stripped = line.split("#", 1)[0].strip()
+                if not stripped:
+                    continue
+                if "=" not in stripped:
+                    raise BadConfig(f"{path}:{line_no}: expected key = value")
+                key, raw = (part.strip() for part in stripped.split("=", 1))
+                if key not in _FIELDS:
+                    raise BadConfig(f"{path}:{line_no}: unknown config key {key!r}")
+                values[key] = _coerce(key, raw)
+    except UnicodeDecodeError as exc:
+        raise BadConfig(f"{path}: not UTF-8 text ({exc.reason})") from None
     return values
 
 

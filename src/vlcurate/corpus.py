@@ -38,6 +38,9 @@ from .errors import (
 
 REQUIRED_MATRICES = ("image", "text_clip", "text_llm")
 
+# the four indicator scores, in score-cache and embedding slot order
+SCORE_SLOTS = ("clip", "length", "reward", "gpt")
+
 _MANIFEST_FIELDS = ("id", "image_path", "instruction", "response")
 
 
@@ -51,6 +54,17 @@ class Triplet:
     response: str
 
 
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """``path`` opened for streaming reads as UTF-8 text; bytes that are
+    not UTF-8 raise MalformedRecord naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(None, f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_manifest(path: str | Path) -> list[Triplet]:
     """Read a manifest file, preserving file order.
 
@@ -58,7 +72,7 @@ def load_manifest(path: str | Path) -> list[Triplet]:
     """
     triplets: list[Triplet] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -127,7 +141,7 @@ def write_manifest(triplets: Iterable[Triplet], path: str | Path) -> None:
 def read_feature_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
     """Parse one ``id <dim>`` header + rows file into an id->vector map."""
     rows: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "id":
             raise DimensionMismatch(f"{path}: bad header {' '.join(header)!r}")
@@ -191,7 +205,7 @@ def load_features(
 
 def read_json(path: str | Path, keys: tuple[str, ...]) -> dict:
     """A JSON object file holding at least ``keys``; MalformedRecord otherwise."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             blob = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -220,13 +234,14 @@ class ScoreRecord:
             raise ScoreOutOfRange(f"gpt score {self.gpt} outside [0, 100]")
         if self.length is not None and self.length < 0:
             raise ScoreOutOfRange(f"negative length {self.length}")
-        for field in ("clip", "reward", "gpt"):
-            value = getattr(self, field)
+        for slot in SCORE_SLOTS:
+            value = getattr(self, slot)
             if value is not None and not math.isfinite(value):
-                raise ScoreOutOfRange(f"non-finite {field} score")
+                raise ScoreOutOfRange(f"non-finite {slot} score")
 
-    def complete(self) -> bool:
-        return None not in (self.clip, self.length, self.reward, self.gpt)
+    def missing(self) -> str | None:
+        """The first slot without a score, or None when all four are set."""
+        return next((slot for slot in SCORE_SLOTS if getattr(self, slot) is None), None)
 
 
 class ScoreCache:
@@ -249,7 +264,7 @@ class ScoreCache:
 
 def read_scores(path: str | Path) -> ScoreCache:
     cache = ScoreCache()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -262,15 +277,14 @@ def read_scores(path: str | Path) -> ScoreCache:
             if "id" not in raw:
                 raise MalformedRecord(line_no, "missing id")
             try:
-                record = ScoreRecord(
-                    clip=None if raw.get("clip") is None else float(raw["clip"]),
-                    length=None if raw.get("length") is None else int(raw["length"]),
-                    reward=None if raw.get("reward") is None else float(raw["reward"]),
-                    gpt=None if raw.get("gpt") is None else float(raw["gpt"]),
-                )
+                record = ScoreRecord(**{
+                    slot: None if raw.get(slot) is None
+                    else int(raw[slot]) if slot == "length" else float(raw[slot])
+                    for slot in SCORE_SLOTS
+                })
+                record.validate()
             except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedRecord(line_no, f"non-numeric score field ({exc})") from None
-            record.validate()
             cache.records[str(raw["id"])] = record
     return cache
 
@@ -281,8 +295,8 @@ def write_scores(cache: ScoreCache, path: str | Path) -> None:
     with atomic_write(path) as fh:
         for sample_id, record in cache.records.items():
             row: dict[str, object] = {"id": sample_id}
-            for field in ("clip", "length", "reward", "gpt"):
-                value = getattr(record, field)
+            for slot in SCORE_SLOTS:
+                value = getattr(record, slot)
                 if value is not None:
-                    row[field] = value
+                    row[slot] = value
             fh.write(json.dumps(row) + "\n")

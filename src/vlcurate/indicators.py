@@ -263,10 +263,8 @@ def score_corpus(
     for triplet in manifest:
         record = cache.records[triplet.id]
         record.validate()
-        if not record.complete():
-            missing = next(
-                f for f in ("clip", "length", "reward", "gpt") if getattr(record, f) is None
-            )
+        missing = record.missing()
+        if missing:
             raise MissingScore(triplet.id, missing)
     return cache
 
@@ -276,10 +274,8 @@ def indicator_matrix(manifest: list[Triplet], cache: ScoreCache) -> np.ndarray:
     out = np.empty((len(manifest), 4), dtype=float)
     for i, triplet in enumerate(manifest):
         record = cache.records.get(triplet.id)
-        if record is None or not record.complete():
-            missing = "all" if record is None else next(
-                f for f in ("clip", "length", "reward", "gpt") if getattr(record, f) is None
-            )
+        missing = "all" if record is None else record.missing()
+        if missing:
             raise MissingScore(triplet.id, missing)
         out[i] = (record.clip, float(record.length), record.reward, record.gpt)
     return out

@@ -1,10 +1,10 @@
 """Labeled training subsets for the selector.
 
 The corpus is partitioned into n equal-size subsets by balanced k-means on
-the sample embeddings (capacity N // n; up to n - 1 leftover samples are
-excluded). Each subset is fine-tuned and evaluated externally; the mean of
-its benchmark scores becomes the subset's quality label. Subset ids are
-0-based and stable for a given (embeddings, n, seed).
+the sample embeddings or image features (capacity N // n; up to n - 1
+leftover samples are excluded). Each subset, a tuple of member ids whose id
+is its 0-based index, is fine-tuned and evaluated externally; the mean of
+its benchmark scores becomes the subset's quality label.
 
 A reference label set for the default n=30 configuration ships as a package
 asset so the selector can be trained without rerunning the evaluations.
@@ -13,23 +13,15 @@ asset so the selector can be trained without rerunning the evaluations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Triplet, atomic_write, write_manifest
+from .corpus import Triplet, atomic_write, open_text, write_manifest
 from .errors import DuplicateId, EmptyReport, MalformedRecord, MissingLabel, UnknownSubset
 from .numerics import kmeans_pp
-
-
-@dataclass(frozen=True)
-class SubsetRecord:
-    subset_id: int
-    member_ids: tuple[str, ...]     # canonical corpus order
-    embeddings: np.ndarray          # (capacity, D), rows follow member_ids
-    label: float | None = None
 
 
 @dataclass(frozen=True)
@@ -40,45 +32,33 @@ class EvalReport:
 
 def build_subsets(
     ids: list[str],
-    embeddings: np.ndarray,
+    data: np.ndarray,
     n: int = 30,
     seed: int = 0,
-    vectors: np.ndarray | None = None,
     capacity: int | None = None,
-) -> list[SubsetRecord]:
-    """Partition the samples ``ids`` (rows of the (N, D) ``embeddings``)
-    into n subsets of exactly `capacity` samples (N // n when unset).
-
-    Clustering runs on `vectors` when given (e.g. raw image features),
-    otherwise on the embeddings themselves; subset members always carry
-    their embedding rows. Samples beyond n * capacity belong to no subset.
-    """
-    embeddings = np.asarray(embeddings, dtype=float)
-    data = embeddings if vectors is None else np.asarray(vectors, dtype=float)
-    if not len(ids) == embeddings.shape[0] == data.shape[0]:
-        raise ValueError(f"row counts differ: {len(ids)} ids, {embeddings.shape[0]} "
-                         f"embeddings, {data.shape[0]} vectors")
-    assignment = kmeans_pp(data, n, seed=seed, balanced=True, capacity=capacity)
-    subsets = []
-    for j in range(n):
-        members = np.flatnonzero(assignment.labels == j)
-        subsets.append(SubsetRecord(subset_id=j,
-                                    member_ids=tuple(ids[i] for i in members),
-                                    embeddings=embeddings[members]))
-    return subsets
+) -> list[tuple[str, ...]]:
+    """Partition ``ids`` (the rows of the (N, D) ``data``: embeddings or
+    image features) into n subsets of exactly `capacity` samples (N // n
+    when unset) by balanced k-means; subset j is the j-th tuple of member
+    ids, in corpus order. Samples beyond n * capacity belong to no subset."""
+    data = np.asarray(data, dtype=float)
+    if len(ids) != data.shape[0]:
+        raise ValueError(f"row counts differ: {len(ids)} ids, {data.shape[0]} rows")
+    labels = kmeans_pp(data, n, seed=seed, balanced=True, capacity=capacity).labels
+    return [tuple(ids[i] for i in np.flatnonzero(labels == j)) for j in range(n)]
 
 
 def write_subset_manifests(
-    subsets: list[SubsetRecord], manifest: list[Triplet], out_dir: str | Path
+    subsets: list[tuple[str, ...]], manifest: list[Triplet], out_dir: str | Path
 ) -> list[Path]:
     """One manifest per subset, for the external fine-tune/eval loop."""
     by_id = {t.id: t for t in manifest}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for sub in subsets:
-        path = out_dir / f"subset_{sub.subset_id:03d}.manifest.jsonl"
-        write_manifest([by_id[i] for i in sub.member_ids], path)
+    for subset_id, members in enumerate(subsets):
+        path = out_dir / f"subset_{subset_id:03d}.manifest.jsonl"
+        write_manifest([by_id[i] for i in members], path)
         paths.append(path)
     return paths
 
@@ -92,10 +72,11 @@ def average_label(report: EvalReport) -> float:
     return float(np.mean(list(report.scores.values())))
 
 
-def attach_labels(
-    subsets: list[SubsetRecord], reports: list[EvalReport]
-) -> list[SubsetRecord]:
-    known = {s.subset_id for s in subsets}
+def subset_labels(subset_ids: list[int], reports: list[EvalReport]) -> np.ndarray:
+    """Each subset's quality label, in ``subset_ids`` order: the average of
+    its one report. A report for an id not listed raises UnknownSubset, a
+    second report DuplicateId, and a listed id without one MissingLabel."""
+    known = set(subset_ids)
     by_subset: dict[int, EvalReport] = {}
     for rep in reports:
         if rep.subset_id not in known:
@@ -103,12 +84,10 @@ def attach_labels(
         if rep.subset_id in by_subset:
             raise DuplicateId(f"duplicate report for subset {rep.subset_id}")
         by_subset[rep.subset_id] = rep
-    labeled = []
-    for sub in subsets:
-        if sub.subset_id not in by_subset:
-            raise MissingLabel(sub.subset_id)
-        labeled.append(replace(sub, label=average_label(by_subset[sub.subset_id])))
-    return labeled
+    for subset_id in subset_ids:
+        if subset_id not in by_subset:
+            raise MissingLabel(subset_id)
+    return np.array([average_label(by_subset[j]) for j in subset_ids])
 
 
 def _parse_eval_reports(lines) -> list[EvalReport]:
@@ -129,7 +108,7 @@ def _parse_eval_reports(lines) -> list[EvalReport]:
 
 
 def read_eval_reports(path: str | Path) -> list[EvalReport]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return _parse_eval_reports(fh)
 
 

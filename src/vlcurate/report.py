@@ -150,8 +150,8 @@ def write_report(
     seed: int = 0,
 ) -> dict:
     """Render report.json plus histogram SVGs from a persisted selection.
-    A summary field of the wrong type or length raises MalformedRecord
-    before any file is written."""
+    A summary field of the wrong type or length, or a manifest or selected
+    id the oracle lacks, raises MalformedRecord before any file is written."""
     out_dir = Path(out_dir)
     path = out_dir / "summary.json"
     summary = read_json(path, (
@@ -178,6 +178,9 @@ def write_report(
         }
         if oracle is not None:
             ids = [t.id for t in manifest]
+            lacking = [i for i in [*ids, *summary["selected_ids"]] if i not in oracle]
+            if lacking:
+                raise MalformedRecord(None, f"oracle has no quality for id {lacking[0]!r}")
             report["oracle_comparison"] = uplift_stats(
                 oracle, summary["selected_ids"], ids, seed=seed)
             report["oracle_comparison"]["spearman_q"] = spearman(

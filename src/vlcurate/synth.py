@@ -27,12 +27,13 @@ from .corpus import (
     ScoreRecord,
     Triplet,
     atomic_write,
+    open_text,
     write_feature_file,
     write_manifest,
     write_scores,
 )
 from .errors import BadConfig, MalformedRecord
-from .quality_labels import EvalReport, SubsetRecord
+from .quality_labels import EvalReport
 
 N_BLOBS = 10
 MIN_SAMPLES = 30
@@ -167,7 +168,7 @@ def write_oracle(oracle: dict[str, float], path: str | Path) -> None:
 
 def read_oracle(path: str | Path) -> dict[str, float]:
     oracle: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -192,18 +193,18 @@ _BENCHMARKS = (
 
 
 def oracle_eval_reports(
-    subsets: list[SubsetRecord], oracle: dict[str, float], seed: int = 0
+    subsets: list[tuple[str, ...]], oracle: dict[str, float], seed: int = 0
 ) -> list[EvalReport]:
-    """Stand-in for the external fine-tune/benchmark loop: each subset's
-    pseudo-benchmark gains are affine in its mean planted quality, plus a
-    little seeded noise."""
+    """Stand-in for the external fine-tune/benchmark loop: the gains of
+    subset j (the j-th tuple of member ids) are affine in its mean planted
+    quality, plus a little seeded noise."""
     rng = np.random.default_rng(seed)
     reports = []
-    for sub in subsets:
-        mean_q = float(np.mean([oracle[i] for i in sub.member_ids]))
+    for subset_id, members in enumerate(subsets):
+        mean_q = float(np.mean([oracle[i] for i in members]))
         scores = {
             name: float(base + scale * mean_q + rng.normal(0.0, 0.25))
             for name, base, scale in _BENCHMARKS
         }
-        reports.append(EvalReport(subset_id=sub.subset_id, scores=scores))
+        reports.append(EvalReport(subset_id=subset_id, scores=scores))
     return reports

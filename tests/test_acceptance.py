@@ -18,7 +18,7 @@ import pytest
 from vlcurate.cli import main as cli_main
 from vlcurate.corpus import ScoreCache, ScoreRecord, load_manifest
 from vlcurate.curate import VERDICTS, aggregate_judgments, allocate, curate, select_topk
-from vlcurate.embedding import assemble_corpus, fit_feature_reducer, fit_standardizer
+from vlcurate.embedding import assemble_corpus
 from vlcurate.errors import ScoreOutOfRange, UnparseableScore
 from vlcurate.indicators import (
     default_prompt_template,
@@ -34,7 +34,7 @@ from vlcurate.numerics import (
     spearman,
     spectral_cluster,
 )
-from vlcurate.quality_labels import SubsetRecord, attach_labels, load_reference_reports
+from vlcurate.quality_labels import load_reference_reports, subset_labels
 from vlcurate.selector import loss_and_grad, predict
 from vlcurate.synth import read_oracle
 
@@ -55,24 +55,19 @@ def test_criterion_01_reference_label_fixture():
     raw = resources.files("vlcurate.assets").joinpath("reference_labels.jsonl").read_text()
     rows = [json.loads(line) for line in raw.splitlines() if line.strip()]
     assert len(rows) == 30
-    subsets = [
-        SubsetRecord(subset_id=i, member_ids=(f"x{i}",), embeddings=np.zeros((1, 2)))
-        for i in range(30)
-    ]
-    labeled = attach_labels(subsets, load_reference_reports())
+    labels = subset_labels(list(range(30)), load_reference_reports())
     reported = {row["subset_id"]: row["reported_average"] for row in rows}
-    for sub in labeled:
-        if sub.subset_id == 29:
+    for subset_id, label in enumerate(labels):
+        if subset_id == 29:
             # this fixture row is internally inconsistent: its four scores
             # average to 31.6325 but the stated average is 31.64 (0.0075 off).
             # The recomputed mean is the authoritative label.
-            assert sub.label == pytest.approx(31.6325, abs=1e-12)
+            assert label == pytest.approx(31.6325, abs=1e-12)
             continue
         # epsilon guard: one row's true mean sits exactly 0.005 away
-        assert abs(sub.label - reported[sub.subset_id]) <= 0.005 + 1e-9, sub.subset_id
-    by_id = {s.subset_id: s.label for s in labeled}
-    assert round(by_id[0], 2) == 30.86
-    assert round(by_id[12], 2) == 31.69
+        assert abs(label - reported[subset_id]) <= 0.005 + 1e-9, subset_id
+    assert round(labels[0], 2) == 30.86
+    assert round(labels[12], 2) == 31.69
     assert time.perf_counter() - started < 1.0
 
 
@@ -92,9 +87,7 @@ def test_criterion_02_embedding_layout():
             gpt=float(rng.uniform(0, 100)),
         )
     scores = indicator_matrix(manifest, cache)
-    std = fit_standardizer(scores)
-    reducer = fit_feature_reducer(features, m, "joint")
-    embeddings = assemble_corpus(manifest, cache, features, std, reducer)
+    embeddings = assemble_corpus(manifest, cache, features, m, "joint")
 
     # hand-composed oracle: two-pass fsum z-scores for the four indicator
     # slots, then an explicit centered matrix product for the PCA block
@@ -104,7 +97,7 @@ def test_criterion_02_embedding_layout():
         for j in range(4)
     ]
     joint = np.hstack([features["image"], features["text_llm"]])
-    model = reducer.joint
+    model = pca_fit(joint, m)
     assert embeddings.shape == (n, 4 + m)   # one row per sample, manifest order
     for i, emb in enumerate(embeddings):
         expect_z = [(scores[i, j] - mu[j]) / sd[j] for j in range(4)]

@@ -462,6 +462,17 @@ def test_stages_read_only_declared_files(pipeline, tmp_path, monkeypatch):
         assert read == inputs, (argv[0], sorted(str(p) for p in read ^ inputs))
 
 
+@pytest.mark.parametrize("argv", VARIANTS, ids=["split-image", "curate-indicator"])
+def test_variant_without_embeddings_skips_after_re_embed(pipeline, tmp_path, capsys, argv):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    assert main([*argv, "--workdir", str(work)]) == 0
+    assert main(["embed", "--feature-size", "4", "--workdir", str(work)]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--workdir", str(work)]) == 0
+    assert f"[{argv[0]}] up-to-date, skipping" in capsys.readouterr().out
+
+
 def test_score_non_numeric_feature_exits_1(tmp_path, capsys):
     work = tmp_path / "work"
     assert main(["synth", "--n", "30", "--seed", "4", "--workdir", str(work)]) == 0
@@ -498,6 +509,19 @@ def _drop_member_ids(text):
     return json.dumps(blob)
 
 
+def _drop_line(line_no):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[:line_no - 1] + lines[line_no:])
+    return edit
+
+
+def _bogus_selected(text):
+    blob = json.loads(text)
+    blob["selected_ids"][0] = "bogus"
+    return json.dumps(blob)
+
+
 def _set_key(key, value):
     def edit(text):
         blob = json.loads(text)
@@ -508,6 +532,11 @@ def _set_key(key, value):
 
 TRAIN = ["train-selector", "--epochs", "3", "--seed", "0"]
 CURATE = ["curate", "--alpha", "12", "--clusters", "3", "--seed", "0"]
+REPORT = ["report", "--seed", "0"]
+
+
+def _tree(work):
+    return {p: p.read_bytes() for p in work.rglob("*") if p.is_file()}
 
 
 @pytest.mark.parametrize("argv,relpath,edit,error", [
@@ -516,26 +545,52 @@ CURATE = ["curate", "--alpha", "12", "--clusters", "3", "--seed", "0"]
     (TRAIN, "subsets/subsets.json", _drop_key("subsets"), "MalformedRecord"),
     (TRAIN, "subsets/subsets.json", _drop_member_ids, "MalformedRecord"),
     (TRAIN, "subsets/subsets.json", lambda text: "[]", "MalformedRecord"),
-    (["report", "--seed", "0"], "curated/summary.json", lambda text: text[:-20],
-     "MalformedRecord"),
-    (["report", "--seed", "0"], "curated/summary.json", _drop_key("item_scores"),
-     "MalformedRecord"),
-    (["report", "--seed", "0"], "curated/summary.json", _set_key("k_clusters", "3"),
-     "MalformedRecord"),
+    (REPORT, "curated/summary.json", lambda text: text[:-20], "MalformedRecord"),
+    (REPORT, "curated/summary.json", _drop_key("item_scores"), "MalformedRecord"),
+    (REPORT, "curated/summary.json", _set_key("k_clusters", "3"), "MalformedRecord"),
+    (REPORT, "curated/summary.json", _bogus_selected, "MalformedRecord"),
+    (REPORT, "oracle.jsonl", _drop_line(5), "MalformedRecord"),
     (CURATE, "selector_model/meta.json", lambda text: "[]", "ModelLoadError"),
 ], ids=["unknown-member", "subsets-not-json", "no-subsets-key", "no-member-ids",
         "subsets-not-object", "summary-not-json", "no-item-scores-key",
-        "summary-field-type", "meta-not-object"])
+        "summary-field-type", "selected-id-unknown", "oracle-lacks-id",
+        "meta-not-object"])
 def test_malformed_stage_input_exits_1(pipeline, tmp_path, capsys, argv, relpath,
                                        edit, error):
     work = tmp_path / "work"
     shutil.copytree(pipeline, work)
     path = work / relpath
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    before = _tree(work)
     capsys.readouterr()
     assert main([*argv, "--workdir", str(work)]) == 1
     err = capsys.readouterr().err
     assert f"error[{error}]" in err
+    assert "Traceback" not in err
+    assert _tree(work) == before   # the failed stage wrote nothing
+
+
+@pytest.mark.parametrize("argv,relpath,error", [
+    (["score"], "manifest.jsonl", "MalformedRecord"),
+    (["score"], "features/image.txt", "MalformedRecord"),
+    (["embed"], "scores.jsonl", "MalformedRecord"),
+    (TRAIN, "subsets/subsets.json", "MalformedRecord"),
+    (TRAIN, "eval_reports.jsonl", "MalformedRecord"),
+    (REPORT, "oracle.jsonl", "MalformedRecord"),
+    (REPORT, "curated/summary.json", "MalformedRecord"),
+    ([*REPORT, "--config", "{work}/run.cfg"], "run.cfg", "BadConfig"),
+], ids=["manifest", "image-features", "scores", "subsets", "eval-reports", "oracle",
+        "summary", "config"])
+def test_non_utf8_input_exits_1(pipeline, tmp_path, capsys, argv, relpath, error):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    path = work / relpath
+    path.write_bytes((path.read_bytes() if path.exists() else b"seed = 0\n") + b"\xff\n")
+    capsys.readouterr()
+    assert main([*(a.format(work=work) for a in argv), "--workdir", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert f"error[{error}]" in err
+    assert f"{path.name}: not UTF-8 text" in err
     assert "Traceback" not in err
 
 
@@ -572,7 +627,7 @@ def test_score_failure_keeps_paid_scores(tmp_path):
         rating_stub.handler = lambda payload: {"content": "66"}
         assert main(argv) == 0
         assert len(reward_stub.requests) + len(rating_stub.requests) == 2 * n - paid
-        assert all(r.complete() for r in read_scores(work / "scores.jsonl").records.values())
+        assert all(r.missing() is None for r in read_scores(work / "scores.jsonl").records.values())
     finally:
         reward_stub.close()
         rating_stub.close()

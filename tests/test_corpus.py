@@ -242,6 +242,7 @@ def test_scores_negative_length_rejected(tmp_path):
     '{"id": "a", "gpt": "high"}',
     '{"id": "a", "clip": [0.5]}',
     '{"id": "a", "length": 1e999}',
+    pytest.param('{"id": "a", "length": 1' + '0' * 400 + '}', id="length-beyond-float"),
 ])
 def test_scores_malformed_line_rejected(tmp_path, line):
     path = tmp_path / "scores.jsonl"
@@ -281,5 +282,6 @@ def test_scores_roundtrip_thousand_records(tmp_path):
 
 
 def test_score_record_complete():
-    assert not ScoreRecord(clip=0.1).complete()
-    assert ScoreRecord(clip=0.1, length=3, reward=0.0, gpt=50.0).complete()
+    assert ScoreRecord(clip=0.1).missing() == "length"
+    assert ScoreRecord(clip=0.1, length=3, gpt=50.0).missing() == "reward"
+    assert ScoreRecord(clip=0.1, length=3, reward=0.0, gpt=50.0).missing() is None

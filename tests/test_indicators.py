@@ -257,7 +257,7 @@ def test_score_corpus_fills_from_stubs():
     score_corpus(manifest, features, cache, gpt, reward)
     for i, t in enumerate(manifest):
         rec = cache.records[t.id]
-        assert rec.complete()
+        assert rec.missing() is None
         assert rec.gpt == 60.0 and rec.reward == -0.5
         assert rec.length == length_score(t.response)
         assert rec.clip == clip_score(features["image"][i], features["text_clip"][i])
@@ -295,7 +295,7 @@ def test_score_corpus_parallel_scores_each_id_once():
     score_corpus(manifest, features, cache, gpt, reward, workers=4)
     assert sorted(gpt.calls) == sorted(t.id for t in manifest)
     assert sorted(reward.calls) == sorted(t.id for t in manifest)
-    assert all(cache.records[t.id].complete() for t in manifest)
+    assert all(cache.records[t.id].missing() is None for t in manifest)
 
 
 def test_instruction_does_not_leak_into_local_indicators():

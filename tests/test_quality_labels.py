@@ -17,11 +17,11 @@ from vlcurate.errors import (
 )
 from vlcurate.quality_labels import (
     EvalReport,
-    attach_labels,
     average_label,
     build_subsets,
     load_reference_reports,
     read_eval_reports,
+    subset_labels,
     write_eval_reports,
     write_subset_manifests,
 )
@@ -37,8 +37,8 @@ def test_build_subsets_singletons():
     rng = np.random.default_rng(0)
     subsets = build_subsets(_ids(6), rng.normal(size=(6, 3)), n=6, seed=0)
     assert len(subsets) == 6
-    assert sorted(len(s.member_ids) for s in subsets) == [1] * 6
-    covered = {i for s in subsets for i in s.member_ids}
+    assert sorted(len(s) for s in subsets) == [1] * 6
+    covered = {i for s in subsets for i in s}
     assert covered == set(_ids(6))
 
 
@@ -47,7 +47,7 @@ def test_build_subsets_two_blobs():
     lo = rng.normal(0.0, 0.3, size=(20, 2))
     hi = rng.normal(50.0, 0.3, size=(20, 2))
     subsets = build_subsets(_ids(40), np.vstack([lo, hi]), n=2, seed=0)
-    groups = [set(s.member_ids) for s in subsets]
+    groups = [set(s) for s in subsets]
     lo_ids = {f"e{i:04d}" for i in range(20)}
     hi_ids = {f"e{i:04d}" for i in range(20, 40)}
     assert {frozenset(g) for g in groups} == {frozenset(lo_ids), frozenset(hi_ids)}
@@ -57,15 +57,12 @@ def test_build_subsets_partition_properties():
     rng = np.random.default_rng(2)
     embs = rng.normal(size=(347, 5))
     subsets = build_subsets(_ids(347), embs, n=10, seed=3)
-    sizes = [len(s.member_ids) for s in subsets]
+    sizes = [len(s) for s in subsets]
     assert sizes == [34] * 10  # capacity = 347 // 10
-    all_ids = [i for s in subsets for i in s.member_ids]
+    all_ids = [i for s in subsets for i in s]
     assert len(all_ids) == len(set(all_ids)) == 340  # disjoint, 7 excluded
     for s in subsets:
-        assert s.embeddings.shape == (34, 5)
-        # embedding rows follow member order
-        for row, member in zip(s.embeddings, s.member_ids):
-            assert np.array_equal(row, embs[int(member[1:])])
+        assert list(s) == sorted(s)  # corpus order
 
 
 def test_build_subsets_seed_reproducible():
@@ -73,16 +70,16 @@ def test_build_subsets_seed_reproducible():
     embs = rng.normal(size=(50, 4))
     a = build_subsets(_ids(50), embs, n=5, seed=9)
     b = build_subsets(_ids(50), embs, n=5, seed=9)
-    assert [s.member_ids for s in a] == [s.member_ids for s in b]
+    assert a == b
 
 
 def test_build_subsets_on_external_vectors():
+    # the partition follows whatever matrix is passed, e.g. image features
     rng = np.random.default_rng(5)
-    embs = rng.normal(size=(40, 3))
     image_space = np.vstack([rng.normal(0, 0.1, (20, 2)),
                              rng.normal(30, 0.1, (20, 2))])
-    subsets = build_subsets(_ids(40), embs, n=2, seed=0, vectors=image_space)
-    groups = {frozenset(s.member_ids) for s in subsets}
+    subsets = build_subsets(_ids(40), image_space, n=2, seed=0)
+    groups = {frozenset(s) for s in subsets}
     assert frozenset(f"e{i:04d}" for i in range(20)) in groups
 
 
@@ -100,7 +97,7 @@ def test_write_subset_manifests(tmp_path):
     assert len(paths) == 3
     for sub, path in zip(subsets, paths):
         back = load_manifest(path)
-        assert tuple(t.id for t in back) == sub.member_ids
+        assert tuple(t.id for t in back) == sub
 
 
 # -- labels -------------------------------------------------------------------
@@ -136,60 +133,50 @@ def test_average_label_permutation_invariant_two_pass():
     assert average_label(rev) == pytest.approx(two_pass, abs=1e-12)
 
 
-def _reference_subsets():
-    rng = np.random.default_rng(8)
-    return build_subsets(_ids(90), rng.normal(size=(90, 4)), n=30, seed=0)
-
-
-def test_attach_labels_reference_fixture():
-    subsets = _reference_subsets()
+def test_subset_labels_reference_fixture():
     reports = load_reference_reports()
     assert len(reports) == 30
-    labeled = attach_labels(subsets, reports)
+    labels = subset_labels(list(range(30)), reports)
     raw = [json.loads(line) for line in
            __import__("importlib.resources", fromlist=["files"])
            .files("vlcurate").joinpath("assets/reference_labels.jsonl")
            .read_text("utf-8").splitlines() if line.strip()]
     reported = {r["subset_id"]: r["reported_average"] for r in raw}
-    for sub in labeled:
-        if sub.subset_id == 29:
+    for subset_id, label in enumerate(labels):
+        if subset_id == 29:
             # source table's printed average for this row rounds from
             # 31.6325, i.e. 31.63; the table prints 31.64
-            assert sub.label == pytest.approx(31.6325, abs=1e-12)
+            assert label == pytest.approx(31.6325, abs=1e-12)
         else:
             # 1e-9 guard: one row's true mean sits exactly 0.005 away
-            assert abs(sub.label - reported[sub.subset_id]) <= 0.005 + 1e-9
+            assert abs(label - reported[subset_id]) <= 0.005 + 1e-9
 
 
-def test_attach_labels_missing_report():
-    subsets = _reference_subsets()
+def test_subset_labels_missing_report():
     reports = load_reference_reports()[:-1]
     with pytest.raises(MissingLabel) as err:
-        attach_labels(subsets, reports)
+        subset_labels(list(range(30)), reports)
     assert err.value.subset_id == 29
 
 
-def test_attach_labels_unknown_subset():
-    subsets = _reference_subsets()[:5]
+def test_subset_labels_unknown_subset():
     reports = [EvalReport(0, {"a": 1.0}), EvalReport(7, {"a": 1.0})]
     with pytest.raises(UnknownSubset):
-        attach_labels(subsets, reports)
+        subset_labels(list(range(5)), reports)
 
 
-def test_attach_labels_duplicate_report():
-    subsets = _reference_subsets()
+def test_subset_labels_duplicate_report():
     reports = load_reference_reports()
     with pytest.raises(DuplicateId):
-        attach_labels(subsets, reports + [reports[0]])
+        subset_labels(list(range(30)), reports + [reports[0]])
 
 
-def test_attach_labels_keeps_membership():
-    subsets = _reference_subsets()
-    labeled = attach_labels(subsets, load_reference_reports())
-    for before, after in zip(subsets, labeled):
-        assert after.member_ids == before.member_ids
-        assert np.array_equal(after.embeddings, before.embeddings)
-        assert after.label is not None
+def test_subset_labels_follow_id_order():
+    reports = load_reference_reports()
+    labels = subset_labels(list(range(30)), reports)
+    order = [int(j) for j in np.random.default_rng(8).permutation(30)]
+    assert np.array_equal(subset_labels(order, reports), labels[order])
+    assert np.array_equal(labels, [average_label(r) for r in reports])
 
 
 def test_eval_reports_roundtrip(tmp_path):

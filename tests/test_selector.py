@@ -15,7 +15,7 @@ from vlcurate.errors import (
     NonFiniteFeature,
 )
 from vlcurate.numerics import spearman
-from vlcurate.quality_labels import attach_labels, load_reference_reports
+from vlcurate.quality_labels import load_reference_reports
 from vlcurate.selector import (
     SelectorModel,
     init_selector,

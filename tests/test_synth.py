@@ -9,7 +9,6 @@ import pytest
 from vlcurate.errors import BadConfig, MalformedRecord
 from vlcurate.indicators import indicator_matrix, length_score, score_corpus
 from vlcurate.numerics import spearman
-from vlcurate.quality_labels import SubsetRecord
 from vlcurate.synth import (
     MIN_SAMPLES,
     SPEARMAN_BANDS,
@@ -153,14 +152,7 @@ def _chunked_subsets(corpus, n_chunks):
     """Subsets chunked by planted quality so mean q is strictly increasing."""
     ids = sorted(corpus.oracle, key=corpus.oracle.get)
     size = len(ids) // n_chunks
-    return [
-        SubsetRecord(
-            subset_id=j,
-            member_ids=tuple(ids[j * size:(j + 1) * size]),
-            embeddings=np.zeros((size, 2)),
-        )
-        for j in range(n_chunks)
-    ]
+    return [tuple(ids[j * size:(j + 1) * size]) for j in range(n_chunks)]
 
 
 def test_eval_reports_track_subset_quality():
@@ -168,9 +160,7 @@ def test_eval_reports_track_subset_quality():
     subsets = _chunked_subsets(corpus, 12)
     reports = oracle_eval_reports(subsets, corpus.oracle, seed=0)
     assert [r.subset_id for r in reports] == list(range(12))
-    mean_q = [
-        np.mean([corpus.oracle[i] for i in s.member_ids]) for s in subsets
-    ]
+    mean_q = [np.mean([corpus.oracle[i] for i in s]) for s in subsets]
     names = {"synth_vqa_gain", "synth_gqa_gain", "synth_cap_gain", "synth_ret_gain"}
     for report in reports:
         assert set(report.scores) == names
