@@ -72,16 +72,17 @@ def _score(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_clip"))
     cache = read_scores(cfg.scores_path()) if cfg.scores_path().exists() else ScoreCache()
-    gpt_provider = reward_provider = None
+    providers = {}
     if cfg.provider == "http":
         headers = {"Authorization": f"Bearer {cfg.api_key}"} if cfg.api_key else None
-        reward_provider = RewardClient(cfg.reward_url, headers=headers)
-        gpt_provider = RatingClient(cfg.rating_url, headers=headers)
+        providers = {"reward_provider": RewardClient(cfg.reward_url, headers=headers),
+                     "gpt_provider": RatingClient(cfg.rating_url, headers=headers)}
     try:
-        score_corpus(manifest, features, cache, gpt_provider, reward_provider,
-                     workers=cfg.workers)
+        score_corpus(manifest, features, cache, workers=cfg.workers, **providers)
     finally:  # keep every score already paid for, also when one call fails
         write_scores(cache, cfg.scores_path())
+        for client in providers.values():
+            client.close()
     return f"scored {len(manifest)} samples"
 
 

@@ -255,12 +255,6 @@ class ScoreCache:
             self.records[sample_id] = ScoreRecord()
         return self.records[sample_id]
 
-    def __contains__(self, sample_id: str) -> bool:
-        return sample_id in self.records
-
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 def read_scores(path: str | Path) -> ScoreCache:
     cache = ScoreCache()

@@ -5,6 +5,10 @@ Four scalar signals are computed per sample: an image/response cosine
 (``reward``), and an LLM auto-grader rating in [0, 100] (``gpt``). The
 two model-backed scores come either from a warm cache or from generic
 HTTP-JSON endpoints; the pure functions here never touch the network.
+The endpoint clients speak HTTP/1.1 through the standard library's
+``http.client``: each worker thread keeps one keep-alive connection per
+endpoint and reopens it once, without spending a retry, when the server
+closed it while it sat idle.
 
 Instructions deliberately do not influence clip/length/reward values --
 they enter only through the rating prompt's instruction slot.
@@ -12,18 +16,22 @@ they enter only through the rating prompt's instruction slot.
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
+from urllib.parse import quote, urlsplit
 
 import numpy as np
-import requests
 
 from .corpus import ScoreCache, Triplet
 from .errors import (
+    BadConfig,
     DegenerateEmbedding,
     DimensionMismatch,
     MissingScore,
@@ -35,6 +43,7 @@ from .errors import (
 
 _PLACEHOLDERS = ("[Instruction]", "[Caption]")
 _SLOT_RE = re.compile(r"\[Instruction\]|\[Caption\]")
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
 def _load_asset(name: str) -> str:
@@ -117,10 +126,16 @@ def length_score(response: str) -> int:
 class _JsonClient:
     """POST a JSON payload, read one field of the JSON reply; retried on failure.
 
-    Any failed attempt -- transport error, HTTP error status, a reply that
-    is not an object holding the field, or a value ``parse`` rejects --
-    counts against ``retries``; once they are spent the call raises
-    ScoringFailed.
+    Each worker thread keeps one keep-alive connection to the endpoint,
+    opened on its first call. A connection that was reused and turns out
+    to have been closed by the server -- a reset or broken pipe before the
+    reply's status line -- is reopened and the request sent once more;
+    that resend is not an attempt. Any other failed attempt counts against
+    ``retries``: a transport error or timeout, which also closes the
+    connection, or a reply -- always read in full, so the connection stays
+    usable -- with an HTTP error status, a body that is not an object
+    holding the field, or a value ``parse`` rejects. Once they are spent
+    the call raises ScoringFailed.
     """
 
     def __init__(
@@ -129,28 +144,81 @@ class _JsonClient:
         retries: int = 3,
         timeout: float = 30.0,
         headers: dict[str, str] | None = None,
-        session: requests.Session | None = None,
     ):
+        try:
+            parts = urlsplit(url)
+            port = parts.port
+        except ValueError as exc:
+            raise BadConfig(f"provider URL {url!r}: {exc}") from None
+        if parts.scheme not in _CONNECTIONS or not parts.hostname or "@" in parts.netloc:
+            raise BadConfig(f"provider URL {url!r} is not http:// or https:// with a "
+                            "host and without user info")
         self.url = url
         self.retries = retries
         self.timeout = timeout
-        self.headers = headers or {}
-        self.session = session or requests.Session()
+        self.headers = {"Content-Type": "application/json", **(headers or {})}
+        self._connect = partial(_CONNECTIONS[parts.scheme], parts.hostname, port,
+                                timeout=timeout)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        # percent-encode spaces and non-ASCII; keep reserved characters and escapes
+        self._target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
+        self._local = threading.local()
+        self._opened: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:  # connects on its first request
+            conn = self._local.conn = self._connect()
+            with self._lock:
+                self._opened.append(conn)
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call opens a new one."""
+        with self._lock:
+            for conn in self._opened:
+                conn.close()
+
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> tuple[int, bytes]:
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._target, body, self.headers)
+            reply = conn.getresponse()
+        except (BrokenPipeError, ConnectionResetError):
+            if not reused:
+                raise
+            conn.close()
+            conn.request("POST", self._target, body, self.headers)
+            reply = conn.getresponse()
+        data = reply.read()
+        if reply.status in (204, 304):
+            # http.client reads no body here; bytes sent anyway would be
+            # read as the next reply's status line
+            conn.close()
+        return reply.status, data
 
     def _post(self, sample_id: str, payload: dict, field: str, parse) -> float:
+        body = json.dumps(payload).encode()
         last_error = "no attempts made"
         for _ in range(max(1, self.retries)):
+            conn = self._connection()
             try:
-                reply = self.session.post(
-                    self.url, json=payload, timeout=self.timeout, headers=self.headers
-                )
-                reply.raise_for_status()
-                body = reply.json()
-                if not isinstance(body, dict) or field not in body:
+                status, data = self._exchange(conn, body)
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                conn.close()  # the exchange may have stopped anywhere
+                last_error = f"{type(exc).__name__}: {exc}"
+                continue
+            if not 200 <= status < 300:
+                last_error = f"HTTP status {status}"
+                continue
+            try:
+                reply = json.loads(data)
+                if not isinstance(reply, dict) or field not in reply:
                     raise UnparseableScore(f"reply has no {field!r} field")
-                return parse(body[field])
-            except (UnparseableScore, ScoreOutOfRange, requests.RequestException,
-                    TypeError, ValueError) as exc:
+                return parse(reply[field])
+            except (UnparseableScore, ScoreOutOfRange, TypeError, ValueError,
+                    OverflowError, RecursionError) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
         raise ScoringFailed(sample_id, last_error)
 
@@ -165,9 +233,8 @@ class RatingClient(_JsonClient):
         retries: int = 3,
         timeout: float = 30.0,
         headers: dict[str, str] | None = None,
-        session: requests.Session | None = None,
     ):
-        super().__init__(url, retries, timeout, headers, session)
+        super().__init__(url, retries, timeout, headers)
         self.template = template or default_prompt_template()
 
     def score(self, triplet: Triplet, template: PromptTemplate | None = None) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -32,35 +33,42 @@ class StubEndpoint:
       str  -> raw body (still JSON-encoded as {"content": str} is the caller's
               job; here a str means a non-JSON 200 body, for malformed replies)
       int  -> empty response with that status code
+
+    It speaks HTTP/1.0, so the server closes the connection after every
+    reply. ``connections`` counts the connections it accepted.
     """
 
+    protocol_version = "HTTP/1.0"
+
     def __init__(self):
-        self.requests = []
+        self.received = []
+        self.connections = 0
         self.handler = lambda payload: {}
         self._lock = threading.Lock()
 
         stub = self
 
         class _Handler(BaseHTTPRequestHandler):
+            protocol_version = stub.protocol_version
+
+            def setup(self):
+                super().setup()
+                # headers and body go out in two writes; on a kept-alive
+                # connection Nagle plus delayed ACK would stall the second
+                self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                with stub._lock:
+                    stub.connections += 1
+
             def do_POST(self):
                 size = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(size) or b"{}")
                 with stub._lock:
-                    stub.requests.append(
+                    stub.received.append(
                         {"path": self.path, "payload": payload,
                          "headers": dict(self.headers)}
                     )
                     result = stub.handler(payload)
-                if isinstance(result, int):
-                    self.send_response(result)
-                    self.end_headers()
-                    return
-                body = (result if isinstance(result, str) else json.dumps(result)).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                stub.reply(self, result)
 
             def log_message(self, *args):
                 pass
@@ -70,14 +78,62 @@ class StubEndpoint:
         self._thread.start()
         self.url = f"http://127.0.0.1:{self._server.server_address[1]}/"
 
+    def reply(self, request, result):
+        if isinstance(result, int):
+            request.send_response(result)
+            request.end_headers()
+            return
+        body = (result if isinstance(result, str) else json.dumps(result)).encode()
+        request.send_response(200)
+        request.send_header("Content-Type", "application/json")
+        request.send_header("Content-Length", str(len(body)))
+        request.end_headers()
+        request.wfile.write(body)
+
     def close(self):
         self._server.shutdown()
         self._server.server_close()
 
 
+class KeepAliveStub(StubEndpoint):
+    """HTTP/1.1 variant: a connection stays open for the client's next request.
+
+    handler may also return (status, body bytes); every reply carries its
+    Content-Length. With ``drop_idle`` set, the server closes each
+    connection after its reply without announcing it, as a server does
+    when it times out an idle keep-alive connection.
+    """
+
+    protocol_version = "HTTP/1.1"
+
+    def __init__(self):
+        super().__init__()
+        self.drop_idle = False
+
+    def reply(self, request, result):
+        if isinstance(result, int):
+            result = (result, b"")
+        if isinstance(result, tuple):
+            status, body = result
+            request.send_response(status)
+            request.send_header("Content-Length", str(len(body)))
+            request.end_headers()
+            request.wfile.write(body)
+        else:
+            super().reply(request, result)
+        request.close_connection = request.close_connection or self.drop_idle
+
+
 @pytest.fixture
 def http_stub():
     stub = StubEndpoint()
+    yield stub
+    stub.close()
+
+
+@pytest.fixture
+def keepalive_stub():
+    stub = KeepAliveStub()
     yield stub
     stub.close()
 

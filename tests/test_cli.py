@@ -621,12 +621,12 @@ def test_score_failure_keeps_paid_scores(tmp_path):
         fetched = sum((r.reward is not None) + (r.gpt is not None)
                       for r in cache.records.values())
         assert fetched == paid
-        reward_stub.requests.clear()
-        rating_stub.requests.clear()
+        reward_stub.received.clear()
+        rating_stub.received.clear()
         reward_stub.handler = lambda payload: {"score": 0.5}
         rating_stub.handler = lambda payload: {"content": "66"}
         assert main(argv) == 0
-        assert len(reward_stub.requests) + len(rating_stub.requests) == 2 * n - paid
+        assert len(reward_stub.received) + len(rating_stub.received) == 2 * n - paid
         assert all(r.missing() is None for r in read_scores(work / "scores.jsonl").records.values())
     finally:
         reward_stub.close()
@@ -646,7 +646,7 @@ def test_score_reruns_after_cache_gutted(tmp_path, capsys):
         rating_stub.handler = lambda payload: {"content": "66"}
         assert main(argv) == 0
         assert main(argv) == 0
-        assert reward_stub.requests == rating_stub.requests == []
+        assert reward_stub.received == rating_stub.received == []
         path = work / "scores.jsonl"
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         gutted = rows[3]["id"]
@@ -655,8 +655,8 @@ def test_score_reruns_after_cache_gutted(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 0
         assert "up-to-date" not in capsys.readouterr().out
-        assert reward_stub.requests == []
-        assert len(rating_stub.requests) == 1
+        assert reward_stub.received == []
+        assert len(rating_stub.received) == 1
         assert read_scores(path).records[gutted].gpt == 66.0
         assert main(["embed", "--workdir", str(work)]) == 0
     finally:
@@ -673,6 +673,29 @@ def test_score_without_provider_exits_1(tmp_path, capsys):
     assert "error[MissingScore]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--reward-url", "--rating-url"])
+@pytest.mark.parametrize("url", ["", "ftp://x/r", "localhost:9/r"],
+                         ids=["empty", "ftp", "no-scheme"])
+def test_score_bad_provider_url_exits_1(tmp_path, capsys, flag, url):
+    work = tmp_path / "work"
+    assert main(["synth", "--n", "30", "--seed", "1", "--workdir", str(work)]) == 0
+    (work / "scores.jsonl").unlink()
+    before = _tree(work)
+    stub = StubEndpoint()
+    urls = {"--reward-url": stub.url, "--rating-url": stub.url, flag: url}
+    try:
+        capsys.readouterr()
+        code = main(["score", "--provider", "http", *(a for kv in urls.items() for a in kv),
+                     "--workdir", str(work)])
+    finally:
+        stub.close()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[BadConfig]" in err and "Traceback" not in err
+    assert stub.received == [] and stub.connections == 0
+    assert _tree(work) == before   # no score cache, no fingerprint
+
+
 def test_score_http_provider_fills_cache(tmp_path):
     work = tmp_path / "work"
     assert main(["synth", "--n", "30", "--seed", "2", "--workdir", str(work)]) == 0
@@ -687,9 +710,9 @@ def test_score_http_provider_fills_cache(tmp_path):
                      "--workdir", str(work)]) == 0
         cache = read_scores(work / "scores.jsonl")
         manifest = load_manifest(work / "manifest.jsonl")
-        assert len(reward_stub.requests) == 30
-        assert len(rating_stub.requests) == 30
-        assert set(reward_stub.requests[0]["payload"]) == {"question", "answer"}
+        assert len(reward_stub.received) == 30
+        assert len(rating_stub.received) == 30
+        assert set(reward_stub.received[0]["payload"]) == {"question", "answer"}
         for t in manifest:
             assert cache.records[t.id].reward == 0.5
             assert cache.records[t.id].gpt == 66.0
@@ -711,7 +734,7 @@ def test_score_endpoints_from_environment(tmp_path, monkeypatch):
         monkeypatch.setenv("VLCURATE_RATING_URL", rating_stub.url)
         monkeypatch.setenv("VLCURATE_API_KEY", "sekrit")
         assert main(["score", "--provider", "http", "--workdir", str(work)]) == 0
-        assert reward_stub.requests[0]["headers"].get("Authorization") == "Bearer sekrit"
+        assert reward_stub.received[0]["headers"].get("Authorization") == "Bearer sekrit"
         cache = read_scores(work / "scores.jsonl")
         assert all(rec.gpt == 12.5 for rec in cache.records.values())
     finally:

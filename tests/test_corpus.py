@@ -272,7 +272,7 @@ def test_scores_roundtrip_thousand_records(tmp_path):
     path = tmp_path / "scores.jsonl"
     write_scores(cache, path)
     back = read_scores(path)
-    assert len(back) == 1000
+    assert len(back.records) == 1000
     for key, rec in cache.records.items():
         got = back.records[key]
         assert got.length == rec.length

@@ -1,6 +1,13 @@
 """Indicator scoring: cosine, length, prompt rendering, HTTP providers."""
 
+import http.client
+import json
 import math
+import socket
+import ssl
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +16,7 @@ from hypothesis import strategies as st
 
 from vlcurate.corpus import ScoreCache, ScoreRecord, Triplet
 from vlcurate.errors import (
+    BadConfig,
     DegenerateEmbedding,
     DimensionMismatch,
     MissingScore,
@@ -29,7 +37,7 @@ from vlcurate.indicators import (
     score_corpus,
 )
 
-from conftest import make_features, make_manifest
+from conftest import KeepAliveStub, make_features, make_manifest
 
 
 def test_clip_score_identical_direction():
@@ -154,7 +162,7 @@ def test_rating_client_happy_path(http_stub):
     http_stub.handler = lambda payload: {"content": "50\nok"}
     client = RatingClient(http_stub.url, retries=1)
     assert client.score(_triplet()) == 50.0
-    sent = http_stub.requests[0]["payload"]
+    sent = http_stub.received[0]["payload"]
     assert "Describe this image in detail." in sent["system"]
     assert "A small cat." in sent["system"]
 
@@ -164,7 +172,7 @@ def test_rating_client_retry_then_succeed(http_stub):
     http_stub.handler = lambda payload: next(replies)
     client = RatingClient(http_stub.url, retries=3)
     assert client.score(_triplet()) == 70.0
-    assert len(http_stub.requests) == 3
+    assert len(http_stub.received) == 3
 
 
 def test_rating_client_retries_exhausted(http_stub):
@@ -173,7 +181,7 @@ def test_rating_client_retries_exhausted(http_stub):
     with pytest.raises(ScoringFailed) as err:
         client.score(_triplet(3))
     assert err.value.sample_id == "t3"
-    assert len(http_stub.requests) == 2
+    assert len(http_stub.received) == 2
 
 
 def test_rating_client_sends_auth_header(http_stub):
@@ -182,7 +190,7 @@ def test_rating_client_sends_auth_header(http_stub):
         http_stub.url, retries=1, headers={"Authorization": "Bearer sk-test"}
     )
     client.score(_triplet())
-    assert http_stub.requests[0]["headers"]["Authorization"] == "Bearer sk-test"
+    assert http_stub.received[0]["headers"]["Authorization"] == "Bearer sk-test"
 
 
 def test_reward_client_values(http_stub):
@@ -191,7 +199,7 @@ def test_reward_client_values(http_stub):
     assert client.score(_triplet()) == 1.25
     http_stub.handler = lambda payload: {"score": -3.0}
     assert client.score(_triplet()) == -3.0  # negatives legal, reward is unbounded
-    assert http_stub.requests[-1]["payload"] == {
+    assert http_stub.received[-1]["payload"] == {
         "question": "Describe this image in detail.",
         "answer": "A small cat.",
     }
@@ -207,7 +215,9 @@ def test_reward_client_table_driven(http_stub):
 
 
 @pytest.mark.parametrize("body", [[1, 2], {"content": 5}, {"score": None}, "plain",
-                                  '{"score": NaN}', '{"score": -Infinity}'])
+                                  '{"score": NaN}', '{"score": -Infinity}',
+                                  pytest.param('{"score": 1' + "0" * 400 + "}", id="huge-int"),
+                                  pytest.param("[" * 100_000, id="deep-nesting")])
 @pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
 def test_clients_turn_malformed_replies_into_scoring_failed(http_stub, body, make_client):
     http_stub.handler = lambda payload: body
@@ -215,7 +225,125 @@ def test_clients_turn_malformed_replies_into_scoring_failed(http_stub, body, mak
     with pytest.raises(ScoringFailed) as err:
         client.score(_triplet(4))
     assert err.value.sample_id == "t4"
-    assert len(http_stub.requests) == 2
+    assert len(http_stub.received) == 2
+
+
+def test_one_thread_keeps_one_connection(keepalive_stub):
+    keepalive_stub.handler = lambda payload: {"score": 0.5}
+    client = RewardClient(keepalive_stub.url, retries=1)
+    try:
+        assert [client.score(_triplet(i)) for i in range(10)] == [0.5] * 10
+    finally:
+        client.close()
+    assert len(keepalive_stub.received) == 10
+    assert keepalive_stub.connections == 1
+
+
+def test_connection_closed_while_idle_is_reopened(keepalive_stub):
+    # each reused connection is already closed: only the free resend succeeds
+    keepalive_stub.drop_idle = True
+    keepalive_stub.handler = lambda payload: {"score": float(payload["answer"])}
+    client = RewardClient(keepalive_stub.url, retries=1)
+    try:
+        for i in range(5):
+            assert client.score(Triplet(f"t{i}", "x", "q", str(i))) == float(i)
+    finally:
+        client.close()
+    assert [r["payload"]["answer"] for r in keepalive_stub.received] == list("01234")
+    assert keepalive_stub.connections == 5
+
+
+def test_error_reply_is_drained_and_connection_reused(keepalive_stub):
+    replies = iter([(500, b"upstream busy, try again"), {"score": 2.0}])
+    keepalive_stub.handler = lambda payload: next(replies)
+    client = RewardClient(keepalive_stub.url, retries=2)
+    try:
+        assert client.score(_triplet()) == 2.0
+    finally:
+        client.close()
+    assert len(keepalive_stub.received) == 2
+    assert keepalive_stub.connections == 1
+
+
+@pytest.mark.parametrize("status", [204, 304])
+def test_bodyless_status_with_a_body_does_not_spoil_the_next_reply(keepalive_stub, status):
+    # http.client reads no body after 204/304; bytes sent anyway must not
+    # be taken for the next reply's status line
+    replies = iter([(status, b"stray bytes"), {"score": 1.0}])
+    keepalive_stub.handler = lambda payload: next(replies)
+    client = RewardClient(keepalive_stub.url, retries=2)
+    try:
+        assert client.score(_triplet()) == 1.0
+    finally:
+        client.close()
+    assert len(keepalive_stub.received) == 2
+
+
+def test_url_path_is_sent_percent_encoded(keepalive_stub):
+    keepalive_stub.handler = lambda payload: {"score": 1.0}
+    client = RewardClient(keepalive_stub.url + "v1/ré te?model=a%2Fb", retries=1)
+    try:
+        assert client.score(_triplet()) == 1.0
+    finally:
+        client.close()
+    assert keepalive_stub.received[0]["path"] == "/v1/r%C3%A9%20te?model=a%2Fb"
+
+
+def test_silent_server_fails_within_retries_times_timeout():
+    # a listening socket that never accepts: connect succeeds, no reply comes
+    with socket.create_server(("127.0.0.1", 0), backlog=8) as silent:
+        url = f"http://127.0.0.1:{silent.getsockname()[1]}/r"
+        client = RewardClient(url, retries=2, timeout=0.3)
+        started = time.monotonic()
+        with pytest.raises(ScoringFailed) as err:
+            client.score(_triplet(7))
+        elapsed = time.monotonic() - started
+        client.close()
+    assert err.value.sample_id == "t7"
+    assert 0.5 < elapsed < 3.0
+
+
+def test_https_url_gets_a_verifying_tls_connection():
+    client = RatingClient("https://grader.invalid:8443/v1/rate?model=x")
+    conn = client._connection()  # connections open lazily: no network here
+    assert isinstance(conn, http.client.HTTPSConnection)
+    assert (conn.host, conn.port) == ("grader.invalid", 8443)
+    assert conn._context.verify_mode == ssl.CERT_REQUIRED
+    assert conn._context.check_hostname
+    assert client._target == "/v1/rate?model=x"
+
+
+@pytest.mark.parametrize("url", ["", "ftp://x/r", "localhost:9/r", "http:///r",
+                                 "http://user:pw@host/r", "http://host:port/r"])
+@pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
+def test_bad_provider_url_is_bad_config(url, make_client):
+    with pytest.raises(BadConfig):
+        make_client(url)
+
+
+@pytest.fixture(scope="module")
+def fuzz_stub():
+    stub = KeepAliveStub()
+    yield stub
+    stub.close()
+
+
+@given(status=st.integers(200, 599),
+       body=st.one_of(st.binary(max_size=64),
+                      st.builds(lambda v: json.dumps({"score": v, "content": v}).encode(),
+                                st.one_of(st.none(), st.booleans(), st.integers(),
+                                          st.floats(), st.text(max_size=8)))))
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
+def test_any_reply_gives_a_float_or_scoring_failed(fuzz_stub, make_client, status, body):
+    fuzz_stub.handler = lambda payload: (status, body)
+    client = make_client(fuzz_stub.url, retries=1, timeout=5.0)
+    try:
+        assert isinstance(client.score(_triplet()), float)
+    except ScoringFailed:
+        pass
+    finally:
+        client.close()
 
 
 # -- corpus-level scoring -------------------------------------------------
@@ -296,6 +424,48 @@ def test_score_corpus_parallel_scores_each_id_once():
     assert sorted(gpt.calls) == sorted(t.id for t in manifest)
     assert sorted(reward.calls) == sorted(t.id for t in manifest)
     assert all(cache.records[t.id].missing() is None for t in manifest)
+
+
+class ThreadRecorder:
+    """Passes calls to a client, noting which threads made them."""
+
+    def __init__(self, client):
+        self.client = client
+        self.threads = set()
+
+    def score(self, triplet):
+        self.threads.add(threading.get_ident())
+        return self.client.score(triplet)
+
+
+def test_score_corpus_workers_keep_one_connection_per_thread():
+    manifest = make_manifest(40)
+    features = make_features(manifest)
+    reward_stub, rating_stub = KeepAliveStub(), KeepAliveStub()
+    reward_stub.handler = lambda payload: {"score": len(payload["answer"]) / 4}
+    rating_stub.handler = lambda payload: {"content": str(len(payload["system"]) % 97)}
+    reward = ThreadRecorder(RewardClient(reward_stub.url, retries=1))
+    rating = ThreadRecorder(RatingClient(rating_stub.url, retries=1))
+    cache = ScoreCache()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside each call
+    try:
+        score_corpus(manifest, features, cache, rating, reward, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+        reward.client.close()
+        rating.client.close()
+        reward_stub.close()
+        rating_stub.close()
+    assert 1 <= len(reward.threads) <= 4
+    assert reward_stub.connections == len(reward.threads)
+    assert rating_stub.connections == len(rating.threads)
+    assert len(reward_stub.received) == len(rating_stub.received) == len(manifest)
+    template = default_prompt_template()
+    for t in manifest:
+        system, _ = render_gpt_prompt(template, t.instruction, t.response)
+        assert cache.records[t.id].reward == len(t.response) / 4
+        assert cache.records[t.id].gpt == len(system) % 97
 
 
 def test_instruction_does_not_leak_into_local_indicators():
