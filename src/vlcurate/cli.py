@@ -20,7 +20,6 @@ unchanged, and otherwise runs its body. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -37,13 +36,13 @@ from .corpus import (
     REQUIRED_MATRICES,
     SCORE_SLOTS,
     ScoreCache,
-    atomic_write,
     load_features,
     load_manifest,
     read_json,
     read_matrix,
     read_scores,
     write_feature_file,
+    write_json,
     write_scores,
 )
 from .embedding import assemble_corpus
@@ -97,6 +96,7 @@ def _embed(cfg: PipelineConfig, args) -> str:
 
 def _split(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
+    oracle = synth_mod.read_oracle(cfg.oracle_path()) if args.oracle_reports else None
     ids = [t.id for t in manifest]
     if cfg.subset_space == "image":
         data = load_features(cfg.features_path(), manifest, ("image",))["image"]
@@ -104,6 +104,8 @@ def _split(cfg: PipelineConfig, args) -> str:
         data = read_matrix(cfg.embeddings_path(), ids)
     subsets = build_subsets(ids, data, cfg.n_subsets, seed=cfg.seed,
                             capacity=cfg.capacity or None)
+    reports = (None if oracle is None
+               else synth_mod.oracle_eval_reports(subsets, oracle, seed=cfg.seed))
     write_subset_manifests(subsets, manifest, cfg.subsets_path())
     blob = {
         "n_subsets": cfg.n_subsets,
@@ -113,15 +115,9 @@ def _split(cfg: PipelineConfig, args) -> str:
             for subset_id, members in enumerate(subsets)
         ],
     }
-    with atomic_write(cfg.subsets_path() / "subsets.json") as fh:
-        json.dump(blob, fh, indent=2)
-        fh.write("\n")
-    if args.oracle_reports:
-        oracle = synth_mod.read_oracle(cfg.oracle_path())
-        write_eval_reports(
-            cfg.reports_path(),
-            synth_mod.oracle_eval_reports(subsets, oracle, seed=cfg.seed),
-        )
+    write_json(cfg.subsets_path() / "subsets.json", blob)
+    if reports is not None:
+        write_eval_reports(cfg.reports_path(), reports)
     return f"{cfg.n_subsets} subsets x {blob['capacity']} samples"
 
 
@@ -141,9 +137,7 @@ def _train_selector(cfg: PipelineConfig, args) -> str:
     result = train(model, blocks, labels, epochs=cfg.epochs, lr=cfg.lr,
                    optimizer=cfg.optimizer)
     save_selector(cfg.model_path(), result.model)
-    with atomic_write(cfg.model_path() / "losses.json") as fh:
-        json.dump({"losses": result.losses}, fh, indent=2)
-        fh.write("\n")
+    write_json(cfg.model_path() / "losses.json", {"losses": result.losses})
     return (f"kind={cfg.selector_kind} loss {result.losses[0]:.4f} -> "
             f"{result.losses[-1]:.4f} over {cfg.epochs} epochs")
 

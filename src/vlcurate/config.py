@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import SCORE_SLOTS, atomic_write
-from .errors import BadConfig
+from .corpus import SCORE_SLOTS, read_json, write_json
+from .errors import BadConfig, MalformedRecord
 from .selector import KINDS
 
 ENV_REWARD_URL = "VLCURATE_REWARD_URL"
@@ -212,7 +212,7 @@ def fingerprint(input_paths: list[Path], config_subset: dict) -> str:
     digest = hashlib.sha256()
     for path in sorted(Path(p) for p in input_paths):
         digest.update(str(path.name).encode())
-        digest.update(path.read_bytes())
+        _feed(digest, path)
     digest.update(json.dumps(config_subset, sort_keys=True).encode())
     return digest.hexdigest()
 
@@ -231,12 +231,16 @@ def _output_key(workdir: str | Path, path: str | Path) -> str:
         return str(path)
 
 
-def _file_digest(path: str | Path) -> str:
-    digest = hashlib.sha256()
+def _feed(digest, path: str | Path):
+    """``digest`` updated with the bytes of ``path``, read in 1 MiB chunks."""
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+    return digest
+
+
+def _file_digest(path: str | Path) -> str:
+    return _feed(hashlib.sha256(), path).hexdigest()
 
 
 def stage_is_current(
@@ -246,13 +250,11 @@ def stage_is_current(
     output exists, and every output the record has a digest for still has
     that digest. A record in an older format is never current."""
     try:
-        record = json.loads(_fingerprint_file(workdir, stage).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        record = read_json(_fingerprint_file(workdir, stage), ("fingerprint", "outputs"))
+    except (OSError, MalformedRecord):
         return False
-    if not isinstance(record, dict) or record.get("fingerprint") != value:
-        return False
-    digests = record.get("outputs")
-    if not isinstance(digests, dict):
+    digests = record["outputs"]
+    if record["fingerprint"] != value or not isinstance(digests, dict):
         return False
     for path in outputs:
         if not Path(path).exists():
@@ -269,8 +271,5 @@ def stage_mark_done(
     """Record fingerprint ``value`` and the sha256 of each of ``outputs``."""
     record = _fingerprint_file(workdir, stage)
     record.parent.mkdir(parents=True, exist_ok=True)
-    blob = {"fingerprint": value,
-            "outputs": {_output_key(workdir, p): _file_digest(p) for p in outputs}}
-    with atomic_write(record) as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    digests = {_output_key(workdir, p): _file_digest(p) for p in outputs}
+    write_json(record, {"fingerprint": value, "outputs": digests})

@@ -1,13 +1,28 @@
-"""Dataset manifest, feature-matrix, and score-cache I/O.
+"""Every record file the pipeline reads or writes, and their framing.
 
 On-disk formats are deliberately plain text:
 
-* manifest: one JSON object per line with fields
+* manifest (``manifest.jsonl``, ``curated/selected.manifest.jsonl``): one
+  JSON object per line with fields
   ``id`` / ``image_path`` / ``instruction`` / ``response``
-* feature matrix: header line ``id <dim>`` followed by
-  ``<id> v1 ... v<dim>`` rows (decimal floats, whitespace separated)
-* score cache: one JSON object per line keyed by ``id`` with fields
-  ``clip``, ``length``, ``reward``, ``gpt`` (all optional per row)
+* feature matrix (``features/*.txt``, ``embeddings.txt``): header line
+  ``id <dim>`` followed by ``<id> v1 ... v<dim>`` rows (decimal floats,
+  whitespace separated)
+* score cache (``scores.jsonl``): one JSON object per line keyed by ``id``
+  with fields ``clip``, ``length``, ``reward``, ``gpt`` (all optional per row)
+
+The other JSON record files are decoded by their own modules, but framed
+here: ``oracle.jsonl`` (synth), ``eval_reports.jsonl`` and the shipped
+reference labels (quality_labels), ``subsets/subsets.json`` and
+``selector_model/losses.json`` (cli), ``selector_model/meta.json``
+(selector), ``curated/selection.jsonl``, ``summary.json`` and
+``report.json`` (report), and the ``.fingerprints/<stage>.sha256`` records
+(config). ``read_jsonl``/``read_json`` turn a file into objects or a
+MalformedRecord, with one policy for every file: UTF-8 text, one object
+per non-blank line (or one object per file), and invalid JSON, nesting too
+deep to decode, integers too long to convert and non-finite numbers
+(``NaN``, ``Infinity``, ``1e999``) all rejected. ``write_jsonl`` /
+``write_json`` write them back through ``atomic_write``.
 
 Manifest file order is the canonical dataset order; every deterministic
 tie-break downstream refers to it. Images are never opened here --
@@ -65,46 +80,6 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
         raise MalformedRecord(None, f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_manifest(path: str | Path) -> list[Triplet]:
-    """Read a manifest file, preserving file order.
-
-    Raises DuplicateId, MalformedRecord, or EmptyResponse on invalid input.
-    """
-    triplets: list[Triplet] = []
-    seen: set[str] = set()
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise MalformedRecord(line_no, "record is not an object")
-            missing = [f for f in _MANIFEST_FIELDS if f not in record]
-            if missing:
-                raise MalformedRecord(line_no, f"missing field(s) {missing}")
-            sample_id = str(record["id"])
-            if not sample_id:
-                raise MalformedRecord(line_no, "empty id")
-            if sample_id in seen:
-                raise DuplicateId(f"duplicate id {sample_id!r} at line {line_no}")
-            response = str(record["response"])
-            if not response:
-                raise EmptyResponse(sample_id)
-            seen.add(sample_id)
-            triplets.append(
-                Triplet(
-                    id=sample_id,
-                    image_ref=str(record["image_path"]),
-                    instruction=str(record["instruction"]),
-                    response=response,
-                )
-            )
-    return triplets
-
-
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """A UTF-8 text file to write ``path`` through: the block writes a
@@ -121,22 +96,106 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
-def write_manifest(triplets: Iterable[Triplet], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        for t in triplets:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": t.id,
-                        "image_path": t.image_ref,
-                        "instruction": t.instruction,
-                        "response": t.response,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+# -- JSON record framing ---------------------------------------------------
 
+def finite_float(value) -> float:
+    """``float(value)``, raising ValueError when that is NaN or infinite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite value {value!r}")
+    return number
+
+
+# built once: json.loads and json.dumps build a new decoder or encoder per
+# call whenever an argument differs from the defaults
+_DECODER = json.JSONDecoder(parse_float=finite_float, parse_constant=finite_float)
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def _decode(text: str, line_no: int | None, path: str | Path) -> dict:
+    """The JSON object ``text`` holds; MalformedRecord for anything else."""
+    try:
+        blob = _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(line_no or exc.lineno,
+                              f"{path}: invalid JSON ({exc.msg})") from None
+    except (RecursionError, ValueError) as exc:
+        raise MalformedRecord(line_no, f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(blob, dict):
+        raise MalformedRecord(line_no, f"{path}: not a JSON object")
+    return blob
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``(line_no, object)`` for each non-blank line of ``path``."""
+    with open_text(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                yield line_no, _decode(line, line_no, path)
+
+
+def read_json(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
+    """A JSON object file holding at least ``keys``; MalformedRecord otherwise."""
+    with open_text(path) as fh:
+        blob = _decode(fh.read(), None, path)
+    missing = [k for k in keys if k not in blob]
+    if missing:
+        raise MalformedRecord(None, f"{path}: missing key(s) {missing}")
+    return blob
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(_ENCODER.encode(row) + "\n")
+
+
+def write_json(path: str | Path, blob: dict) -> None:
+    with atomic_write(path) as fh:
+        json.dump(blob, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+# -- manifest --------------------------------------------------------------
+
+def load_manifest(path: str | Path) -> list[Triplet]:
+    """Read a manifest file, preserving file order.
+
+    Raises DuplicateId, MalformedRecord, or EmptyResponse on invalid input.
+    """
+    triplets: list[Triplet] = []
+    seen: set[str] = set()
+    for line_no, record in read_jsonl(path):
+        missing = [f for f in _MANIFEST_FIELDS if f not in record]
+        if missing:
+            raise MalformedRecord(line_no, f"missing field(s) {missing}")
+        sample_id = str(record["id"])
+        if not sample_id:
+            raise MalformedRecord(line_no, "empty id")
+        if sample_id in seen:
+            raise DuplicateId(f"duplicate id {sample_id!r} at line {line_no}")
+        response = str(record["response"])
+        if not response:
+            raise EmptyResponse(sample_id)
+        seen.add(sample_id)
+        triplets.append(
+            Triplet(
+                id=sample_id,
+                image_ref=str(record["image_path"]),
+                instruction=str(record["instruction"]),
+                response=response,
+            )
+        )
+    return triplets
+
+
+def write_manifest(triplets: Iterable[Triplet], path: str | Path) -> None:
+    write_jsonl(path, ({"id": t.id, "image_path": t.image_ref,
+                        "instruction": t.instruction, "response": t.response}
+                       for t in triplets))
+
+
+# -- feature matrices --------------------------------------------------------
 
 def read_feature_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
     """Parse one ``id <dim>`` header + rows file into an id->vector map."""
@@ -203,21 +262,6 @@ def load_features(
     return {name: read_matrix(Path(feature_dir) / f"{name}.txt", ids) for name in names}
 
 
-def read_json(path: str | Path, keys: tuple[str, ...]) -> dict:
-    """A JSON object file holding at least ``keys``; MalformedRecord otherwise."""
-    with open_text(path) as fh:
-        try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(exc.lineno, f"{path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(blob, dict):
-        raise MalformedRecord(None, f"{path}: not a JSON object")
-    missing = [k for k in keys if k not in blob]
-    if missing:
-        raise MalformedRecord(None, f"{path}: missing key(s) {missing}")
-    return blob
-
-
 # -- score cache -------------------------------------------------------
 
 @dataclass
@@ -258,39 +302,26 @@ class ScoreCache:
 
 def read_scores(path: str | Path) -> ScoreCache:
     cache = ScoreCache()
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(raw, dict):
-                raise MalformedRecord(line_no, "record is not an object")
-            if "id" not in raw:
-                raise MalformedRecord(line_no, "missing id")
-            try:
-                record = ScoreRecord(**{
-                    slot: None if raw.get(slot) is None
-                    else int(raw[slot]) if slot == "length" else float(raw[slot])
-                    for slot in SCORE_SLOTS
-                })
-                record.validate()
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise MalformedRecord(line_no, f"non-numeric score field ({exc})") from None
-            cache.records[str(raw["id"])] = record
+    for line_no, raw in read_jsonl(path):
+        if "id" not in raw:
+            raise MalformedRecord(line_no, "missing id")
+        try:
+            record = ScoreRecord(**{
+                slot: None if raw.get(slot) is None
+                else int(raw[slot]) if slot == "length" else finite_float(raw[slot])
+                for slot in SCORE_SLOTS
+            })
+            record.validate()
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedRecord(line_no, f"non-numeric score field ({exc})") from None
+        cache.records[str(raw["id"])] = record
     return cache
 
 
 def write_scores(cache: ScoreCache, path: str | Path) -> None:
     for record in cache.records.values():
         record.validate()
-    with atomic_write(path) as fh:
-        for sample_id, record in cache.records.items():
-            row: dict[str, object] = {"id": sample_id}
-            for slot in SCORE_SLOTS:
-                value = getattr(record, slot)
-                if value is not None:
-                    row[slot] = value
-            fh.write(json.dumps(row) + "\n")
+    write_jsonl(path, (
+        {"id": sample_id, **{slot: getattr(record, slot) for slot in SCORE_SLOTS
+                             if getattr(record, slot) is not None}}
+        for sample_id, record in cache.records.items()))

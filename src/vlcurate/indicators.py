@@ -237,10 +237,8 @@ class RatingClient(_JsonClient):
         super().__init__(url, retries, timeout, headers)
         self.template = template or default_prompt_template()
 
-    def score(self, triplet: Triplet, template: PromptTemplate | None = None) -> float:
-        system, user = render_gpt_prompt(
-            template or self.template, triplet.instruction, triplet.response
-        )
+    def score(self, triplet: Triplet) -> float:
+        system, user = render_gpt_prompt(self.template, triplet.instruction, triplet.response)
         return self._post(triplet.id, {"system": system, "user": user},
                           "content", parse_gpt_reply)
 

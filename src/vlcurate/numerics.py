@@ -135,13 +135,13 @@ def _dsq_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _lloyd(
-    data: np.ndarray, centroids: np.ndarray, max_iter: int
+    data: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     n, k = data.shape[0], centroids.shape[0]
     centroids = centroids.copy()
     labels = np.full(n, -1, dtype=int)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = _squared_distances(data, centroids)
         new_labels = d2.argmin(axis=1)
         # re-seed empty clusters from the farthest points (lowest cluster
@@ -206,10 +206,8 @@ def kmeans_pp(
     seed: int,
     balanced: bool = False,
     capacity: int | None = None,
-    n_init: int = DEFAULT_RESTARTS,
-    max_iter: int = LLOYD_MAX_ITER,
 ) -> ClusterAssignment:
-    """D^2-sampled seeding plus Lloyd iterations; best of ``n_init`` restarts.
+    """D^2-sampled seeding plus Lloyd iterations; best of DEFAULT_RESTARTS restarts.
 
     With ``balanced=True`` the capacity post-pass makes every cluster hold
     exactly ``capacity`` members (default N // k); leftovers get label -1.
@@ -230,8 +228,8 @@ def kmeans_pp(
 
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
-    for _ in range(max(1, n_init)):
-        result = _lloyd(data, _dsq_seed(data, k, rng), max_iter)
+    for _ in range(DEFAULT_RESTARTS):
+        result = _lloyd(data, _dsq_seed(data, k, rng))
         if best is None or result[2] < best[2]:
             best = result
     labels, centroids, inertia, history = best

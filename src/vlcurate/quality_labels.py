@@ -12,14 +12,13 @@ asset so the selector can be trained without rerunning the evaluations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Triplet, atomic_write, open_text, write_manifest
+from .corpus import Triplet, finite_float, read_jsonl, write_jsonl, write_manifest
 from .errors import DuplicateId, EmptyReport, MalformedRecord, MissingLabel, UnknownSubset
 from .numerics import kmeans_pp
 
@@ -90,38 +89,26 @@ def subset_labels(subset_ids: list[int], reports: list[EvalReport]) -> np.ndarra
     return np.array([average_label(by_subset[j]) for j in subset_ids])
 
 
-def _parse_eval_reports(lines) -> list[EvalReport]:
+def read_eval_reports(path: str | Path) -> list[EvalReport]:
     """One ``{"subset_id": ..., "scores": {...}}`` object per non-blank line."""
     reports = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for line_no, blob in read_jsonl(path):
         try:
-            blob = json.loads(line)
             subset_id = int(blob["subset_id"])
-            scores = {str(k): float(v) for k, v in blob["scores"].items()}
-        except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
-                ValueError) as exc:
+            scores = {str(k): finite_float(v) for k, v in blob["scores"].items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedRecord(line_no, f"bad eval report: {exc}") from exc
         reports.append(EvalReport(subset_id=subset_id, scores=scores))
     return reports
 
 
-def read_eval_reports(path: str | Path) -> list[EvalReport]:
-    with open_text(path) as fh:
-        return _parse_eval_reports(fh)
-
-
 def write_eval_reports(path: str | Path, reports: list[EvalReport]) -> None:
-    with atomic_write(path) as fh:
-        for rep in reports:
-            fh.write(json.dumps({"subset_id": rep.subset_id, "scores": rep.scores}))
-            fh.write("\n")
+    write_jsonl(path, ({"subset_id": rep.subset_id, "scores": rep.scores}
+                       for rep in reports))
 
 
 def load_reference_reports() -> list[EvalReport]:
     """The shipped 30-subset benchmark table (n=30 default configuration)."""
-    text = (
-        resources.files("vlcurate").joinpath("assets/reference_labels.jsonl").read_text("utf-8")
-    )
-    return _parse_eval_reports(text.splitlines())
+    asset = resources.files("vlcurate").joinpath("assets/reference_labels.jsonl")
+    with resources.as_file(asset) as path:
+        return read_eval_reports(path)

@@ -10,12 +10,18 @@ quality over the whole corpus (``spearman_q``).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Triplet, atomic_write, read_json
+from .corpus import (
+    Triplet,
+    atomic_write,
+    read_json,
+    write_json,
+    write_jsonl,
+    write_manifest,
+)
 from .curate import CurationResult
 from .errors import MalformedRecord
 from .numerics import spearman
@@ -108,8 +114,6 @@ def write_selection(
 ) -> None:
     """Persist a curation result: selected manifest, per-pick records,
     and the summary consumed by the report stage."""
-    from .corpus import write_manifest  # local import keeps module load light
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     by_id = {t.id: t for t in manifest}
@@ -117,15 +121,11 @@ def write_selection(
         [by_id[i] for i in result.selected_ids], out_dir / "selected.manifest.jsonl"
     )
     index = {t.id: i for i, t in enumerate(manifest)}
-    with atomic_write(out_dir / "selection.jsonl") as fh:
-        for cluster, picks in enumerate(result.ranked_per_cluster):
-            for rank, sample_id in enumerate(picks):
-                fh.write(json.dumps({
-                    "id": sample_id,
-                    "cluster": cluster,
-                    "rank": rank,
-                    "score": float(result.item_scores[index[sample_id]]),
-                }) + "\n")
+    write_jsonl(out_dir / "selection.jsonl", (
+        {"id": sample_id, "cluster": cluster, "rank": rank,
+         "score": float(result.item_scores[index[sample_id]])}
+        for cluster, picks in enumerate(result.ranked_per_cluster)
+        for rank, sample_id in enumerate(picks)))
     summary = {
         "alpha": len(result.selected_ids),
         "k_clusters": len(result.quotas),
@@ -138,9 +138,7 @@ def write_selection(
         "item_scores": [float(v) for v in result.item_scores],
         "selected_ids": list(result.selected_ids),
     }
-    with atomic_write(out_dir / "summary.json") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "summary.json", summary)
 
 
 def write_report(
@@ -159,9 +157,10 @@ def write_report(
         "item_scores", "selected_ids"))
     try:
         scores = np.array(summary["item_scores"], dtype=float)
+        if not np.isfinite(scores).all():
+            raise MalformedRecord(None, f"{path}: non-finite item score")
         labels = np.array(summary["cluster_labels"], dtype=int)
         k = summary["k_clusters"]
-        members = [scores[labels == j] for j in range(k)]
         report = {
             "alpha": summary["alpha"],
             "k_clusters": k,
@@ -176,6 +175,8 @@ def write_report(
                 "max": float(scores.max()),
             },
         }
+        # after the quota table, which fails fast on a k beyond the lists
+        members = [scores[labels == j] for j in range(k)]
         if oracle is not None:
             ids = [t.id for t in manifest]
             lacking = [i for i in [*ids, *summary["selected_ids"]] if i not in oracle]
@@ -185,8 +186,8 @@ def write_report(
                 oracle, summary["selected_ids"], ids, seed=seed)
             report["oracle_comparison"]["spearman_q"] = spearman(
                 scores, np.array([oracle[i] for i in ids]))
-    except (TypeError, ValueError, IndexError) as exc:
-        raise MalformedRecord(None, f"{path}: bad summary field ({exc})") from None
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise MalformedRecord(None, f"{path}: bad summary field ({exc!r})") from None
 
     with atomic_write(out_dir / "score_hist.svg") as fh:
         fh.write(svg_histogram(scores, title="selector scores, full corpus"))
@@ -197,7 +198,5 @@ def write_report(
                 title=f"cluster {j}: {member_scores.size} samples, "
                       f"quota {summary['quotas'][j]}",
             ))
-    with atomic_write(out_dir / "report.json") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "report.json", report)
     return report

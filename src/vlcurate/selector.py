@@ -28,18 +28,18 @@ Training is full-batch with Adam by default.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import atomic_write
+from .corpus import atomic_write, read_json, write_json
 from .errors import (
     BadConfig,
     DimensionMismatch,
     DivergedTraining,
+    MalformedRecord,
     ModelLoadError,
     NonFiniteFeature,
 )
@@ -347,9 +347,7 @@ def save_selector(model_dir: str | Path, model: SelectorModel) -> None:
         "layers": model.layers,
         "n_params": int(model.params.size),
     }
-    with atomic_write(model_dir / "meta.json") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(model_dir / "meta.json", meta)
     with atomic_write(model_dir / "params.txt") as fh:
         for value in model.params:
             fh.write(float(value).hex())
@@ -359,16 +357,13 @@ def save_selector(model_dir: str | Path, model: SelectorModel) -> None:
 def load_selector(model_dir: str | Path) -> SelectorModel:
     model_dir = Path(model_dir)
     try:
-        with open(model_dir / "meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = read_json(model_dir / "meta.json")
         with open(model_dir / "params.txt", encoding="utf-8") as fh:
             params = np.array(
                 [float.fromhex(line.strip()) for line in fh if line.strip()]
             )
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, MalformedRecord, ValueError) as exc:
         raise ModelLoadError(f"cannot read selector from {model_dir}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ModelLoadError(f"{model_dir / 'meta.json'} is not a JSON object")
     if meta.get("version") != MODEL_VERSION:
         raise ModelLoadError(
             f"model version {meta.get('version')!r} != supported {MODEL_VERSION}"
@@ -376,10 +371,14 @@ def load_selector(model_dir: str | Path) -> SelectorModel:
     try:
         kind = meta["kind"]
         dims = {k: int(meta[k]) for k in ("input_dim", "d_model", "ff_dim", "layers")}
+        n_params = int(meta.get("n_params", -1))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelLoadError(f"selector metadata incomplete: {exc}") from exc
+    # a valid model has at least as many parameters as any one dimension
+    if not all(1 <= v <= params.size for v in dims.values()):
+        raise ModelLoadError(f"selector dimensions {dims} out of range")
     expected = num_params(kind, **dims)
-    if params.size != expected or int(meta.get("n_params", -1)) != expected:
+    if params.size != expected or n_params != expected:
         raise ModelLoadError(
             f"parameter count {params.size} != expected {expected} for {kind}"
         )

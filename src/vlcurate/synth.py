@@ -16,7 +16,6 @@ quality labels, and is consumed only by reports and tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,9 +25,10 @@ from .corpus import (
     ScoreCache,
     ScoreRecord,
     Triplet,
-    atomic_write,
-    open_text,
+    finite_float,
+    read_jsonl,
     write_feature_file,
+    write_jsonl,
     write_manifest,
     write_scores,
 )
@@ -161,22 +161,16 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> None:
 
 
 def write_oracle(oracle: dict[str, float], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        for sample_id, value in oracle.items():
-            fh.write(json.dumps({"id": sample_id, "q": value}) + "\n")
+    write_jsonl(path, ({"id": sample_id, "q": q} for sample_id, q in oracle.items()))
 
 
 def read_oracle(path: str | Path) -> dict[str, float]:
     oracle: dict[str, float] = {}
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                blob = json.loads(line)
-                oracle[str(blob["id"])] = float(blob["q"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecord(line_no, f"bad oracle record: {exc}") from exc
+    for line_no, blob in read_jsonl(path):
+        try:
+            oracle[str(blob["id"])] = finite_float(blob["q"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecord(line_no, f"bad oracle record: {exc}") from exc
     return oracle
 
 
@@ -198,6 +192,9 @@ def oracle_eval_reports(
     """Stand-in for the external fine-tune/benchmark loop: the gains of
     subset j (the j-th tuple of member ids) are affine in its mean planted
     quality, plus a little seeded noise."""
+    lacking = [i for members in subsets for i in members if i not in oracle]
+    if lacking:
+        raise MalformedRecord(None, f"oracle has no quality for id {lacking[0]!r}")
     rng = np.random.default_rng(seed)
     reports = []
     for subset_id, members in enumerate(subsets):

@@ -74,7 +74,9 @@ class StubEndpoint:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll keeps shutdown() from waiting out the default 0.5 s
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.01}, daemon=True)
         self._thread.start()
         self.url = f"http://127.0.0.1:{self._server.server_address[1]}/"
 

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -138,6 +139,15 @@ def test_flag_names_are_config_keys():
 
 
 # ------------------------------------------------------------ fingerprints
+
+def test_fingerprint_value_is_pinned(tmp_path):
+    # the value the whole-file hashing gave: chunked reads must feed the same
+    # bytes in the same order, so that existing workdirs stay current
+    (tmp_path / "b.txt").write_bytes(b"hello\n")
+    (tmp_path / "a.bin").write_bytes(bytes(range(256)) * 5000)   # > one 1 MiB chunk
+    assert fingerprint([tmp_path / "b.txt", tmp_path / "a.bin"], {"m": 6, "seed": 0}) == (
+        "8a58b0244912a30314907ce6101306c5fcee467ce2c49d6ada3ac529e05475c4")
+
 
 def test_fingerprint_tracks_inputs_and_config(tmp_path):
     a = tmp_path / "a.txt"
@@ -530,6 +540,30 @@ def _set_key(key, value):
     return edit
 
 
+DEEP = "[" * 100_000          # nesting deeper than any JSON decoder recurses
+BIG_INT = "1" + "0" * 5000    # more digits than int() converts from text
+
+
+def _deep_line(line_no):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[line_no - 1] = DEEP + "\n"
+        return "".join(lines)
+    return edit
+
+
+def _big_int(text):
+    """The file's first object gains a 5000-digit integer field."""
+    return text.replace("{", '{"big": ' + BIG_INT + ", ", 1)
+
+
+def _sub(pattern, repl):
+    def edit(text):
+        return re.sub(pattern, repl, text, count=1)
+    return edit
+
+
+SPLIT = ["split", "--n-subsets", "6", "--oracle", "--seed", "0"]
 TRAIN = ["train-selector", "--epochs", "3", "--seed", "0"]
 CURATE = ["curate", "--alpha", "12", "--clusters", "3", "--seed", "0"]
 REPORT = ["report", "--seed", "0"]
@@ -551,10 +585,43 @@ def _tree(work):
     (REPORT, "curated/summary.json", _bogus_selected, "MalformedRecord"),
     (REPORT, "oracle.jsonl", _drop_line(5), "MalformedRecord"),
     (CURATE, "selector_model/meta.json", lambda text: "[]", "ModelLoadError"),
+    (["score"], "manifest.jsonl", _deep_line(3), "MalformedRecord"),
+    (["score"], "manifest.jsonl", _big_int, "MalformedRecord"),
+    (["embed"], "scores.jsonl", _deep_line(3), "MalformedRecord"),
+    (["embed"], "scores.jsonl", _big_int, "MalformedRecord"),
+    (SPLIT, "oracle.jsonl", _deep_line(3), "MalformedRecord"),
+    (SPLIT, "oracle.jsonl", _big_int, "MalformedRecord"),
+    (SPLIT, "oracle.jsonl", _drop_line(5), "MalformedRecord"),
+    (REPORT, "oracle.jsonl", _deep_line(3), "MalformedRecord"),
+    (REPORT, "oracle.jsonl", _big_int, "MalformedRecord"),
+    (REPORT, "oracle.jsonl", _sub(r'"q": [^}]*', '"q": NaN'), "MalformedRecord"),
+    (REPORT, "oracle.jsonl", _sub(r'"q": [^}]*', '"q": "nan"'), "MalformedRecord"),
+    (TRAIN, "eval_reports.jsonl", _deep_line(3), "MalformedRecord"),
+    (TRAIN, "eval_reports.jsonl", _big_int, "MalformedRecord"),
+    (TRAIN, "eval_reports.jsonl", _sub(r'(_gain": )[^,}]*', r"\1NaN"), "MalformedRecord"),
+    (TRAIN, "eval_reports.jsonl", _sub(r'(_gain": )[^,}]*', r"\g<1>1e999"),
+     "MalformedRecord"),
+    (TRAIN, "subsets/subsets.json", lambda text: DEEP, "MalformedRecord"),
+    (TRAIN, "subsets/subsets.json", _big_int, "MalformedRecord"),
+    (REPORT, "curated/summary.json", lambda text: DEEP, "MalformedRecord"),
+    (REPORT, "curated/summary.json", _big_int, "MalformedRecord"),
+    (REPORT, "curated/summary.json", _set_key("cluster_sizes", {}), "MalformedRecord"),
+    (REPORT, "curated/summary.json", _set_key("item_scores", ["nan"]), "MalformedRecord"),
+    (REPORT, "curated/summary.json", _set_key("k_clusters", 10**12), "MalformedRecord"),
+    (CURATE, "selector_model/meta.json", lambda text: DEEP, "ModelLoadError"),
+    (CURATE, "selector_model/meta.json", _big_int, "ModelLoadError"),
+    (CURATE, "selector_model/meta.json", _set_key("layers", 10**15), "ModelLoadError"),
 ], ids=["unknown-member", "subsets-not-json", "no-subsets-key", "no-member-ids",
         "subsets-not-object", "summary-not-json", "no-item-scores-key",
         "summary-field-type", "selected-id-unknown", "oracle-lacks-id",
-        "meta-not-object"])
+        "meta-not-object", "manifest-deep", "manifest-big-int", "scores-deep",
+        "scores-big-int", "split-oracle-deep", "split-oracle-big-int",
+        "split-oracle-lacks-id", "oracle-deep", "oracle-big-int", "oracle-nan",
+        "oracle-nan-string", "eval-reports-deep", "eval-reports-big-int",
+        "eval-reports-nan", "eval-reports-overflow", "subsets-deep", "subsets-big-int",
+        "summary-deep", "summary-big-int", "summary-sizes-not-list", "summary-nan-string", "summary-k-huge",
+        "meta-deep",
+        "meta-big-int", "meta-layers-huge"])
 def test_malformed_stage_input_exits_1(pipeline, tmp_path, capsys, argv, relpath,
                                        edit, error):
     work = tmp_path / "work"
@@ -579,19 +646,41 @@ def test_malformed_stage_input_exits_1(pipeline, tmp_path, capsys, argv, relpath
     (REPORT, "oracle.jsonl", "MalformedRecord"),
     (REPORT, "curated/summary.json", "MalformedRecord"),
     ([*REPORT, "--config", "{work}/run.cfg"], "run.cfg", "BadConfig"),
+    (SPLIT, "oracle.jsonl", "MalformedRecord"),
+    (CURATE, "selector_model/meta.json", "ModelLoadError"),
 ], ids=["manifest", "image-features", "scores", "subsets", "eval-reports", "oracle",
-        "summary", "config"])
+        "summary", "config", "split-oracle", "meta"])
 def test_non_utf8_input_exits_1(pipeline, tmp_path, capsys, argv, relpath, error):
     work = tmp_path / "work"
     shutil.copytree(pipeline, work)
     path = work / relpath
     path.write_bytes((path.read_bytes() if path.exists() else b"seed = 0\n") + b"\xff\n")
+    before = _tree(work)
     capsys.readouterr()
     assert main([*(a.format(work=work) for a in argv), "--workdir", str(work)]) == 1
     err = capsys.readouterr().err
     assert f"error[{error}]" in err
     assert f"{path.name}: not UTF-8 text" in err
     assert "Traceback" not in err
+    assert _tree(work) == before   # the failed stage wrote nothing
+
+
+@pytest.mark.parametrize("garbage", [
+    b"", b"\xff\xfe", DEEP.encode(), b'{"fingerprint": ' + BIG_INT.encode() + b"}",
+    b"[]", b'{"fingerprint": null}', b'{"fingerprint": "x", "outputs": []}',
+], ids=["empty", "non-utf8", "deep", "big-int", "not-object", "no-outputs",
+        "outputs-not-object"])
+def test_garbage_fingerprint_record_reruns_stage(pipeline, tmp_path, capsys, garbage):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    record = work / ".fingerprints" / "report.sha256"
+    record.write_bytes(garbage)
+    capsys.readouterr()
+    assert main([*REPORT, "--workdir", str(work)]) == 0
+    out = capsys.readouterr().out
+    assert "[report] wrote" in out and "up-to-date" not in out
+    assert main([*REPORT, "--workdir", str(work)]) == 0
+    assert "[report] up-to-date, skipping" in capsys.readouterr().out
 
 
 def test_score_failure_keeps_paid_scores(tmp_path):

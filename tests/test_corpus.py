@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from vlcurate.config import stage_is_current
 from vlcurate.corpus import (
     ScoreCache,
     ScoreRecord,
@@ -13,8 +16,12 @@ from vlcurate.corpus import (
     load_features,
     load_manifest,
     read_feature_file,
+    read_json,
+    read_jsonl,
     read_scores,
     write_feature_file,
+    write_json,
+    write_jsonl,
     write_manifest,
     write_scores,
 )
@@ -26,8 +33,12 @@ from vlcurate.errors import (
     MissingFeature,
     NonFiniteFeature,
     ScoreOutOfRange,
+    VlcurateError,
 )
 from vlcurate.indicators import score_corpus
+from vlcurate.quality_labels import read_eval_reports
+from vlcurate.selector import load_selector
+from vlcurate.synth import read_oracle
 
 from conftest import make_manifest
 
@@ -242,6 +253,9 @@ def test_scores_negative_length_rejected(tmp_path):
     '{"id": "a", "gpt": "high"}',
     '{"id": "a", "clip": [0.5]}',
     '{"id": "a", "length": 1e999}',
+    '{"id": "a", "gpt": NaN}',
+    '{"id": "a", "reward": "nan"}',
+    '{"id": "a", "clip": "-inf"}',
     pytest.param('{"id": "a", "length": 1' + '0' * 400 + '}', id="length-beyond-float"),
 ])
 def test_scores_malformed_line_rejected(tmp_path, line):
@@ -285,3 +299,91 @@ def test_score_record_complete():
     assert ScoreRecord(clip=0.1).missing() == "length"
     assert ScoreRecord(clip=0.1, length=3, gpt=50.0).missing() == "reward"
     assert ScoreRecord(clip=0.1, length=3, reward=0.0, gpt=50.0).missing() is None
+
+
+# -- JSON record framing -----------------------------------------------------
+
+def test_jsonl_roundtrip_skips_blank_lines(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    rows = [{"id": "é", "v": 0.1}, {"id": "b", "v": [1, 2]}]
+    write_jsonl(path, rows)
+    assert path.read_text(encoding="utf-8").splitlines()[0] == '{"id": "é", "v": 0.1}'
+    path.write_text("\n" + path.read_text(encoding="utf-8") + "  \n", encoding="utf-8")
+    assert list(read_jsonl(path)) == [(2, rows[0]), (3, rows[1])]
+
+
+def test_json_roundtrip_sorts_keys(tmp_path):
+    path = tmp_path / "blob.json"
+    write_json(path, {"b": 1, "a": {"d": 2, "c": 3}})
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "a": {\n    "c": 3,\n    "d": 2\n  },\n  "b": 1\n}\n')
+    assert read_json(path, ("a", "b")) == {"a": {"c": 3, "d": 2}, "b": 1}
+    with pytest.raises(MalformedRecord, match="missing key"):
+        read_json(path, ("a", "z"))
+
+
+@pytest.mark.parametrize("line", [
+    "not json", "[1, 2]", '"text"', "[" * 100_000, '{"a": 1' + "0" * 5000 + "}",
+    '{"a": NaN}', '{"a": [Infinity]}', '{"a": -Infinity}', '{"a": 1e999}',
+], ids=["invalid", "array", "string", "deep", "big-int", "nan", "inf", "minus-inf",
+        "overflow"])
+def test_json_readers_reject_with_line_number(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        list(read_jsonl(path))
+    assert err.value.line_no == 2
+    path.write_text(line, encoding="utf-8")
+    with pytest.raises(MalformedRecord):
+        read_json(path)
+
+
+_KEYS = ("id", "image_path", "instruction", "response", "clip", "length", "reward",
+         "gpt", "q", "subset_id", "scores", "version", "kind", "input_dim", "d_model",
+         "ff_dim", "layers", "n_params", "fingerprint", "outputs")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_lines = st.one_of(
+    st.text(max_size=40),
+    st.dictionaries(st.sampled_from(_KEYS), _json_values, max_size=8).map(json.dumps),
+)
+_file_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_lines, max_size=5).map(lambda lines: "\n".join(lines).encode()),
+)
+
+
+def _read_meta(path):
+    (path.parent / "params.txt").write_text("0x0p+0\n" * 3, encoding="utf-8")
+    return load_selector(path.parent)
+
+
+_READERS = {
+    "manifest": load_manifest,
+    "scores": read_scores,
+    "oracle": read_oracle,
+    "eval_reports": read_eval_reports,
+    "features": read_feature_file,
+    "json": read_json,
+    "meta": _read_meta,
+    "fingerprint": lambda path: stage_is_current(path.parent, "x", "f", []),
+}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_file_bytes)
+def test_readers_raise_only_typed_errors(tmp_path, data):
+    path = tmp_path / "meta.json"
+    path.write_bytes(data)
+    (tmp_path / ".fingerprints").mkdir(exist_ok=True)
+    (tmp_path / ".fingerprints" / "x.sha256").write_bytes(data)
+    for reader in _READERS.values():
+        try:
+            reader(path)
+        except VlcurateError:
+            pass

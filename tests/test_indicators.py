@@ -355,7 +355,7 @@ class CountingProvider:
         self.value = value
         self.calls = []
 
-    def score(self, triplet, template=None):
+    def score(self, triplet):
         self.calls.append(triplet.id)
         return self.value
 

@@ -192,7 +192,14 @@ def test_eval_reports_malformed(tmp_path):
     path = tmp_path / "reports.jsonl"
     for line in ('{"subset_id": "x", "scores": {"a": "high"}}',
                  '{"subset_id": 1, "scores": [30.0, 28.5]}',
-                 '{"subset_id": 1}', '[1, 2]', 'not json'):
+                 '{"subset_id": 1}', '[1, 2]', 'not json',
+                 '{"subset_id": 1, "scores": {"a": NaN}}',
+                 '{"subset_id": 1, "scores": {"a": Infinity}}',
+                 '{"subset_id": 1, "scores": {"a": 1e999}}',
+                 '{"subset_id": 1, "scores": {"a": "nan"}}',
+                 '{"subset_id": 1, "scores": {"a": "1e999"}}',
+                 '{"subset_id": 1' + "0" * 5000 + ', "scores": {"a": 1.0}}',
+                 '{"subset_id": 1, "scores": ' + "[" * 100_000):
         path.write_text('{"subset_id": 0, "scores": {"a": 1.0}}\n' + line + "\n")
         with pytest.raises(MalformedRecord) as err:
             read_eval_reports(path)

@@ -147,6 +147,15 @@ def test_read_oracle_rejects_malformed(tmp_path):
     with pytest.raises(MalformedRecord):
         read_oracle(path)
 
+    for line in ('{"id": "b", "q": NaN}', '{"id": "b", "q": -Infinity}',
+                 '{"id": "b", "q": 1e999}', '{"id": "b", "q": "nan"}',
+                 '{"id": "b", "q": "1e999"}', '{"id": "b", "q": 1' + "0" * 5000 + "}",
+                 "[" * 100_000):
+        path.write_text('{"id": "a", "q": 0.5}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as err:
+            read_oracle(path)
+        assert err.value.line_no == 2, line[:40]
+
 
 def _chunked_subsets(corpus, n_chunks):
     """Subsets chunked by planted quality so mean q is strictly increasing."""
