@@ -94,7 +94,7 @@ def shape_table(
 def _views(flat: np.ndarray, table) -> dict[str, np.ndarray]:
     out, off = {}, 0
     for name, shape in table:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         out[name] = flat[off:off + size].reshape(shape)
         off += size
     if off != flat.size:
@@ -103,7 +103,7 @@ def _views(flat: np.ndarray, table) -> dict[str, np.ndarray]:
 
 
 def num_params(kind: str, input_dim: int, d_model: int, ff_dim: int, layers: int) -> int:
-    return sum(int(np.prod(s)) for _, s in shape_table(kind, input_dim, d_model, ff_dim, layers))
+    return sum(math.prod(s) for _, s in shape_table(kind, input_dim, d_model, ff_dim, layers))
 
 
 def init_selector(
@@ -121,7 +121,7 @@ def init_selector(
         raise BadConfig("selector dimensions must be positive")
     table = shape_table(kind, input_dim, d_model, ff_dim, layers)
     rng = np.random.default_rng(seed)
-    flat = np.zeros(sum(int(np.prod(s)) for _, s in table))
+    flat = np.zeros(sum(math.prod(s) for _, s in table))
     views = _views(flat, table)
     for name, shape in table:
         if name.startswith("head.") or len(shape) == 1:
@@ -374,8 +374,8 @@ def load_selector(model_dir: str | Path) -> SelectorModel:
         n_params = int(meta.get("n_params", -1))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelLoadError(f"selector metadata incomplete: {exc}") from exc
-    # a valid model has at least as many parameters as any one dimension
-    if not all(1 <= v <= params.size for v in dims.values()):
+    # shape_table loops over attention layers, and each layer holds parameters
+    if min(dims.values()) < 1 or (kind == "attention" and dims["layers"] > params.size):
         raise ModelLoadError(f"selector dimensions {dims} out of range")
     expected = num_params(kind, **dims)
     if params.size != expected or n_params != expected:

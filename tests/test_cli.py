@@ -360,6 +360,18 @@ def test_pipeline_param_change_reruns_stage(pipeline, tmp_path, capsys):
     assert sum(summary["quotas"]) == 9
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp", "attention"])
+def test_train_each_kind_then_curate(pipeline, tmp_path, kind):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    assert main([*TRAIN, "--kind", kind, "--workdir", str(work)]) == 0
+    meta = json.loads((work / "selector_model" / "meta.json").read_text())
+    assert meta["kind"] == kind
+    assert main([*CURATE, "--workdir", str(work)]) == 0
+    summary = json.loads((work / "curated" / "summary.json").read_text())
+    assert sum(summary["quotas"]) == 12
+
+
 def test_pipeline_config_file_drives_curate(pipeline, tmp_path):
     work = tmp_path / "work"
     shutil.copytree(pipeline, work)

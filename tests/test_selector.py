@@ -361,6 +361,24 @@ def test_save_load_bitwise_roundtrip(tmp_path):
         assert predict(back, X) == predict(model, X)  # bitwise
 
 
+@pytest.mark.parametrize("kind,dims", [
+    ("linear", {}),
+    ("mlp", {}),
+    ("attention", {}),
+    ("mlp", {"ff_dim": 1}),          # d_model=16 exceeds the 15 parameters
+    ("attention", {"d_model": 1, "ff_dim": 1, "layers": 1}),
+], ids=["linear", "mlp", "attention", "mlp-ff1", "attention-tiny"])
+def test_save_load_roundtrip_default_dims(tmp_path, kind, dims):
+    # input_dim 10 is the embedding width at the default m=6; the dims a
+    # kind does not use stay at their defaults and must still load
+    model = init_selector(kind, input_dim=10, seed=3, **dims)
+    save_selector(tmp_path / "m", model)
+    back = load_selector(tmp_path / "m")
+    assert (back.kind, back.input_dim, back.d_model, back.ff_dim, back.layers) == (
+        model.kind, model.input_dim, model.d_model, model.ff_dim, model.layers)
+    assert np.array_equal(back.params, model.params)
+
+
 def test_load_truncated_params(tmp_path):
     model = _nonzero_head("mlp", seed=22)
     save_selector(tmp_path / "m", model)
