@@ -69,7 +69,8 @@ def _synth(cfg: PipelineConfig, args) -> str:
 
 def _score(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
-    features = load_features(cfg.features_path(), manifest, ("image", "text_clip"))
+    features = load_features(cfg.features_path(), manifest, ("image", "text_clip"),
+                             cfg.matrix_store())
     cache = read_scores(cfg.scores_path()) if cfg.scores_path().exists() else ScoreCache()
     providers = {}
     if cfg.provider == "http":
@@ -87,10 +88,12 @@ def _score(cfg: PipelineConfig, args) -> str:
 
 def _embed(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
-    features = load_features(cfg.features_path(), manifest, ("image", "text_llm"))
+    features = load_features(cfg.features_path(), manifest, ("image", "text_llm"),
+                             cfg.matrix_store())
     embeddings = assemble_corpus(manifest, read_scores(cfg.scores_path()), features,
                                  cfg.m, cfg.reducer_mode, cfg.standardize)
-    write_feature_file(cfg.embeddings_path(), [t.id for t in manifest], embeddings)
+    write_feature_file(cfg.embeddings_path(), [t.id for t in manifest], embeddings,
+                       cfg.matrix_store())
     return f"embedded {len(embeddings)} samples, dim {4 + cfg.m}"
 
 
@@ -99,9 +102,10 @@ def _split(cfg: PipelineConfig, args) -> str:
     oracle = synth_mod.read_oracle(cfg.oracle_path()) if args.oracle_reports else None
     ids = [t.id for t in manifest]
     if cfg.subset_space == "image":
-        data = load_features(cfg.features_path(), manifest, ("image",))["image"]
+        data = load_features(cfg.features_path(), manifest, ("image",),
+                             cfg.matrix_store())["image"]
     else:
-        data = read_matrix(cfg.embeddings_path(), ids)
+        data = read_matrix(cfg.embeddings_path(), ids, cfg.matrix_store())
     subsets = build_subsets(ids, data, cfg.n_subsets, seed=cfg.seed,
                             capacity=cfg.capacity or None)
     reports = (None if oracle is None
@@ -128,7 +132,8 @@ def _train_selector(cfg: PipelineConfig, args) -> str:
                    for entry in read_json(path, ("subsets",))["subsets"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(None, f"{path}: bad subset entry ({exc!r})") from None
-    rows = read_matrix(cfg.embeddings_path(), [i for _, members in entries for i in members])
+    rows = read_matrix(cfg.embeddings_path(), [i for _, members in entries for i in members],
+                       cfg.matrix_store())
     blocks = np.split(rows, np.cumsum([len(members) for _, members in entries])[:-1])
     labels = subset_labels([subset_id for subset_id, _ in entries],
                            read_eval_reports(cfg.reports_path()))
@@ -144,12 +149,13 @@ def _train_selector(cfg: PipelineConfig, args) -> str:
 
 def _curate(cfg: PipelineConfig, args) -> str:
     manifest = load_manifest(cfg.manifest_path())
-    features = load_features(cfg.features_path(), manifest, ("image",))
+    features = load_features(cfg.features_path(), manifest, ("image",), cfg.matrix_store())
     if cfg.indicator:
         cache = read_scores(cfg.scores_path())
         item_scores = indicator_matrix(manifest, cache)[:, SCORE_SLOTS.index(cfg.indicator)]
     else:
-        embeddings = read_matrix(cfg.embeddings_path(), [t.id for t in manifest])
+        embeddings = read_matrix(cfg.embeddings_path(), [t.id for t in manifest],
+                                 cfg.matrix_store())
         item_scores = predict_items(load_selector(cfg.model_path()), embeddings)
     result = run_curation(
         manifest, item_scores, features["image"],

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import SCORE_SLOTS, read_json, write_json
+from .corpus import MATRIX_STORE, SCORE_SLOTS, hash_file, read_json, write_json
 from .errors import BadConfig, MalformedRecord
 from .selector import KINDS
 
@@ -104,6 +104,11 @@ class PipelineConfig:
 
     def curated_path(self) -> Path:
         return self._derived(self.curated_dir, "curated")
+
+    def matrix_store(self) -> Path:
+        """Where the feature files' binary twins live: always under the
+        workdir, since ``features_dir`` may be read-only (see corpus.py)."""
+        return Path(self.workdir) / MATRIX_STORE
 
     def validate(self) -> None:
         checks = [
@@ -212,7 +217,7 @@ def fingerprint(input_paths: list[Path], config_subset: dict) -> str:
     digest = hashlib.sha256()
     for path in sorted(Path(p) for p in input_paths):
         digest.update(str(path.name).encode())
-        _feed(digest, path)
+        hash_file(path, digest)
     digest.update(json.dumps(config_subset, sort_keys=True).encode())
     return digest.hexdigest()
 
@@ -229,18 +234,6 @@ def _output_key(workdir: str | Path, path: str | Path) -> str:
         return path.relative_to(Path(workdir).resolve()).as_posix()
     except ValueError:
         return str(path)
-
-
-def _feed(digest, path: str | Path):
-    """``digest`` updated with the bytes of ``path``, read in 1 MiB chunks."""
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest
-
-
-def _file_digest(path: str | Path) -> str:
-    return _feed(hashlib.sha256(), path).hexdigest()
 
 
 def stage_is_current(
@@ -260,7 +253,7 @@ def stage_is_current(
         if not Path(path).exists():
             return False
         stored = digests.get(_output_key(workdir, path))
-        if stored is not None and stored != _file_digest(path):
+        if stored is not None and stored != hash_file(path).hexdigest():
             return False
     return True
 
@@ -271,5 +264,5 @@ def stage_mark_done(
     """Record fingerprint ``value`` and the sha256 of each of ``outputs``."""
     record = _fingerprint_file(workdir, stage)
     record.parent.mkdir(parents=True, exist_ok=True)
-    digests = {_output_key(workdir, p): _file_digest(p) for p in outputs}
+    digests = {_output_key(workdir, p): hash_file(p).hexdigest() for p in outputs}
     write_json(record, {"fingerprint": value, "outputs": digests})

@@ -1,6 +1,7 @@
 """Every record file the pipeline reads or writes, and their framing.
 
-On-disk formats are deliberately plain text:
+Text is the interchange format, the one that encoders, ``synth`` and users
+write and read:
 
 * manifest (``manifest.jsonl``, ``curated/selected.manifest.jsonl``): one
   JSON object per line with fields
@@ -10,6 +11,18 @@ On-disk formats are deliberately plain text:
   whitespace separated)
 * score cache (``scores.jsonl``): one JSON object per line keyed by ``id``
   with fields ``clip``, ``length``, ``reward``, ``gpt`` (all optional per row)
+
+Stages read feature matrices from binary twins instead of parsing the
+text again. ``<workdir>/.matrices/`` holds, for each feature file, one
+twin keyed by the sha256 of the text's bytes: ``<stem>.<sha256>.npy`` (the
+matrix in file row order) and ``<stem>.<sha256>.ids.npy`` (its ids).
+``write_feature_file`` writes the twin beside the text, and
+``read_matrix`` loads it when the text's current bytes hash to its key, so
+an edited text file is parsed again. A twin is trusted like the score
+cache: a twin that cannot be read, is not a finite float64 matrix, or
+whose row count differs from its id count is a miss, never an error. The
+store lies under the workdir, not beside the text, because the feature
+directory may be a read-only encoder output.
 
 The other JSON record files are decoded by their own modules, but framed
 here: ``oracle.jsonl`` (synth), ``eval_reports.jsonl`` and the shipped
@@ -31,13 +44,16 @@ tie-break downstream refers to it. Images are never opened here --
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -52,6 +68,9 @@ from .errors import (
 )
 
 REQUIRED_MATRICES = ("image", "text_clip", "text_llm")
+
+# the directory under the workdir that holds the feature files' binary twins
+MATRIX_STORE = ".matrices"
 
 # the four indicator scores, in score-cache and embedding slot order
 SCORE_SLOTS = ("clip", "length", "reward", "gpt")
@@ -81,19 +100,30 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text file to write ``path`` through: the block writes a
-    temporary file in the same directory, which replaces ``path`` only when
-    the block ends without error, so a failed write leaves the previous
-    file whole (no fsync: it guards against errors, not power loss)."""
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A file to write ``path`` through, UTF-8 text unless ``binary``: the
+    block writes a temporary file in the same directory, which replaces
+    ``path`` only when the block ends without error, so a failed write
+    leaves the previous file whole (no fsync: it guards against errors,
+    not power loss)."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def hash_file(path: str | Path, digest=None):
+    """``digest`` (a new sha256 when None) updated with the bytes of
+    ``path``, read in 1 MiB chunks so that a large file is never held whole."""
+    digest = hashlib.sha256() if digest is None else digest
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest
 
 
 # -- JSON record framing ---------------------------------------------------
@@ -230,36 +260,127 @@ def read_feature_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
     return rows, dim
 
 
-def write_feature_file(path: str | Path, ids: Iterable[str], matrix: np.ndarray) -> None:
+def write_feature_file(
+    path: str | Path, ids: Iterable[str], matrix: np.ndarray, store: str | Path | None = None
+) -> None:
+    """Write ``matrix`` as a feature file, one row per id; with ``store``,
+    also write its twin there (see read_matrix)."""
     matrix = np.asarray(matrix, dtype=float)
     ids = list(ids)
-    with atomic_write(path) as fh:
-        fh.write(f"id {matrix.shape[1]}\n")
-        for sample_id, row in zip(ids, matrix):
-            fh.write(sample_id + " " + " ".join(repr(float(v)) for v in row) + "\n")
+    digest = hashlib.sha256()
+    rows = (f"{sample_id} {' '.join(map(repr, row.tolist()))}\n"
+            for sample_id, row in zip(ids, matrix))
+    with atomic_write(path, binary=True) as fh:
+        for line in itertools.chain([f"id {matrix.shape[1]}\n"], rows):
+            data = line.encode()
+            digest.update(data)
+            fh.write(data)
+    # a twin must hold what parsing the text gives, so none is written for
+    # text that does not parse back: a short id list or matrix, ids that
+    # are empty or hold whitespace, no columns, non-finite values
+    if (store is not None and len(ids) == len(matrix) and matrix.shape[1] >= 1
+            and all(sample_id.split() == [sample_id] for sample_id in ids)
+            and np.isfinite(matrix).all()):
+        _write_twin(Path(store), Path(path).stem, digest.hexdigest(), ids, matrix)
 
 
-def read_matrix(path: str | Path, ids: list[str]) -> np.ndarray:
+def read_matrix(path: str | Path, ids: list[str], store: str | Path | None = None) -> np.ndarray:
     """The rows of a feature file for ``ids``, in that order, as an (N, dim)
     array. An id the file lacks raises MissingFeature named after the
-    file's stem (``image``, ``embeddings``, ...)."""
-    rows, dim = read_feature_file(path)
-    out = np.empty((len(ids), dim), dtype=float)
-    for i, sample_id in enumerate(ids):
-        if sample_id not in rows:
-            raise MissingFeature(sample_id, Path(path).stem)
-        out[i] = rows[sample_id]
-    return out
+    file's stem (``image``, ``embeddings``, ...). With ``store``, the rows
+    come from the twin of the file's current bytes; only when the store has
+    none is the text parsed, and its twin written."""
+    path = Path(path)
+    twin = None
+    if store is not None:
+        store, digest = Path(store), hash_file(path).hexdigest()
+        twin = _read_twin(store, path.stem, digest)
+    if twin is None:
+        rows, dim = read_feature_file(path)
+        twin = list(rows), np.array(list(rows.values())).reshape(len(rows), dim)
+        if store is not None:
+            _write_twin(store, path.stem, digest, *twin)
+    file_ids, matrix = twin
+    # a repeated id keeps its first position and its last row, as the parse does
+    position = {sample_id: i for i, sample_id in enumerate(file_ids)}
+    if len(position) == len(file_ids) and ids == file_ids:
+        return matrix
+    for sample_id in ids:
+        if sample_id not in position:
+            raise MissingFeature(sample_id, path.stem)
+    return matrix[[position[sample_id] for sample_id in ids]]
 
 
 def load_features(
     feature_dir: str | Path,
     manifest: list[Triplet],
     names: tuple[str, ...] = REQUIRED_MATRICES,
+    store: str | Path | None = None,
 ) -> dict[str, np.ndarray]:
     """One (N, dim) matrix per ``<name>.txt`` file, rows in manifest order."""
     ids = [t.id for t in manifest]
-    return {name: read_matrix(Path(feature_dir) / f"{name}.txt", ids) for name in names}
+    return {name: read_matrix(Path(feature_dir) / f"{name}.txt", ids, store)
+            for name in names}
+
+
+def _twin_paths(store: Path, stem: str, digest: str) -> tuple[Path, Path]:
+    return store / f"{stem}.{digest}.npy", store / f"{stem}.{digest}.ids.npy"
+
+
+def _write_twin(store: Path, stem: str, digest: str, ids: list[str],
+                matrix: np.ndarray) -> None:
+    """Save the twin of the text of ``stem`` whose sha256 is ``digest``, and
+    remove that stem's older twins. Plain ``.npy``, not ``np.savez``: zip
+    entries carry their write time, so a rerun would not be byte-identical."""
+    store.mkdir(parents=True, exist_ok=True)
+    paths = _twin_paths(store, stem, digest)
+    for twin_path, array in zip(paths, (matrix, np.array(ids, dtype=str))):
+        with atomic_write(twin_path, binary=True) as fh:
+            np.save(fh, array)
+    own = re.compile(re.escape(stem) + r"\.[0-9a-f]{64}(\.ids)?\.npy")
+    for old in store.iterdir():
+        if old not in paths and own.fullmatch(old.name):
+            old.unlink(missing_ok=True)
+
+
+def _read_twin(store: Path, stem: str, digest: str) -> tuple[list[str], np.ndarray] | None:
+    """The ids and matrix of the twin of the text of ``stem`` whose sha256
+    is ``digest``; None when there is none or it fails a check."""
+    matrix_path, ids_path = _twin_paths(store, stem, digest)
+    matrix = _load_npy(matrix_path)
+    if (matrix is None or matrix.dtype != np.float64 or matrix.ndim != 2
+            or matrix.shape[1] < 1 or not np.isfinite(matrix).all()):
+        return None
+    ids = _load_npy(ids_path)
+    if ids is None or ids.dtype.kind != "U" or ids.shape != matrix.shape[:1]:
+        return None
+    return ids.tolist(), matrix
+
+
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _load_npy(path: Path) -> np.ndarray | None:
+    """The array saved in ``path``, or None when the file is missing or
+    malformed. The header must promise exactly the data bytes the file
+    holds, so that a damaged header cannot make ``np.load`` allocate more."""
+    try:
+        with open(path, "rb") as fh:
+            read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+            if read_header is None:
+                return None
+            shape, _, dtype = read_header(fh)
+            start = fh.tell()
+            if (min(shape, default=0) < 0
+                    or math.prod(shape) * dtype.itemsize != fh.seek(0, os.SEEK_END) - start):
+                return None
+            fh.seek(0)
+            return np.load(fh, allow_pickle=False)
+    except Exception:  # boundary: a bad twin is only a miss
+        # numpy's header parser lets through what ast and tokenize raise on a
+        # damaged header (TypeError, RecursionError, tokenize.TokenError)
+        return None
 
 
 # -- score cache -------------------------------------------------------

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    MATRIX_STORE,
     ScoreCache,
     ScoreRecord,
     Triplet,
@@ -155,7 +156,8 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> None:
     write_manifest(corpus.manifest, out_dir / "manifest.jsonl")
     ids = [t.id for t in corpus.manifest]
     for name, matrix in corpus.features.items():
-        write_feature_file(out_dir / "features" / f"{name}.txt", ids, matrix)
+        write_feature_file(out_dir / "features" / f"{name}.txt", ids, matrix,
+                           out_dir / MATRIX_STORE)
     write_scores(corpus.scores, out_dir / "scores.jsonl")
     write_oracle(corpus.oracle, out_dir / "oracle.jsonl")
 

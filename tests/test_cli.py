@@ -24,7 +24,7 @@ from vlcurate.config import (
     stage_is_current,
     stage_mark_done,
 )
-from vlcurate.corpus import load_manifest, read_feature_file, read_scores
+from vlcurate.corpus import hash_file, load_manifest, read_feature_file, read_scores
 from vlcurate.errors import BadConfig, VlcurateError
 from vlcurate.numerics import spearman
 from vlcurate.report import svg_histogram, uplift_stats
@@ -425,6 +425,19 @@ def _stage_entry(work, argv):
     return stage_table(build_config(None, flags), args)[args.command]
 
 
+def test_pipeline_without_twins_writes_the_same_bytes(pipeline, tmp_path):
+    """The twins in .matrices/ only save parsing: a run that deletes them
+    before every stage writes the same curated set and embeddings."""
+    work = tmp_path / "work"
+    for stage in STAGES:
+        shutil.rmtree(work / ".matrices", ignore_errors=True)
+        assert main([*stage, "--workdir", str(work)]) == 0, stage
+    curated = sorted(p.relative_to(pipeline) for p in (pipeline / "curated").rglob("*"))
+    assert curated == sorted(p.relative_to(work) for p in (work / "curated").rglob("*"))
+    for rel in [Path("embeddings.txt"), *curated]:
+        assert (work / rel).read_bytes() == (pipeline / rel).read_bytes(), rel
+
+
 def test_every_declared_input_is_fingerprinted(pipeline, tmp_path, capsys):
     work = tmp_path / "work"
     shutil.copytree(pipeline, work)
@@ -441,13 +454,29 @@ def test_every_declared_input_is_fingerprinted(pipeline, tmp_path, capsys):
     assert checked >= 20
 
 
+_TWIN = re.compile(r"(.+)\.([0-9a-f]{64})(?:\.ids)?\.npy")
+
+
 def test_stages_read_only_declared_files(pipeline, tmp_path, monkeypatch):
     """A stage body reads exactly the inputs its entry declares, plus at most
-    its own outputs (``score`` reads the cache it refills)."""
+    its own outputs (``score`` reads the cache it refills). Reading the
+    twin ``.matrices/<stem>.<sha256>.*`` counts as reading the text file of
+    that stem whose bytes hash to ``<sha256>``, so reading the twin of an
+    undeclared file still fails."""
     work = tmp_path / "work"
     shutil.copytree(pipeline, work)
     root = work.resolve()
+    store = root / ".matrices"
     opened = []
+
+    def as_text(path):
+        match = _TWIN.fullmatch(path.name)
+        if path.parent != store or match is None:
+            return path
+        texts = [p for p in root.rglob("*") if p.is_file() and p.parent != store
+                 and p.stem == match[1] and hash_file(p).hexdigest() == match[2]]
+        return texts[0] if len(texts) == 1 else path
+
     in_body = [False]
     real_open = io.open
     real_table = cli.stage_table
@@ -480,7 +509,7 @@ def test_stages_read_only_declared_files(pipeline, tmp_path, monkeypatch):
         assert main([*argv, "--workdir", str(work)]) == 0
         inputs = {Path(p).resolve() for p in entry.inputs}
         outputs = {Path(p).resolve() for p in entry.outputs}
-        read = {p for p in opened if root in p.parents} - outputs
+        read = {as_text(p) for p in opened if root in p.parents} - outputs
         assert read == inputs, (argv[0], sorted(str(p) for p in read ^ inputs))
 
 

@@ -1,5 +1,6 @@
 """Manifest, feature-file, and score-cache I/O contracts."""
 
+import io
 import json
 import math
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vlcurate.config import stage_is_current
+from vlcurate import corpus
+from vlcurate.config import build_config, config_keys, stage_is_current
 from vlcurate.corpus import (
     ScoreCache,
     ScoreRecord,
@@ -18,6 +20,7 @@ from vlcurate.corpus import (
     read_feature_file,
     read_json,
     read_jsonl,
+    read_matrix,
     read_scores,
     write_feature_file,
     write_json,
@@ -37,7 +40,7 @@ from vlcurate.errors import (
 )
 from vlcurate.indicators import score_corpus
 from vlcurate.quality_labels import read_eval_reports
-from vlcurate.selector import load_selector
+from vlcurate.selector import init_selector, load_selector, save_selector
 from vlcurate.synth import read_oracle
 
 from conftest import make_manifest
@@ -208,6 +211,197 @@ def test_feature_store_rejects_row_mismatch():
     features = {"image": np.ones((3, 2)), "text_clip": np.ones((3, 2))}
     with pytest.raises(DimensionMismatch):
         score_corpus(manifest, features, ScoreCache())
+
+
+# -- binary twins -------------------------------------------------------------
+
+def _twins(store):
+    return sorted(p.name for p in store.iterdir()) if store.exists() else []
+
+
+def _no_parse(monkeypatch):
+    def parse(path):
+        raise AssertionError(f"{path} parsed despite a twin")
+    monkeypatch.setattr(corpus, "read_feature_file", parse)
+
+
+@pytest.mark.parametrize("ids", [
+    ["a", "b", "c", "d"],
+    ["d", "b", "a", "c"],
+    ["c", "c", "a"],
+    [],
+], ids=["file-order", "reordered", "repeated", "none"])
+def test_twin_hit_is_bit_equal_to_parse(tmp_path, monkeypatch, ids):
+    rng = np.random.default_rng(2)
+    mat = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-300, 300, size=(4, 3))
+    mat[0, 0] = -0.0
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    write_feature_file(path, ["a", "b", "c", "d"], mat, store)
+    parsed = read_matrix(path, ids)
+    _no_parse(monkeypatch)
+    got = read_matrix(path, ids, store)
+    assert got.dtype == np.float64 and got.shape == (len(ids), 3)
+    assert got.tobytes() == parsed.tobytes()
+
+
+def test_twin_of_repeated_ids_keeps_first_position_and_last_row(tmp_path, monkeypatch):
+    mat = np.arange(8.0).reshape(4, 2) + 0.5
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    write_feature_file(path, ["a", "b", "a", "c"], mat, store)
+    rows, _ = read_feature_file(path)
+    assert list(rows) == ["a", "b", "c"]
+    for ids in (["a", "b", "a", "c"], ["a", "b", "c"], ["c", "a"]):
+        parsed = read_matrix(path, ids)
+        assert np.array_equal(parsed[ids.index("a")], mat[2])
+        with monkeypatch.context() as patch:
+            _no_parse(patch)
+            assert read_matrix(path, ids, store).tobytes() == parsed.tobytes()
+
+
+def test_twin_sees_a_same_size_edit(tmp_path, monkeypatch):
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    write_feature_file(path, ["a", "b"], np.array([[0.5, 1.25], [2.0, -3.5]]), store)
+    first = _twins(store)
+    assert len(first) == 2
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b"1.25", b"1.75"))
+    assert path.stat().st_size == len(text)
+    got = read_matrix(path, ["b", "a"], store)
+    assert np.array_equal(got, [[2.0, -3.5], [0.5, 1.75]])
+    # the edit's twin replaced the old one, and the next read is a hit
+    assert len(_twins(store)) == 2 and not set(_twins(store)) & set(first)
+    _no_parse(monkeypatch)
+    assert np.array_equal(read_matrix(path, ["a"], store), [[0.5, 1.75]])
+
+
+def test_twin_pruning_keeps_other_stems(tmp_path):
+    store = tmp_path / ".matrices"
+    for value in (1.0, 2.0):
+        for name in ("image", "image_big", "text_llm"):
+            write_feature_file(tmp_path / f"{name}.txt", ["a"], [[value]], store)
+    names = _twins(store)
+    assert len(names) == 6
+    for name in ("image", "image_big", "text_llm"):
+        assert sum(n.startswith(name + ".") for n in names) == 2
+
+
+def _npy(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+_DAMAGED = {
+    "empty": lambda good: b"",
+    "garbage": lambda good: b"not an npy file at all",
+    "truncated": lambda good: good[:-9],
+    "nan": lambda good: _npy(np.array([[np.nan, 1.0], [2.0, 3.0]])),
+    "inf": lambda good: _npy(np.array([[np.inf, 1.0], [2.0, 3.0]])),
+    "float32": lambda good: _npy(np.ones((2, 2), dtype=np.float32)),
+    "one-dim": lambda good: _npy(np.ones(4)),
+    "three-dim": lambda good: _npy(np.ones((2, 2, 1))),
+    "no-columns": lambda good: _npy(np.ones((2, 0))),
+    "row-count": lambda good: _npy(np.ones((3, 2))),
+    "object": lambda good: _npy(np.array([[1.0, None], [2.0, 3.0]], dtype=object)),
+    "header-overstates": lambda good: good.replace(b"(2, 2)", b"(9, 2)"),
+}
+
+
+@pytest.mark.parametrize("damage", _DAMAGED.values(), ids=list(_DAMAGED))
+def test_damaged_twin_is_a_miss_that_gets_rewritten(tmp_path, monkeypatch, damage):
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    mat = np.array([[0.5, 1.25], [2.0, -3.5]])
+    write_feature_file(path, ["a", "b"], mat, store)
+    twin = next(store.glob("image.*[0-9a-f].npy"))
+    good = twin.read_bytes()
+    twin.write_bytes(damage(good))
+    assert np.array_equal(read_matrix(path, ["b", "a"], store), mat[::-1])
+    assert twin.read_bytes() == good
+    _no_parse(monkeypatch)
+    assert np.array_equal(read_matrix(path, ["a", "b"], store), mat)
+
+
+@pytest.mark.parametrize("ids_bytes", [
+    b"", _npy(np.array(["a"])), _npy(np.array([1, 2])), _npy(np.array([["a", "b"]])),
+], ids=["empty", "short", "integers", "two-dim"])
+def test_damaged_twin_ids_are_a_miss(tmp_path, ids_bytes):
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    mat = np.array([[0.5, 1.25], [2.0, -3.5]])
+    write_feature_file(path, ["a", "b"], mat, store)
+    ids_twin = next(store.glob("image.*.ids.npy"))
+    good = ids_twin.read_bytes()
+    ids_twin.write_bytes(ids_bytes)
+    assert np.array_equal(read_matrix(path, ["b", "a"], store), mat[::-1])
+    assert ids_twin.read_bytes() == good
+
+
+def _npy_header(text: str) -> bytes:
+    header = text.encode("latin1", "replace")
+    return b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
+
+
+_twin_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.text(max_size=120).map(_npy_header),
+    st.builds(lambda descr, shape, body: _npy_header(
+        f"{{'descr': {descr!r}, 'fortran_order': False, 'shape': {shape!r}, }}") + body,
+        st.sampled_from(["<f8", ">f8", "<f4", "<i8", "<U1", "|O", "|V8", "f8", 5, "(2,)<f8"]),
+        st.tuples(st.integers(-3, 10**12), st.integers(-3, 4)) | st.tuples(st.integers(0, 9)),
+        st.binary(max_size=100)),
+    st.lists(st.floats(), min_size=1, max_size=8).map(
+        lambda values: _npy(np.array(values).reshape(len(values), 1))),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_twin_bytes, which=st.sampled_from(["matrix", "ids"]))
+def test_any_twin_bytes_raise_only_typed_errors(tmp_path, data, which):
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    mat = np.array([[0.5], [2.0]])
+    write_feature_file(path, ["a", "b"], mat, store)
+    name = "image.*.ids.npy" if which == "ids" else "image.*[0-9a-f].npy"
+    next(store.glob(name)).write_bytes(data)
+    try:
+        read_matrix(path, ["a", "b"], store)
+    except VlcurateError:
+        pass
+
+
+@pytest.mark.parametrize("text,ids,error", [
+    (b"dim 4\n", ["a"], DimensionMismatch),
+    (b"id 3\na 1.0 2.0 3.0\nb 1.0 2.0\n", ["a"], DimensionMismatch),
+    (b"id 2\na 1.0 nan\n", ["a"], NonFiniteFeature),
+    (b"id 2\na 1.0 2.0\nb 1.0 abc\n", ["a"], MalformedRecord),
+    (b"id 1\na \xff\n", ["a"], MalformedRecord),
+    (b"id 1\na 1.0\n", ["a", "b"], MissingFeature),
+    (None, ["a"], FileNotFoundError),
+], ids=["header", "ragged", "nan", "non-numeric", "not-utf8", "missing-id", "absent"])
+def test_foreign_text_without_twin_raises_as_before(tmp_path, text, ids, error):
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    if text is not None:
+        path.write_bytes(text)
+    with pytest.raises(error) as plain:
+        read_matrix(path, ids)
+    with pytest.raises(error) as stored:
+        read_matrix(path, ids, store)
+    assert str(stored.value) == str(plain.value)
+    # only text that parses gets a twin
+    assert bool(_twins(store)) == (error is MissingFeature)
+
+
+def test_text_that_does_not_parse_back_gets_no_twin(tmp_path):
+    store = tmp_path / ".matrices"
+    write_feature_file(tmp_path / "a.txt", ["x y", "z"], np.ones((2, 1)), store)
+    write_feature_file(tmp_path / "b.txt", ["", "z"], np.ones((2, 1)), store)
+    write_feature_file(tmp_path / "c.txt", ["x", "z"], np.ones((1, 1)), store)
+    write_feature_file(tmp_path / "d.txt", ["x"], [[math.nan]], store)
+    write_feature_file(tmp_path / "e.txt", ["x"], np.ones((1, 0)), store)
+    assert _twins(store) == []
+    with pytest.raises(DimensionMismatch):
+        read_matrix(tmp_path / "a.txt", ["z"], store)
+    with pytest.raises(NonFiniteFeature):
+        read_matrix(tmp_path / "d.txt", ["x"], store)
 
 
 # -- score cache ---------------------------------------------------------
@@ -387,3 +581,41 @@ def test_readers_raise_only_typed_errors(tmp_path, data):
             reader(path)
         except VlcurateError:
             pass
+
+
+_config_lines = st.one_of(
+    st.text(max_size=30),
+    st.builds("{} = {}".format, st.sampled_from(sorted(config_keys())) | st.text(max_size=6),
+              st.text(max_size=12) | st.integers().map(str) | st.floats().map(repr)),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=200)
+       | st.lists(_config_lines, max_size=6).map(lambda lines: "\n".join(lines).encode()))
+def test_config_file_raises_only_typed_errors(tmp_path, data):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(data)
+    try:
+        build_config(str(path))
+    except VlcurateError:
+        pass
+
+
+_param_lines = st.one_of(
+    st.floats().map(float.hex), st.floats().map(repr), st.text(max_size=10))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=200)
+       | st.lists(_param_lines, max_size=5).map(lambda lines: "\n".join(lines).encode()))
+def test_selector_params_raise_only_typed_errors(tmp_path, data):
+    # a linear selector on two inputs holds three parameters
+    save_selector(tmp_path, init_selector("linear", input_dim=2))
+    (tmp_path / "params.txt").write_bytes(data)
+    try:
+        load_selector(tmp_path)
+    except VlcurateError:
+        pass

@@ -89,7 +89,10 @@ def test_write_corpus_byte_identical(tmp_path):
     ]
     for run in ("one", "two"):
         write_corpus(generate(45, seed=11), tmp_path / run)
-    for name in names:
+    twins = sorted(p.name for p in (tmp_path / "one" / ".matrices").iterdir())
+    assert len(twins) == 6
+    assert twins == sorted(p.name for p in (tmp_path / "two" / ".matrices").iterdir())
+    for name in names + [f".matrices/{twin}" for twin in twins]:
         assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "two" / name,
                            shallow=False), name
 
