@@ -63,7 +63,7 @@ from .selector import KINDS, init_selector, load_selector, predict_items, save_s
 
 def _synth(cfg: PipelineConfig, args) -> str:
     corpus = synth_mod.generate(cfg.synth_n, cfg.seed, cfg.image_dim, cfg.text_dim)
-    synth_mod.write_corpus(corpus, cfg.workdir)
+    synth_mod.write_corpus(corpus, cfg.workdir, cfg.matrix_store())
     return f"n={cfg.synth_n} seed={cfg.seed} -> {cfg.manifest_path()}"
 
 

@@ -15,12 +15,15 @@ write and read:
 Stages read feature matrices from binary twins instead of parsing the
 text again. ``<workdir>/.matrices/`` holds, for each feature file, one
 twin keyed by the sha256 of the text's bytes: ``<stem>.<sha256>.npy`` (the
-matrix in file row order) and ``<stem>.<sha256>.ids.npy`` (its ids).
+matrix in file row order) and ``<stem>.<sha256>.ids.npy`` (its ids, as
+the UTF-8 bytes of their newline-joined text, which hold them exactly).
 ``write_feature_file`` writes the twin beside the text, and
 ``read_matrix`` loads it when the text's current bytes hash to its key, so
 an edited text file is parsed again. A twin is trusted like the score
 cache: a twin that cannot be read, is not a finite float64 matrix, or
-whose row count differs from its id count is a miss, never an error. The
+whose row count differs from its id count is a miss, never an error; a miss
+parses the text and writes its twin, unless the text changed while it was
+parsed. The
 store lies under the workdir, not beside the text, because the feature
 directory may be a read-only encoder output.
 
@@ -261,10 +264,10 @@ def read_feature_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
 
 
 def write_feature_file(
-    path: str | Path, ids: Iterable[str], matrix: np.ndarray, store: str | Path | None = None
+    path: str | Path, ids: Iterable[str], matrix: np.ndarray, store: str | Path
 ) -> None:
-    """Write ``matrix`` as a feature file, one row per id; with ``store``,
-    also write its twin there (see read_matrix)."""
+    """Write ``matrix`` as a feature file, one row per id, and its twin in
+    ``store`` (see read_matrix)."""
     matrix = np.asarray(matrix, dtype=float)
     ids = list(ids)
     digest = hashlib.sha256()
@@ -278,27 +281,27 @@ def write_feature_file(
     # a twin must hold what parsing the text gives, so none is written for
     # text that does not parse back: a short id list or matrix, ids that
     # are empty or hold whitespace, no columns, non-finite values
-    if (store is not None and len(ids) == len(matrix) and matrix.shape[1] >= 1
+    if (len(ids) == len(matrix) and matrix.shape[1] >= 1
             and all(sample_id.split() == [sample_id] for sample_id in ids)
             and np.isfinite(matrix).all()):
         _write_twin(Path(store), Path(path).stem, digest.hexdigest(), ids, matrix)
 
 
-def read_matrix(path: str | Path, ids: list[str], store: str | Path | None = None) -> np.ndarray:
+def read_matrix(path: str | Path, ids: list[str], store: str | Path) -> np.ndarray:
     """The rows of a feature file for ``ids``, in that order, as an (N, dim)
     array. An id the file lacks raises MissingFeature named after the
-    file's stem (``image``, ``embeddings``, ...). With ``store``, the rows
-    come from the twin of the file's current bytes; only when the store has
-    none is the text parsed, and its twin written."""
-    path = Path(path)
-    twin = None
-    if store is not None:
-        store, digest = Path(store), hash_file(path).hexdigest()
-        twin = _read_twin(store, path.stem, digest)
+    file's stem (``image``, ``embeddings``, ...). The rows come from the
+    twin in ``store`` of the file's current bytes; only when there is none
+    is the text parsed, and its twin written."""
+    path, store = Path(path), Path(store)
+    digest = hash_file(path).hexdigest()
+    twin = _read_twin(store, path.stem, digest)
     if twin is None:
         rows, dim = read_feature_file(path)
         twin = list(rows), np.array(list(rows.values())).reshape(len(rows), dim)
-        if store is not None:
+        # the twin is keyed by the bytes that were parsed: text replaced
+        # between the hash and the parse gets none
+        if hash_file(path).hexdigest() == digest:
             _write_twin(store, path.stem, digest, *twin)
     file_ids, matrix = twin
     # a repeated id keeps its first position and its last row, as the parse does
@@ -314,8 +317,8 @@ def read_matrix(path: str | Path, ids: list[str], store: str | Path | None = Non
 def load_features(
     feature_dir: str | Path,
     manifest: list[Triplet],
-    names: tuple[str, ...] = REQUIRED_MATRICES,
-    store: str | Path | None = None,
+    names: tuple[str, ...],
+    store: str | Path,
 ) -> dict[str, np.ndarray]:
     """One (N, dim) matrix per ``<name>.txt`` file, rows in manifest order."""
     ids = [t.id for t in manifest]
@@ -334,7 +337,8 @@ def _write_twin(store: Path, stem: str, digest: str, ids: list[str],
     entries carry their write time, so a rerun would not be byte-identical."""
     store.mkdir(parents=True, exist_ok=True)
     paths = _twin_paths(store, stem, digest)
-    for twin_path, array in zip(paths, (matrix, np.array(ids, dtype=str))):
+    id_bytes = np.frombuffer("\n".join(ids).encode(), dtype=np.uint8)
+    for twin_path, array in zip(paths, (matrix, id_bytes)):
         with atomic_write(twin_path, binary=True) as fh:
             np.save(fh, array)
     own = re.compile(re.escape(stem) + r"\.[0-9a-f]{64}(\.ids)?\.npy")
@@ -351,10 +355,17 @@ def _read_twin(store: Path, stem: str, digest: str) -> tuple[list[str], np.ndarr
     if (matrix is None or matrix.dtype != np.float64 or matrix.ndim != 2
             or matrix.shape[1] < 1 or not np.isfinite(matrix).all()):
         return None
-    ids = _load_npy(ids_path)
-    if ids is None or ids.dtype.kind != "U" or ids.shape != matrix.shape[:1]:
+    id_bytes = _load_npy(ids_path)
+    if id_bytes is None or id_bytes.dtype != np.uint8 or id_bytes.ndim != 1:
         return None
-    return ids.tolist(), matrix
+    try:
+        text = id_bytes.tobytes().decode()
+    except UnicodeDecodeError:
+        return None
+    ids = text.split("\n") if text else []
+    if len(ids) != len(matrix):
+        return None
+    return ids, matrix
 
 
 _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,

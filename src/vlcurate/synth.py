@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
-    MATRIX_STORE,
     ScoreCache,
     ScoreRecord,
     Triplet,
@@ -150,14 +149,15 @@ def generate(
     return SynthCorpus(manifest=manifest, features=features, scores=scores, oracle=oracle)
 
 
-def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> None:
+def write_corpus(corpus: SynthCorpus, out_dir: str | Path, store: str | Path) -> None:
+    """Write ``corpus`` under ``out_dir``, with the twins of its feature
+    files in ``store``."""
     out_dir = Path(out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     write_manifest(corpus.manifest, out_dir / "manifest.jsonl")
     ids = [t.id for t in corpus.manifest]
     for name, matrix in corpus.features.items():
-        write_feature_file(out_dir / "features" / f"{name}.txt", ids, matrix,
-                           out_dir / MATRIX_STORE)
+        write_feature_file(out_dir / "features" / f"{name}.txt", ids, matrix, store)
     write_scores(corpus.scores, out_dir / "scores.jsonl")
     write_oracle(corpus.oracle, out_dir / "oracle.jsonl")
 

@@ -134,7 +134,7 @@ def test_feature_file_roundtrip_exact(tmp_path):
     ids = [f"t{i}" for i in range(7)]
     mat = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-3, 4, size=(7, 5))
     path = tmp_path / "image.txt"
-    write_feature_file(path, ids, mat)
+    write_feature_file(path, ids, mat, tmp_path / ".matrices")
     rows, dim = read_feature_file(path)
     assert dim == 5
     # repr-based serialization round-trips doubles exactly
@@ -181,20 +181,21 @@ def test_load_features_consistent_store(tmp_path):
             "text_clip": rng.normal(size=(2, 4)),
             "text_llm": rng.normal(size=(2, 8))}
     for name, m in mats.items():
-        write_feature_file(tmp_path / f"{name}.txt", ["a", "b"], m)
-    store = load_features(tmp_path, manifest)
-    assert store.keys() == mats.keys()
-    assert store["image"].shape == (2, 4) and store["text_llm"].shape == (2, 8)
-    assert np.array_equal(store["text_llm"][1], mats["text_llm"][1])
+        write_feature_file(tmp_path / f"{name}.txt", ["a", "b"], m, tmp_path / ".matrices")
+    loaded = load_features(tmp_path, manifest, tuple(mats), tmp_path / ".matrices")
+    assert loaded.keys() == mats.keys()
+    assert loaded["image"].shape == (2, 4) and loaded["text_llm"].shape == (2, 8)
+    assert np.array_equal(loaded["text_llm"][1], mats["text_llm"][1])
 
 
 def test_load_features_missing_row(tmp_path):
     manifest = [Triplet("a", "x", "q", "r"), Triplet("b", "y", "q", "r")]
-    write_feature_file(tmp_path / "image.txt", ["a"], np.ones((1, 4)))
-    write_feature_file(tmp_path / "text_clip.txt", ["a", "b"], np.ones((2, 4)))
-    write_feature_file(tmp_path / "text_llm.txt", ["a", "b"], np.ones((2, 8)))
+    store = tmp_path / ".matrices"
+    write_feature_file(tmp_path / "image.txt", ["a"], np.ones((1, 4)), store)
+    write_feature_file(tmp_path / "text_clip.txt", ["a", "b"], np.ones((2, 4)), store)
+    write_feature_file(tmp_path / "text_llm.txt", ["a", "b"], np.ones((2, 8)), store)
     with pytest.raises(MissingFeature) as err:
-        load_features(tmp_path, manifest)
+        load_features(tmp_path, manifest, ("image", "text_clip", "text_llm"), store)
     assert (err.value.sample_id, err.value.matrix) == ("b", "image")
 
 
@@ -202,7 +203,7 @@ def test_feature_store_rejects_nan(tmp_path):
     manifest = [Triplet("a", "x", "q", "r")]
     (tmp_path / "image.txt").write_text("id 2\na 1.0 nan\n", encoding="utf-8")
     with pytest.raises(NonFiniteFeature):
-        load_features(tmp_path, manifest, ("image",))
+        load_features(tmp_path, manifest, ("image",), tmp_path / ".matrices")
 
 
 def test_feature_store_rejects_row_mismatch():
@@ -217,6 +218,12 @@ def test_feature_store_rejects_row_mismatch():
 
 def _twins(store):
     return sorted(p.name for p in store.iterdir()) if store.exists() else []
+
+
+def _parse(path, ids):
+    """The rows for ``ids`` as the text parse gives them, with no twin."""
+    rows, dim = read_feature_file(path)
+    return np.array([rows[sample_id] for sample_id in ids]).reshape(len(ids), dim)
 
 
 def _no_parse(monkeypatch):
@@ -237,7 +244,7 @@ def test_twin_hit_is_bit_equal_to_parse(tmp_path, monkeypatch, ids):
     mat[0, 0] = -0.0
     path, store = tmp_path / "image.txt", tmp_path / ".matrices"
     write_feature_file(path, ["a", "b", "c", "d"], mat, store)
-    parsed = read_matrix(path, ids)
+    parsed = _parse(path, ids)
     _no_parse(monkeypatch)
     got = read_matrix(path, ids, store)
     assert got.dtype == np.float64 and got.shape == (len(ids), 3)
@@ -251,11 +258,43 @@ def test_twin_of_repeated_ids_keeps_first_position_and_last_row(tmp_path, monkey
     rows, _ = read_feature_file(path)
     assert list(rows) == ["a", "b", "c"]
     for ids in (["a", "b", "a", "c"], ["a", "b", "c"], ["c", "a"]):
-        parsed = read_matrix(path, ids)
+        parsed = _parse(path, ids)
         assert np.array_equal(parsed[ids.index("a")], mat[2])
         with monkeypatch.context() as patch:
             _no_parse(patch)
             assert read_matrix(path, ids, store).tobytes() == parsed.tobytes()
+
+
+def test_twin_keeps_ids_that_differ_only_by_a_trailing_nul(tmp_path, monkeypatch):
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    write_feature_file(path, ["a", "a\x00"], np.array([[1.0], [2.0]]), store)
+    for ids in (["a", "a\x00"], ["a\x00"], ["a"]):
+        with monkeypatch.context() as patch:
+            _no_parse(patch)
+            assert read_matrix(path, ids, store).tobytes() == _parse(path, ids).tobytes()
+    # the twin a miss writes holds them apart as well
+    for twin in store.iterdir():
+        twin.unlink()
+    assert np.array_equal(read_matrix(path, ["a\x00", "a"], store), [[2.0], [1.0]])
+    _no_parse(monkeypatch)
+    assert np.array_equal(read_matrix(path, ["a\x00", "a"], store), [[2.0], [1.0]])
+
+
+def test_text_replaced_during_a_miss_gets_no_twin(tmp_path, monkeypatch):
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    path.write_bytes(b"id 1\na 1.0\n")
+    parse = corpus.read_feature_file
+
+    def replaced_then_parsed(p):
+        p.write_bytes(b"id 1\na 2.0\n")
+        return parse(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus, "read_feature_file", replaced_then_parsed)
+        assert np.array_equal(read_matrix(path, ["a"], store), [[2.0]])
+    assert _twins(store) == []
+    path.write_bytes(b"id 1\na 1.0\n")
+    assert np.array_equal(read_matrix(path, ["a"], store), [[1.0]])
 
 
 def test_twin_sees_a_same_size_edit(tmp_path, monkeypatch):
@@ -321,9 +360,15 @@ def test_damaged_twin_is_a_miss_that_gets_rewritten(tmp_path, monkeypatch, damag
     assert np.array_equal(read_matrix(path, ["a", "b"], store), mat)
 
 
+def _id_text(text: bytes) -> bytes:
+    return _npy(np.frombuffer(text, dtype=np.uint8))
+
+
 @pytest.mark.parametrize("ids_bytes", [
-    b"", _npy(np.array(["a"])), _npy(np.array([1, 2])), _npy(np.array([["a", "b"]])),
-], ids=["empty", "short", "integers", "two-dim"])
+    b"", _id_text(b"a"), _id_text(b"a\nb\nc"), _id_text(b""), _id_text(b"a\n\xff"),
+    _npy(np.array([1, 2])), _npy(np.frombuffer(b"a\nb", np.uint8).reshape(1, 3)),
+    _npy(np.array(["a", "b"])),
+], ids=["empty", "short", "long", "no-ids", "not-utf8", "integers", "two-dim", "unicode"])
 def test_damaged_twin_ids_are_a_miss(tmp_path, ids_bytes):
     path, store = tmp_path / "image.txt", tmp_path / ".matrices"
     mat = np.array([[0.5, 1.25], [2.0, -3.5]])
@@ -345,7 +390,8 @@ _twin_bytes = st.one_of(
     st.text(max_size=120).map(_npy_header),
     st.builds(lambda descr, shape, body: _npy_header(
         f"{{'descr': {descr!r}, 'fortran_order': False, 'shape': {shape!r}, }}") + body,
-        st.sampled_from(["<f8", ">f8", "<f4", "<i8", "<U1", "|O", "|V8", "f8", 5, "(2,)<f8"]),
+        st.sampled_from(["<f8", ">f8", "<f4", "<i8", "|u1", "<U1", "|O", "|V8", "f8", 5,
+                         "(2,)<f8"]),
         st.tuples(st.integers(-3, 10**12), st.integers(-3, 4)) | st.tuples(st.integers(0, 9)),
         st.binary(max_size=100)),
     st.lists(st.floats(), min_size=1, max_size=8).map(
@@ -381,11 +427,15 @@ def test_foreign_text_without_twin_raises_as_before(tmp_path, text, ids, error):
     path, store = tmp_path / "image.txt", tmp_path / ".matrices"
     if text is not None:
         path.write_bytes(text)
-    with pytest.raises(error) as plain:
-        read_matrix(path, ids)
+    if error is MissingFeature:
+        expected = MissingFeature("b", "image")
+    else:
+        with pytest.raises(error) as parse:
+            read_feature_file(path)
+        expected = parse.value
     with pytest.raises(error) as stored:
         read_matrix(path, ids, store)
-    assert str(stored.value) == str(plain.value)
+    assert str(stored.value) == str(expected)
     # only text that parses gets a twin
     assert bool(_twins(store)) == (error is MissingFeature)
 

@@ -234,7 +234,7 @@ def test_embeddings_file_roundtrip(tmp_path):
     manifest, features, cache = _scored_corpus(6)
     embs = assemble_corpus(manifest, cache, features, m=3)
     path = tmp_path / "embeddings.txt"
-    write_feature_file(path, [t.id for t in manifest], embs)
+    write_feature_file(path, [t.id for t in manifest], embs, tmp_path / ".matrices")
     rows, dim = read_feature_file(path)
     assert dim == 7
     for t, row in zip(manifest, embs):

@@ -88,7 +88,7 @@ def test_write_corpus_byte_identical(tmp_path):
         "features/text_llm.txt",
     ]
     for run in ("one", "two"):
-        write_corpus(generate(45, seed=11), tmp_path / run)
+        write_corpus(generate(45, seed=11), tmp_path / run, tmp_path / run / ".matrices")
     twins = sorted(p.name for p in (tmp_path / "one" / ".matrices").iterdir())
     assert len(twins) == 6
     assert twins == sorted(p.name for p in (tmp_path / "two" / ".matrices").iterdir())
