@@ -13,8 +13,8 @@ environment may only set provider endpoints and the API credential.
 ``stage_table`` is the one place that lists each stage's input files,
 fingerprinted config keys and output files; ``run_stage`` fingerprints
 them, skips a stage whose inputs, config and output digests are
-unchanged, and otherwise runs its body. Exit codes: 0 success,
-1 pipeline error, 2 usage error.
+unchanged, and otherwise runs its body, hands it the input digests and
+logs why it ran. Exit codes: 0 success, 1 pipeline error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import config as config_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .config import PipelineConfig, build_config, fingerprint, stage_is_current, stage_mark_done
+from .config import PipelineConfig, build_config, fingerprint, rerun_reason, stage_mark_done
 from .corpus import (
     REQUIRED_MATRICES,
     SCORE_SLOTS,
@@ -53,24 +53,26 @@ from .quality_labels import (
     build_subsets,
     read_eval_reports,
     subset_labels,
+    subset_manifest_path,
     write_eval_reports,
     write_subset_manifests,
 )
 from .selector import KINDS, init_selector, load_selector, predict_items, save_selector, train
 
 
-# -- stage bodies: each does its stage's work and returns its log message ---
+# -- stage bodies: each does its stage's work and returns its log message;
+# ``digests`` holds the sha256 of each declared input, keyed by its path ---
 
-def _synth(cfg: PipelineConfig, args) -> str:
+def _synth(cfg: PipelineConfig, args, digests) -> str:
     corpus = synth_mod.generate(cfg.synth_n, cfg.seed, cfg.image_dim, cfg.text_dim)
-    synth_mod.write_corpus(corpus, cfg.workdir, cfg.matrix_store())
+    synth_mod.write_corpus(corpus, cfg)
     return f"n={cfg.synth_n} seed={cfg.seed} -> {cfg.manifest_path()}"
 
 
-def _score(cfg: PipelineConfig, args) -> str:
+def _score(cfg: PipelineConfig, args, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_clip"),
-                             cfg.matrix_store())
+                             cfg.matrix_store(), digests)
     cache = read_scores(cfg.scores_path()) if cfg.scores_path().exists() else ScoreCache()
     providers = {}
     if cfg.provider == "http":
@@ -86,10 +88,10 @@ def _score(cfg: PipelineConfig, args) -> str:
     return f"scored {len(manifest)} samples"
 
 
-def _embed(cfg: PipelineConfig, args) -> str:
+def _embed(cfg: PipelineConfig, args, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_llm"),
-                             cfg.matrix_store())
+                             cfg.matrix_store(), digests)
     embeddings = assemble_corpus(manifest, read_scores(cfg.scores_path()), features,
                                  cfg.m, cfg.reducer_mode, cfg.standardize)
     write_feature_file(cfg.embeddings_path(), [t.id for t in manifest], embeddings,
@@ -97,15 +99,15 @@ def _embed(cfg: PipelineConfig, args) -> str:
     return f"embedded {len(embeddings)} samples, dim {4 + cfg.m}"
 
 
-def _split(cfg: PipelineConfig, args) -> str:
+def _split(cfg: PipelineConfig, args, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
     oracle = synth_mod.read_oracle(cfg.oracle_path()) if args.oracle_reports else None
     ids = [t.id for t in manifest]
     if cfg.subset_space == "image":
         data = load_features(cfg.features_path(), manifest, ("image",),
-                             cfg.matrix_store())["image"]
+                             cfg.matrix_store(), digests)["image"]
     else:
-        data = read_matrix(cfg.embeddings_path(), ids, cfg.matrix_store())
+        data = read_matrix(cfg.embeddings_path(), ids, cfg.matrix_store(), digests)
     subsets = build_subsets(ids, data, cfg.n_subsets, seed=cfg.seed,
                             capacity=cfg.capacity or None)
     reports = (None if oracle is None
@@ -125,7 +127,7 @@ def _split(cfg: PipelineConfig, args) -> str:
     return f"{cfg.n_subsets} subsets x {blob['capacity']} samples"
 
 
-def _train_selector(cfg: PipelineConfig, args) -> str:
+def _train_selector(cfg: PipelineConfig, args, digests) -> str:
     path = cfg.subsets_path() / "subsets.json"
     try:
         entries = [(int(entry["subset_id"]), tuple(entry["member_ids"]))
@@ -133,7 +135,7 @@ def _train_selector(cfg: PipelineConfig, args) -> str:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(None, f"{path}: bad subset entry ({exc!r})") from None
     rows = read_matrix(cfg.embeddings_path(), [i for _, members in entries for i in members],
-                       cfg.matrix_store())
+                       cfg.matrix_store(), digests)
     blocks = np.split(rows, np.cumsum([len(members) for _, members in entries])[:-1])
     labels = subset_labels([subset_id for subset_id, _ in entries],
                            read_eval_reports(cfg.reports_path()))
@@ -147,15 +149,16 @@ def _train_selector(cfg: PipelineConfig, args) -> str:
             f"{result.losses[-1]:.4f} over {cfg.epochs} epochs")
 
 
-def _curate(cfg: PipelineConfig, args) -> str:
+def _curate(cfg: PipelineConfig, args, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
-    features = load_features(cfg.features_path(), manifest, ("image",), cfg.matrix_store())
+    features = load_features(cfg.features_path(), manifest, ("image",), cfg.matrix_store(),
+                             digests)
     if cfg.indicator:
         cache = read_scores(cfg.scores_path())
         item_scores = indicator_matrix(manifest, cache)[:, SCORE_SLOTS.index(cfg.indicator)]
     else:
         embeddings = read_matrix(cfg.embeddings_path(), [t.id for t in manifest],
-                                 cfg.matrix_store())
+                                 cfg.matrix_store(), digests)
         item_scores = predict_items(load_selector(cfg.model_path()), embeddings)
     result = run_curation(
         manifest, item_scores, features["image"],
@@ -167,7 +170,7 @@ def _curate(cfg: PipelineConfig, args) -> str:
             f"{len(result.quotas)} clusters")
 
 
-def _report(cfg: PipelineConfig, args) -> str:
+def _report(cfg: PipelineConfig, args, digests) -> str:
     oracle = synth_mod.read_oracle(cfg.oracle_path()) if cfg.oracle_path().exists() else None
     manifest = load_manifest(cfg.manifest_path())
     report = report_mod.write_report(cfg.curated_path(), manifest, oracle, seed=cfg.seed)
@@ -183,7 +186,7 @@ def _report(cfg: PipelineConfig, args) -> str:
 @dataclass(frozen=True)
 class Stage:
     """One stage: the files it reads, the config it depends on, the files
-    it writes, and ``body(cfg, args) -> log message``.
+    it writes, and ``body(cfg, args, digests) -> log message``.
     ``handed_on`` are outputs that a later stage rewrites (``synth``'s score
     cache, which ``score`` fills): only their presence keeps the stage
     current, while the other outputs must also keep the digests recorded
@@ -192,7 +195,7 @@ class Stage:
     inputs: list[Path]
     config: dict
     outputs: list[Path]
-    body: Callable[[PipelineConfig, argparse.Namespace], str]
+    body: Callable[[PipelineConfig, argparse.Namespace, dict[Path, str]], str]
     handed_on: tuple[Path, ...] = ()
 
 
@@ -200,9 +203,9 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
     """Every stage's declared inputs, config subset and outputs.
 
     A stage reruns when the bytes of an input or a config value change, or
-    when an output is missing or its bytes changed. The config keys name
-    what a stage's output depends on; ``n`` and ``kind`` keep their
-    historical spellings so that existing fingerprints stay valid.
+    when an output is missing or its bytes changed. The outputs are every
+    file a body writes, except ``report``'s score histograms, whose number
+    depends on ``summary.json``.
     """
     def features(*names: str) -> list[Path]:
         return [cfg.features_path() / f"{name}.txt" for name in names]
@@ -214,7 +217,7 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
     return {
         "synth": Stage(
             inputs=[],
-            config={"n": cfg.synth_n, "seed": cfg.seed,
+            config={"synth_n": cfg.synth_n, "seed": cfg.seed,
                     "image_dim": cfg.image_dim, "text_dim": cfg.text_dim},
             outputs=[cfg.manifest_path(), cfg.oracle_path(), *features(*REQUIRED_MATRICES)],
             body=_synth,
@@ -242,15 +245,18 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
             config={"n_subsets": cfg.n_subsets, "capacity": cfg.capacity,
                     "seed": cfg.seed, "subset_space": cfg.subset_space,
                     "oracle": oracle_reports},
-            outputs=[subsets, *([cfg.reports_path()] if oracle_reports else [])],
+            outputs=[subsets,
+                     *(subset_manifest_path(cfg.subsets_path(), subset_id)
+                       for subset_id in range(cfg.n_subsets)),
+                     *([cfg.reports_path()] if oracle_reports else [])],
             body=_split,
         ),
         "train-selector": Stage(
             inputs=[cfg.embeddings_path(), subsets, cfg.reports_path()],
-            config={"kind": cfg.selector_kind, "d_model": cfg.d_model,
+            config={"selector_kind": cfg.selector_kind, "d_model": cfg.d_model,
                     "ff_dim": cfg.ff_dim, "layers": cfg.layers, "epochs": cfg.epochs,
                     "lr": cfg.lr, "seed": cfg.seed, "optimizer": cfg.optimizer},
-            outputs=model,
+            outputs=[*model, cfg.model_path() / "losses.json"],
             body=_train_selector,
         ),
         "curate": Stage(
@@ -259,7 +265,8 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
                       else [cfg.embeddings_path(), *model])],
             config={"k_clusters": cfg.k_clusters, "alpha": cfg.alpha, "seed": cfg.seed,
                     "clustering": cfg.clustering, "indicator": cfg.indicator},
-            outputs=[cfg.curated_path() / "selected.manifest.jsonl", summary],
+            outputs=[cfg.curated_path() / "selected.manifest.jsonl",
+                     cfg.curated_path() / "selection.jsonl", summary],
             body=_curate,
         ),
         "report": Stage(
@@ -273,16 +280,18 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
 
 
 def run_stage(name: str, cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    """Run one stage unless its fingerprint and outputs are current."""
+    """Run one stage unless its inputs, config and outputs are current, and
+    say why it ran."""
     stage = stage_table(cfg, args)[name]
     value = fingerprint(stage.inputs, stage.config)
-    if stage_is_current(cfg.workdir, name, value, [*stage.outputs, *stage.handed_on]):
+    reason = rerun_reason(cfg.workdir, name, value, [*stage.outputs, *stage.handed_on])
+    if reason is None:
         print(f"[{name}] up-to-date, skipping")
         return 0
     started = time.perf_counter()
-    message = stage.body(cfg, args)
+    message = stage.body(cfg, args, value.inputs)
     stage_mark_done(cfg.workdir, name, value, stage.outputs)
-    print(f"[{name}] {message} ({time.perf_counter() - started:.2f}s)")
+    print(f"[{name}] {message} ({time.perf_counter() - started:.2f}s), ran because {reason}")
     return 0
 
 

@@ -5,11 +5,18 @@ environment may override only the two provider endpoint URLs and the API
 credential (never hyperparameters). Unknown config keys are rejected
 outright so a typo cannot silently fall back to a default.
 
-Stage fingerprints (sha256 over input files plus the relevant config
-subset) make every pipeline stage resumable: a rerun with unchanged
-inputs is a no-op. Each stage's record also holds the sha256 of every
-output, so an output edited or damaged after the stage ran makes it run
-again.
+Stage fingerprints make every pipeline stage resumable. ``fingerprint``
+hashes each input file once per stage run, and the stage body reuses
+those digests (the feature reads look up their binary twins by them). A
+stage's record, ``.fingerprints/<stage>.sha256``, holds three maps:
+``inputs`` (path -> sha256 of the file's bytes), ``config`` (key ->
+sha256 of the value's JSON, so that an endpoint URL carrying a credential
+never reaches disk) and ``outputs`` (path -> sha256 of the file's bytes).
+Paths inside the workdir are kept relative to it, so a copied workdir
+stays current. A rerun whose inputs, config and outputs all match its
+record is a no-op; otherwise ``rerun_reason`` names the first input,
+config key or output that differs, or says that the record is missing or
+in an older format.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import MATRIX_STORE, SCORE_SLOTS, hash_file, read_json, write_json
 from .errors import BadConfig, MalformedRecord
@@ -213,21 +220,24 @@ def build_config(
 
 # -- stage fingerprints -------------------------------------------------
 
-def fingerprint(input_paths: list[Path], config_subset: dict) -> str:
-    digest = hashlib.sha256()
-    for path in sorted(Path(p) for p in input_paths):
-        digest.update(str(path.name).encode())
-        hash_file(path, digest)
-    digest.update(json.dumps(config_subset, sort_keys=True).encode())
-    return digest.hexdigest()
+class Fingerprint(NamedTuple):
+    inputs: dict[Path, str]   # input path -> sha256 of the file's bytes
+    config: dict[str, str]    # config key -> sha256 of the value's JSON
+
+
+def fingerprint(input_paths: list[Path], config_subset: dict) -> Fingerprint:
+    return Fingerprint(
+        {Path(p): hash_file(p) for p in input_paths},
+        {key: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+         for key, value in config_subset.items()})
 
 
 def _fingerprint_file(workdir: str | Path, stage: str) -> Path:
     return Path(workdir) / ".fingerprints" / f"{stage}.sha256"
 
 
-def _output_key(workdir: str | Path, path: str | Path) -> str:
-    """An output's name in a record: relative to the workdir where it lies
+def _path_key(workdir: str | Path, path: str | Path) -> str:
+    """A file's name in a record: relative to the workdir where it lies
     inside, so a copied workdir keeps its records valid."""
     path = Path(path).resolve()
     try:
@@ -236,33 +246,45 @@ def _output_key(workdir: str | Path, path: str | Path) -> str:
         return str(path)
 
 
-def stage_is_current(
-    workdir: str | Path, stage: str, value: str, outputs: list[Path]
-) -> bool:
-    """True when the stage's record holds fingerprint ``value``, every
-    output exists, and every output the record has a digest for still has
-    that digest. A record in an older format is never current."""
+def rerun_reason(
+    workdir: str | Path, stage: str, value: Fingerprint, outputs: list[Path]
+) -> str | None:
+    """Why the stage must run, or None when it is current: its record holds
+    the input and config digests of ``value``, every output exists, and
+    every output the record has a digest for still has that digest. Outputs
+    are hashed only once the inputs and config match."""
     try:
-        record = read_json(_fingerprint_file(workdir, stage), ("fingerprint", "outputs"))
+        record = read_json(_fingerprint_file(workdir, stage), ("inputs", "config", "outputs"))
+    except FileNotFoundError:
+        return "there is no record"
     except (OSError, MalformedRecord):
-        return False
-    digests = record["outputs"]
-    if record["fingerprint"] != value or not isinstance(digests, dict):
-        return False
+        return "the record is old or unreadable"
+    if not all(isinstance(record[key], dict) for key in ("inputs", "config", "outputs")):
+        return "the record is old or unreadable"
+    inputs = {_path_key(workdir, p): digest for p, digest in value.inputs.items()}
+    for kind, stored, current in (("input", record["inputs"], inputs),
+                                  ("config", record["config"], value.config)):
+        for key in sorted(stored.keys() | current.keys()):
+            if stored.get(key) != current.get(key):
+                return f"{kind} {key} changed"
     for path in outputs:
+        key = _path_key(workdir, path)
         if not Path(path).exists():
-            return False
-        stored = digests.get(_output_key(workdir, path))
-        if stored is not None and stored != hash_file(path).hexdigest():
-            return False
-    return True
+            return f"output {key} is missing"
+        stored = record["outputs"].get(key)
+        if stored is not None and stored != hash_file(path):
+            return f"output {key} changed"
+    return None
 
 
 def stage_mark_done(
-    workdir: str | Path, stage: str, value: str, outputs: Sequence[Path] = ()
+    workdir: str | Path, stage: str, value: Fingerprint, outputs: Sequence[Path] = ()
 ) -> None:
-    """Record fingerprint ``value`` and the sha256 of each of ``outputs``."""
+    """Record the digests of ``value`` and the sha256 of each of ``outputs``."""
     record = _fingerprint_file(workdir, stage)
     record.parent.mkdir(parents=True, exist_ok=True)
-    digests = {_output_key(workdir, p): hash_file(p).hexdigest() for p in outputs}
-    write_json(record, {"fingerprint": value, "outputs": digests})
+    write_json(record, {
+        "inputs": {_path_key(workdir, p): digest for p, digest in value.inputs.items()},
+        "config": value.config,
+        "outputs": {_path_key(workdir, p): hash_file(p) for p in outputs},
+    })

@@ -17,13 +17,14 @@ text again. ``<workdir>/.matrices/`` holds, for each feature file, one
 twin keyed by the sha256 of the text's bytes: ``<stem>.<sha256>.npy`` (the
 matrix in file row order) and ``<stem>.<sha256>.ids.npy`` (its ids, as
 the UTF-8 bytes of their newline-joined text, which hold them exactly).
-``write_feature_file`` writes the twin beside the text, and
-``read_matrix`` loads it when the text's current bytes hash to its key, so
-an edited text file is parsed again. A twin is trusted like the score
-cache: a twin that cannot be read, is not a finite float64 matrix, or
-whose row count differs from its id count is a miss, never an error; a miss
-parses the text and writes its twin, unless the text changed while it was
-parsed. The
+``write_feature_file`` writes the twin beside the text. ``read_matrix``
+is given the text's sha256, the input digest that the stage's fingerprint
+record holds (see config.py), and loads the twin with that key, so an
+edited text file is parsed again without being hashed twice. A twin is
+trusted like the score cache: a twin that cannot be read, is not a finite
+float64 matrix, or whose row count differs from its id count is a miss,
+never an error; a miss parses the text and writes its twin, unless the
+text's bytes no longer hash to the given digest after the parse. The
 store lies under the workdir, not beside the text, because the feature
 directory may be a read-only encoder output.
 
@@ -56,7 +57,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -119,14 +120,14 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         tmp.unlink(missing_ok=True)
 
 
-def hash_file(path: str | Path, digest=None):
-    """``digest`` (a new sha256 when None) updated with the bytes of
-    ``path``, read in 1 MiB chunks so that a large file is never held whole."""
-    digest = hashlib.sha256() if digest is None else digest
+def hash_file(path: str | Path) -> str:
+    """The hex sha256 of the bytes of ``path``, read in 1 MiB chunks so
+    that a large file is never held whole."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    return digest
+    return digest.hexdigest()
 
 
 # -- JSON record framing ---------------------------------------------------
@@ -287,21 +288,24 @@ def write_feature_file(
         _write_twin(Path(store), Path(path).stem, digest.hexdigest(), ids, matrix)
 
 
-def read_matrix(path: str | Path, ids: list[str], store: str | Path) -> np.ndarray:
+def read_matrix(
+    path: str | Path, ids: list[str], store: str | Path, digests: Mapping[Path, str]
+) -> np.ndarray:
     """The rows of a feature file for ``ids``, in that order, as an (N, dim)
     array. An id the file lacks raises MissingFeature named after the
-    file's stem (``image``, ``embeddings``, ...). The rows come from the
-    twin in ``store`` of the file's current bytes; only when there is none
-    is the text parsed, and its twin written."""
+    file's stem (``image``, ``embeddings``, ...). ``digests`` maps the path
+    to the sha256 of the file's bytes, as the stage's fingerprint took it.
+    The rows come from the twin in ``store`` with that key; only when there
+    is none is the text parsed, and its twin written."""
     path, store = Path(path), Path(store)
-    digest = hash_file(path).hexdigest()
+    digest = digests[path]
     twin = _read_twin(store, path.stem, digest)
     if twin is None:
         rows, dim = read_feature_file(path)
         twin = list(rows), np.array(list(rows.values())).reshape(len(rows), dim)
         # the twin is keyed by the bytes that were parsed: text replaced
-        # between the hash and the parse gets none
-        if hash_file(path).hexdigest() == digest:
+        # since it was fingerprinted gets none
+        if hash_file(path) == digest:
             _write_twin(store, path.stem, digest, *twin)
     file_ids, matrix = twin
     # a repeated id keeps its first position and its last row, as the parse does
@@ -319,10 +323,11 @@ def load_features(
     manifest: list[Triplet],
     names: tuple[str, ...],
     store: str | Path,
+    digests: Mapping[Path, str],
 ) -> dict[str, np.ndarray]:
     """One (N, dim) matrix per ``<name>.txt`` file, rows in manifest order."""
     ids = [t.id for t in manifest]
-    return {name: read_matrix(Path(feature_dir) / f"{name}.txt", ids, store)
+    return {name: read_matrix(Path(feature_dir) / f"{name}.txt", ids, store, digests)
             for name in names}
 
 

@@ -47,6 +47,10 @@ def build_subsets(
     return [tuple(ids[i] for i in np.flatnonzero(labels == j)) for j in range(n)]
 
 
+def subset_manifest_path(out_dir: str | Path, subset_id: int) -> Path:
+    return Path(out_dir) / f"subset_{subset_id:03d}.manifest.jsonl"
+
+
 def write_subset_manifests(
     subsets: list[tuple[str, ...]], manifest: list[Triplet], out_dir: str | Path
 ) -> list[Path]:
@@ -56,7 +60,7 @@ def write_subset_manifests(
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for subset_id, members in enumerate(subsets):
-        path = out_dir / f"subset_{subset_id:03d}.manifest.jsonl"
+        path = subset_manifest_path(out_dir, subset_id)
         write_manifest([by_id[i] for i in members], path)
         paths.append(path)
     return paths

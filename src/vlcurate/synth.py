@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import PipelineConfig
 from .corpus import (
     ScoreCache,
     ScoreRecord,
@@ -149,17 +150,19 @@ def generate(
     return SynthCorpus(manifest=manifest, features=features, scores=scores, oracle=oracle)
 
 
-def write_corpus(corpus: SynthCorpus, out_dir: str | Path, store: str | Path) -> None:
-    """Write ``corpus`` under ``out_dir``, with the twins of its feature
-    files in ``store``."""
-    out_dir = Path(out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    write_manifest(corpus.manifest, out_dir / "manifest.jsonl")
+def write_corpus(corpus: SynthCorpus, cfg: PipelineConfig) -> None:
+    """Write ``corpus`` to the paths ``cfg`` names, with the twins of its
+    feature files in ``cfg``'s matrix store."""
+    cfg.features_path().mkdir(parents=True, exist_ok=True)
+    for path in (cfg.manifest_path(), cfg.scores_path(), cfg.oracle_path()):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    write_manifest(corpus.manifest, cfg.manifest_path())
     ids = [t.id for t in corpus.manifest]
     for name, matrix in corpus.features.items():
-        write_feature_file(out_dir / "features" / f"{name}.txt", ids, matrix, store)
-    write_scores(corpus.scores, out_dir / "scores.jsonl")
-    write_oracle(corpus.oracle, out_dir / "oracle.jsonl")
+        write_feature_file(cfg.features_path() / f"{name}.txt", ids, matrix,
+                           cfg.matrix_store())
+    write_scores(corpus.scores, cfg.scores_path())
+    write_oracle(corpus.oracle, cfg.oracle_path())
 
 
 def write_oracle(oracle: dict[str, float], path: str | Path) -> None:

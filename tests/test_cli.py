@@ -8,12 +8,15 @@ import json
 import os
 import re
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vlcurate import cli
+from vlcurate import config as config_mod
+from vlcurate import corpus as corpus_mod
 from vlcurate.cli import build_parser, main, stage_table
 from vlcurate.config import (
     PipelineConfig,
@@ -21,7 +24,7 @@ from vlcurate.config import (
     config_keys,
     fingerprint,
     read_config_file,
-    stage_is_current,
+    rerun_reason,
     stage_mark_done,
 )
 from vlcurate.corpus import hash_file, load_manifest, read_feature_file, read_scores
@@ -141,12 +144,18 @@ def test_flag_names_are_config_keys():
 # ------------------------------------------------------------ fingerprints
 
 def test_fingerprint_value_is_pinned(tmp_path):
-    # the value the whole-file hashing gave: chunked reads must feed the same
-    # bytes in the same order, so that existing workdirs stay current
+    # the digests whole-file hashing gives: chunked reads must feed the same
+    # bytes in the same order, and a config value's digest must keep its
+    # form, so that existing workdirs stay current
     (tmp_path / "b.txt").write_bytes(b"hello\n")
     (tmp_path / "a.bin").write_bytes(bytes(range(256)) * 5000)   # > one 1 MiB chunk
+    big = "7d471e4af16db5a30ce10aebbc29f5178b2edbad6c7dc2e8ff8ee6e4848a726f"
+    assert hash_file(tmp_path / "a.bin") == big
     assert fingerprint([tmp_path / "b.txt", tmp_path / "a.bin"], {"m": 6, "seed": 0}) == (
-        "8a58b0244912a30314907ce6101306c5fcee467ce2c49d6ada3ac529e05475c4")
+        {tmp_path / "b.txt": "5891b5b522d5df086d0ff0b110fbd9d21bb4fc7163af34d08286a2e846f6be03",
+         tmp_path / "a.bin": big},
+        {"m": "e7f6c011776e8db7cd330b54174fd76f7d0216b612387a5ffcfb81e6f0919683",
+         "seed": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"})
 
 
 def test_fingerprint_tracks_inputs_and_config(tmp_path):
@@ -160,26 +169,52 @@ def test_fingerprint_tracks_inputs_and_config(tmp_path):
 
 
 def test_stage_current_roundtrip(tmp_path):
-    out = tmp_path / "out.txt"
-    assert not stage_is_current(tmp_path, "demo", "abc", [out])
-    stage_mark_done(tmp_path, "demo", "abc")
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("a", encoding="utf-8")
+    value = fingerprint([src], {"k": 1})
+    assert rerun_reason(tmp_path, "demo", value, [out]) == "there is no record"
+    stage_mark_done(tmp_path, "demo", value)
     # fingerprint recorded but the output is missing
-    assert not stage_is_current(tmp_path, "demo", "abc", [out])
+    assert rerun_reason(tmp_path, "demo", value, [out]) == "output out.txt is missing"
     out.write_text("x", encoding="utf-8")
-    assert stage_is_current(tmp_path, "demo", "abc", [out])
-    assert not stage_is_current(tmp_path, "demo", "other", [out])
+    assert rerun_reason(tmp_path, "demo", value, [out]) is None
+    assert rerun_reason(tmp_path, "demo", fingerprint([src], {"k": 2}), [out]) == (
+        "config k changed")
+    assert rerun_reason(tmp_path, "demo", fingerprint([src], {"k": 1, "j": 0}), [out]) == (
+        "config j changed")
+    src.write_text("b", encoding="utf-8")
+    assert rerun_reason(tmp_path, "demo", fingerprint([src], {"k": 1}), [out]) == (
+        "input in.txt changed")
+    assert rerun_reason(tmp_path, "demo", fingerprint([], {"k": 1}), [out]) == (
+        "input in.txt changed")
 
 
 def test_stage_current_checks_output_digests(tmp_path):
     out = tmp_path / "out.txt"
     out.write_text("x", encoding="utf-8")
-    stage_mark_done(tmp_path, "demo", "abc", [out])
-    assert stage_is_current(tmp_path, "demo", "abc", [out])
+    value = fingerprint([], {})
+    stage_mark_done(tmp_path, "demo", value, [out])
+    assert rerun_reason(tmp_path, "demo", value, [out]) is None
     out.write_text("y", encoding="utf-8")
-    assert not stage_is_current(tmp_path, "demo", "abc", [out])
-    # a record in the older one-line format reruns its stage once
-    (tmp_path / ".fingerprints" / "demo.sha256").write_text("abc\n", encoding="utf-8")
-    assert not stage_is_current(tmp_path, "demo", "abc", [out])
+    assert rerun_reason(tmp_path, "demo", value, [out]) == "output out.txt changed"
+    # records in the older formats rerun their stage once
+    record = tmp_path / ".fingerprints" / "demo.sha256"
+    for old in ("abc\n", json.dumps({"fingerprint": "abc", "outputs": {}})):
+        record.write_text(old, encoding="utf-8")
+        assert rerun_reason(tmp_path, "demo", value, [out]) == "the record is old or unreadable"
+
+
+def test_record_holds_digests_not_config_values(tmp_path):
+    # a provider URL may carry a credential in its query string
+    src = tmp_path / "in.txt"
+    src.write_text("a", encoding="utf-8")
+    value = fingerprint([src], {"reward_url": "http://x.example/r?key=sekrit"})
+    stage_mark_done(tmp_path, "demo", value, [src])
+    text = (tmp_path / ".fingerprints" / "demo.sha256").read_text(encoding="utf-8")
+    assert "sekrit" not in text
+    assert json.loads(text) == {"inputs": {"in.txt": hash_file(src)},
+                                "config": value.config,
+                                "outputs": {"in.txt": hash_file(src)}}
 
 
 # ------------------------------------------------------------------ report
@@ -474,7 +509,7 @@ def test_stages_read_only_declared_files(pipeline, tmp_path, monkeypatch):
         if path.parent != store or match is None:
             return path
         texts = [p for p in root.rglob("*") if p.is_file() and p.parent != store
-                 and p.stem == match[1] and hash_file(p).hexdigest() == match[2]]
+                 and p.stem == match[1] and hash_file(p) == match[2]]
         return texts[0] if len(texts) == 1 else path
 
     in_body = [False]
@@ -522,6 +557,122 @@ def test_variant_without_embeddings_skips_after_re_embed(pipeline, tmp_path, cap
     capsys.readouterr()
     assert main([*argv, "--workdir", str(work)]) == 0
     assert f"[{argv[0]}] up-to-date, skipping" in capsys.readouterr().out
+
+
+def test_rerun_line_names_what_changed(pipeline, tmp_path, capsys):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    with open(work / "scores.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    capsys.readouterr()
+    assert main(["embed", "--workdir", str(work)]) == 0
+    assert re.fullmatch(r"\[embed\] embedded 60 samples, dim 10 \(\d+\.\d\ds\), "
+                        r"ran because input scores\.jsonl changed\n", capsys.readouterr().out)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 9\n", encoding="utf-8")
+    assert main(["curate", "--config", str(cfg), "--clusters", "3", "--seed", "0",
+                 "--workdir", str(work)]) == 0
+    assert capsys.readouterr().out.endswith(", ran because config alpha changed\n")
+
+
+def test_synth_writes_the_configured_paths(tmp_path, capsys):
+    """``manifest``, ``oracle``, ``scores`` and ``features_dir`` may name
+    files outside the workdir; ``synth`` writes them there and the later
+    stages read them there."""
+    away = tmp_path / "away"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"manifest = {away}/m.jsonl\noracle = {away}/q/o.jsonl\n"
+                   f"scores = {away}/s/s.jsonl\nfeatures_dir = {away}/f\n", encoding="utf-8")
+    work = tmp_path / "work"
+    stages = (["synth", "--n", "40", "--seed", "0"], ["score"], ["embed"])
+    for argv in stages:
+        assert main([*argv, "--config", str(cfg), "--workdir", str(work)]) == 0, argv
+    assert sorted(p.relative_to(away).as_posix() for p in away.rglob("*.*")) == [
+        "f/image.txt", "f/text_clip.txt", "f/text_llm.txt", "m.jsonl", "q/o.jsonl",
+        "s/s.jsonl"]
+    assert sorted(p.name for p in work.iterdir()) == [
+        ".fingerprints", ".matrices", "embeddings.txt"]
+    capsys.readouterr()
+    for argv in stages:
+        assert main([*argv, "--config", str(cfg), "--workdir", str(work)]) == 0, argv
+    assert capsys.readouterr().out.count("up-to-date, skipping") == len(stages)
+
+
+def _stamps(work):
+    """(inode, mtime) of each file under ``work`` outside the fingerprint
+    records and the twin store."""
+    return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in work.rglob("*")
+            if p.is_file() and p.relative_to(work).parts[0] not in (".fingerprints", ".matrices")}
+
+
+def test_every_written_file_is_declared(tmp_path):
+    """A stage body writes only its declared outputs, apart from the score
+    histograms of ``report``, whose number comes from ``summary.json``."""
+    work = tmp_path / "work"
+    for argv in STAGES + VARIANTS:
+        entry = _stage_entry(work, argv)
+        before = _stamps(work)
+        assert main([*argv, "--workdir", str(work)]) == 0, argv
+        written = {p for p, stamp in _stamps(work).items() if before.get(p) != stamp}
+        if argv[0] == "report":
+            written = {p for p in written if p.suffix != ".svg"}
+        declared = {Path(p) for p in [*entry.outputs, *entry.handed_on]}
+        assert written and written <= declared, (
+            argv[0], sorted(str(p.relative_to(work)) for p in written - declared))
+
+
+def test_deleting_a_declared_output_reruns_its_stage(pipeline, tmp_path, capsys):
+    checked = 0
+    for argv in STAGES:
+        entry = _stage_entry(pipeline, argv)
+        for index, path in enumerate([*entry.outputs, *entry.handed_on]):
+            work = tmp_path / f"{argv[0]}-{index}"
+            shutil.copytree(pipeline, work)
+            lost = work / Path(path).relative_to(pipeline)
+            lost.unlink()
+            capsys.readouterr()
+            code = main([*argv, "--workdir", str(work)])
+            out, err = capsys.readouterr()
+            assert "up-to-date" not in out, (argv[0], lost)
+            if argv[0] == "score":   # the cache provider cannot fetch scores again
+                assert code == 1 and "error[MissingScore]" in err
+                continue
+            key = lost.relative_to(work).as_posix()
+            assert code == 0 and f"ran because output {key} is missing" in out
+            assert lost.exists()
+            checked += 1
+    assert checked >= 20
+
+
+def test_each_file_is_hashed_once_per_stage(tmp_path, monkeypatch):
+    """``embed`` hashes each declared input once, in its fingerprint, and its
+    output once, for its record; the feature reads reuse the inputs' digests.
+    A twin miss hashes the feature file once more, after the parse."""
+    work = tmp_path / "work"
+    run_stages(work, STAGES[:2])
+    hashed = []
+    real = corpus_mod.hash_file
+
+    def counting(path):
+        hashed.append((Path(path).resolve(), Path(path).stat().st_size))
+        return real(path)
+
+    for module in (config_mod, corpus_mod):
+        monkeypatch.setattr(module, "hash_file", counting)
+    entry = _stage_entry(work, ["embed"])
+    inputs = [Path(p).resolve() for p in entry.inputs]
+    [output] = [Path(p).resolve() for p in entry.outputs]
+    features = [p for p in inputs if p.parent.name == "features"]
+    assert len(features) == 2
+    for misses in ([], features):
+        hashed.clear()
+        assert main(["embed", "--workdir", str(work)]) == 0
+        want = [*inputs, *misses, output]
+        assert Counter(p for p, _ in hashed) == Counter(want)
+        assert sum(size for _, size in hashed) == sum(p.stat().st_size for p in want)
+        # the next run: no record and no twins
+        shutil.rmtree(work / ".matrices")
+        (work / ".fingerprints" / "embed.sha256").unlink()
 
 
 def test_score_non_numeric_feature_exits_1(tmp_path, capsys):
@@ -709,8 +860,16 @@ def test_non_utf8_input_exits_1(pipeline, tmp_path, capsys, argv, relpath, error
 @pytest.mark.parametrize("garbage", [
     b"", b"\xff\xfe", DEEP.encode(), b'{"fingerprint": ' + BIG_INT.encode() + b"}",
     b"[]", b'{"fingerprint": null}', b'{"fingerprint": "x", "outputs": []}',
+    b'{"inputs": [], "config": {}, "outputs": {}}',
+    b'{"inputs": {}, "config": null, "outputs": {}}',
+    b'{"inputs": {}, "config": {}}',
+    b'{"inputs": {}, "config": {}, "outputs": {}}',
+    b'{"inputs": {"manifest.jsonl": 1}, "config": {"seed": [0]}, "outputs": {}}',
+    b'{"inputs": {"manifest.jsonl": {"a": ' + BIG_INT.encode() + b'}}, "config": {}, '
+    b'"outputs": {}}',
 ], ids=["empty", "non-utf8", "deep", "big-int", "not-object", "no-outputs",
-        "outputs-not-object"])
+        "outputs-not-object", "inputs-not-object", "config-null", "no-outputs-map",
+        "empty-maps", "digests-not-strings", "digest-big-int"])
 def test_garbage_fingerprint_record_reruns_stage(pipeline, tmp_path, capsys, garbage):
     work = tmp_path / "work"
     shutil.copytree(pipeline, work)
@@ -720,6 +879,7 @@ def test_garbage_fingerprint_record_reruns_stage(pipeline, tmp_path, capsys, gar
     assert main([*REPORT, "--workdir", str(work)]) == 0
     out = capsys.readouterr().out
     assert "[report] wrote" in out and "up-to-date" not in out
+    assert "ran because " in out
     assert main([*REPORT, "--workdir", str(work)]) == 0
     assert "[report] up-to-date, skipping" in capsys.readouterr().out
 

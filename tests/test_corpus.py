@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vlcurate import corpus
-from vlcurate.config import build_config, config_keys, stage_is_current
+from vlcurate.config import Fingerprint, build_config, config_keys, rerun_reason
 from vlcurate.corpus import (
     ScoreCache,
     ScoreRecord,
     Triplet,
+    hash_file,
     load_features,
     load_manifest,
     read_feature_file,
@@ -174,6 +175,11 @@ def test_feature_file_non_numeric_entry(tmp_path):
     assert err.value.line_no == 3
 
 
+def _digests(feature_dir, names):
+    paths = [feature_dir / f"{name}.txt" for name in names]
+    return {path: hash_file(path) for path in paths}
+
+
 def test_load_features_consistent_store(tmp_path):
     manifest = [Triplet("a", "x", "q", "r"), Triplet("b", "y", "q", "r")]
     rng = np.random.default_rng(0)
@@ -182,7 +188,8 @@ def test_load_features_consistent_store(tmp_path):
             "text_llm": rng.normal(size=(2, 8))}
     for name, m in mats.items():
         write_feature_file(tmp_path / f"{name}.txt", ["a", "b"], m, tmp_path / ".matrices")
-    loaded = load_features(tmp_path, manifest, tuple(mats), tmp_path / ".matrices")
+    loaded = load_features(tmp_path, manifest, tuple(mats), tmp_path / ".matrices",
+                           _digests(tmp_path, mats))
     assert loaded.keys() == mats.keys()
     assert loaded["image"].shape == (2, 4) and loaded["text_llm"].shape == (2, 8)
     assert np.array_equal(loaded["text_llm"][1], mats["text_llm"][1])
@@ -195,7 +202,8 @@ def test_load_features_missing_row(tmp_path):
     write_feature_file(tmp_path / "text_clip.txt", ["a", "b"], np.ones((2, 4)), store)
     write_feature_file(tmp_path / "text_llm.txt", ["a", "b"], np.ones((2, 8)), store)
     with pytest.raises(MissingFeature) as err:
-        load_features(tmp_path, manifest, ("image", "text_clip", "text_llm"), store)
+        load_features(tmp_path, manifest, ("image", "text_clip", "text_llm"), store,
+                      _digests(tmp_path, ("image", "text_clip", "text_llm")))
     assert (err.value.sample_id, err.value.matrix) == ("b", "image")
 
 
@@ -203,7 +211,8 @@ def test_feature_store_rejects_nan(tmp_path):
     manifest = [Triplet("a", "x", "q", "r")]
     (tmp_path / "image.txt").write_text("id 2\na 1.0 nan\n", encoding="utf-8")
     with pytest.raises(NonFiniteFeature):
-        load_features(tmp_path, manifest, ("image",), tmp_path / ".matrices")
+        load_features(tmp_path, manifest, ("image",), tmp_path / ".matrices",
+                      _digests(tmp_path, ("image",)))
 
 
 def test_feature_store_rejects_row_mismatch():
@@ -215,6 +224,11 @@ def test_feature_store_rejects_row_mismatch():
 
 
 # -- binary twins -------------------------------------------------------------
+
+def _read_matrix(path, ids, store):
+    """``read_matrix`` given the digest a stage's fingerprint passes it."""
+    return read_matrix(path, ids, store, {path: hash_file(path)})
+
 
 def _twins(store):
     return sorted(p.name for p in store.iterdir()) if store.exists() else []
@@ -246,7 +260,7 @@ def test_twin_hit_is_bit_equal_to_parse(tmp_path, monkeypatch, ids):
     write_feature_file(path, ["a", "b", "c", "d"], mat, store)
     parsed = _parse(path, ids)
     _no_parse(monkeypatch)
-    got = read_matrix(path, ids, store)
+    got = _read_matrix(path, ids, store)
     assert got.dtype == np.float64 and got.shape == (len(ids), 3)
     assert got.tobytes() == parsed.tobytes()
 
@@ -262,7 +276,7 @@ def test_twin_of_repeated_ids_keeps_first_position_and_last_row(tmp_path, monkey
         assert np.array_equal(parsed[ids.index("a")], mat[2])
         with monkeypatch.context() as patch:
             _no_parse(patch)
-            assert read_matrix(path, ids, store).tobytes() == parsed.tobytes()
+            assert _read_matrix(path, ids, store).tobytes() == parsed.tobytes()
 
 
 def test_twin_keeps_ids_that_differ_only_by_a_trailing_nul(tmp_path, monkeypatch):
@@ -271,13 +285,13 @@ def test_twin_keeps_ids_that_differ_only_by_a_trailing_nul(tmp_path, monkeypatch
     for ids in (["a", "a\x00"], ["a\x00"], ["a"]):
         with monkeypatch.context() as patch:
             _no_parse(patch)
-            assert read_matrix(path, ids, store).tobytes() == _parse(path, ids).tobytes()
+            assert _read_matrix(path, ids, store).tobytes() == _parse(path, ids).tobytes()
     # the twin a miss writes holds them apart as well
     for twin in store.iterdir():
         twin.unlink()
-    assert np.array_equal(read_matrix(path, ["a\x00", "a"], store), [[2.0], [1.0]])
+    assert np.array_equal(_read_matrix(path, ["a\x00", "a"], store), [[2.0], [1.0]])
     _no_parse(monkeypatch)
-    assert np.array_equal(read_matrix(path, ["a\x00", "a"], store), [[2.0], [1.0]])
+    assert np.array_equal(_read_matrix(path, ["a\x00", "a"], store), [[2.0], [1.0]])
 
 
 def test_text_replaced_during_a_miss_gets_no_twin(tmp_path, monkeypatch):
@@ -291,10 +305,10 @@ def test_text_replaced_during_a_miss_gets_no_twin(tmp_path, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(corpus, "read_feature_file", replaced_then_parsed)
-        assert np.array_equal(read_matrix(path, ["a"], store), [[2.0]])
+        assert np.array_equal(_read_matrix(path, ["a"], store), [[2.0]])
     assert _twins(store) == []
     path.write_bytes(b"id 1\na 1.0\n")
-    assert np.array_equal(read_matrix(path, ["a"], store), [[1.0]])
+    assert np.array_equal(_read_matrix(path, ["a"], store), [[1.0]])
 
 
 def test_twin_sees_a_same_size_edit(tmp_path, monkeypatch):
@@ -305,12 +319,12 @@ def test_twin_sees_a_same_size_edit(tmp_path, monkeypatch):
     text = path.read_bytes()
     path.write_bytes(text.replace(b"1.25", b"1.75"))
     assert path.stat().st_size == len(text)
-    got = read_matrix(path, ["b", "a"], store)
+    got = _read_matrix(path, ["b", "a"], store)
     assert np.array_equal(got, [[2.0, -3.5], [0.5, 1.75]])
     # the edit's twin replaced the old one, and the next read is a hit
     assert len(_twins(store)) == 2 and not set(_twins(store)) & set(first)
     _no_parse(monkeypatch)
-    assert np.array_equal(read_matrix(path, ["a"], store), [[0.5, 1.75]])
+    assert np.array_equal(_read_matrix(path, ["a"], store), [[0.5, 1.75]])
 
 
 def test_twin_pruning_keeps_other_stems(tmp_path):
@@ -354,10 +368,10 @@ def test_damaged_twin_is_a_miss_that_gets_rewritten(tmp_path, monkeypatch, damag
     twin = next(store.glob("image.*[0-9a-f].npy"))
     good = twin.read_bytes()
     twin.write_bytes(damage(good))
-    assert np.array_equal(read_matrix(path, ["b", "a"], store), mat[::-1])
+    assert np.array_equal(_read_matrix(path, ["b", "a"], store), mat[::-1])
     assert twin.read_bytes() == good
     _no_parse(monkeypatch)
-    assert np.array_equal(read_matrix(path, ["a", "b"], store), mat)
+    assert np.array_equal(_read_matrix(path, ["a", "b"], store), mat)
 
 
 def _id_text(text: bytes) -> bytes:
@@ -376,7 +390,7 @@ def test_damaged_twin_ids_are_a_miss(tmp_path, ids_bytes):
     ids_twin = next(store.glob("image.*.ids.npy"))
     good = ids_twin.read_bytes()
     ids_twin.write_bytes(ids_bytes)
-    assert np.array_equal(read_matrix(path, ["b", "a"], store), mat[::-1])
+    assert np.array_equal(_read_matrix(path, ["b", "a"], store), mat[::-1])
     assert ids_twin.read_bytes() == good
 
 
@@ -409,7 +423,7 @@ def test_any_twin_bytes_raise_only_typed_errors(tmp_path, data, which):
     name = "image.*.ids.npy" if which == "ids" else "image.*[0-9a-f].npy"
     next(store.glob(name)).write_bytes(data)
     try:
-        read_matrix(path, ["a", "b"], store)
+        _read_matrix(path, ["a", "b"], store)
     except VlcurateError:
         pass
 
@@ -434,7 +448,7 @@ def test_foreign_text_without_twin_raises_as_before(tmp_path, text, ids, error):
             read_feature_file(path)
         expected = parse.value
     with pytest.raises(error) as stored:
-        read_matrix(path, ids, store)
+        _read_matrix(path, ids, store)
     assert str(stored.value) == str(expected)
     # only text that parses gets a twin
     assert bool(_twins(store)) == (error is MissingFeature)
@@ -449,9 +463,9 @@ def test_text_that_does_not_parse_back_gets_no_twin(tmp_path):
     write_feature_file(tmp_path / "e.txt", ["x"], np.ones((1, 0)), store)
     assert _twins(store) == []
     with pytest.raises(DimensionMismatch):
-        read_matrix(tmp_path / "a.txt", ["z"], store)
+        _read_matrix(tmp_path / "a.txt", ["z"], store)
     with pytest.raises(NonFiniteFeature):
-        read_matrix(tmp_path / "d.txt", ["x"], store)
+        _read_matrix(tmp_path / "d.txt", ["x"], store)
 
 
 # -- score cache ---------------------------------------------------------
@@ -584,7 +598,7 @@ def test_json_readers_reject_with_line_number(tmp_path, line):
 
 _KEYS = ("id", "image_path", "instruction", "response", "clip", "length", "reward",
          "gpt", "q", "subset_id", "scores", "version", "kind", "input_dim", "d_model",
-         "ff_dim", "layers", "n_params", "fingerprint", "outputs")
+         "ff_dim", "layers", "n_params", "fingerprint", "inputs", "config", "outputs")
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
@@ -614,7 +628,8 @@ _READERS = {
     "features": read_feature_file,
     "json": read_json,
     "meta": _read_meta,
-    "fingerprint": lambda path: stage_is_current(path.parent, "x", "f", []),
+    "fingerprint": lambda path: rerun_reason(
+        path.parent, "x", Fingerprint({path: "0" * 64}, {"seed": "0" * 64}), [path]),
 }
 
 

@@ -6,6 +6,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from vlcurate.config import PipelineConfig
 from vlcurate.errors import BadConfig, MalformedRecord
 from vlcurate.indicators import indicator_matrix, length_score, score_corpus
 from vlcurate.numerics import spearman
@@ -88,7 +89,7 @@ def test_write_corpus_byte_identical(tmp_path):
         "features/text_llm.txt",
     ]
     for run in ("one", "two"):
-        write_corpus(generate(45, seed=11), tmp_path / run, tmp_path / run / ".matrices")
+        write_corpus(generate(45, seed=11), PipelineConfig(workdir=str(tmp_path / run)))
     twins = sorted(p.name for p in (tmp_path / "one" / ".matrices").iterdir())
     assert len(twins) == 6
     assert twins == sorted(p.name for p in (tmp_path / "two" / ".matrices").iterdir())
