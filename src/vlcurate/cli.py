@@ -204,8 +204,8 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
 
     A stage reruns when the bytes of an input or a config value change, or
     when an output is missing or its bytes changed. The outputs are every
-    file a body writes, except ``report``'s score histograms, whose number
-    depends on ``summary.json``.
+    file a body writes; ``report``'s cluster histograms are counted from
+    ``summary.json``.
     """
     def features(*names: str) -> list[Path]:
         return [cfg.features_path() / f"{name}.txt" for name in names]
@@ -273,7 +273,8 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
             inputs=[cfg.manifest_path(), summary,
                     *([cfg.oracle_path()] if cfg.oracle_path().exists() else [])],
             config={"seed": cfg.seed},
-            outputs=[cfg.curated_path() / "report.json"],
+            outputs=[cfg.curated_path() / "report.json",
+                     *report_mod.declared_plots(cfg.curated_path())],
             body=_report,
         ),
     }

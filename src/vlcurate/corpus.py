@@ -57,7 +57,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, TextIO
+from typing import IO, Callable, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -128,6 +128,16 @@ def hash_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def remove_numbered(directory: Path, name: Callable[[int], str], count: int) -> None:
+    """Delete the files ``name(j)`` for j >= count from ``directory``, which
+    a run that wrote more of them left behind. A file whose first number
+    spells j differently from ``name(j)`` is kept."""
+    for path in directory.iterdir():
+        number = re.search(r"\d+", path.name)
+        if number and int(number[0]) >= count and path.name == name(int(number[0])):
+            path.unlink()
 
 
 # -- JSON record framing ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Quota allocation and final sample selection.
 
-The corpus is spectrally clustered into k groups on image features, each
+The corpus is spectrally clustered into k groups on image features (the
+landmark graph of ``numerics.spectral_embedding``, linear in N), each
 cluster i gets a quota |S_i| = round-of(alpha * |D_i| / N) via largest
 remainder apportionment, and the quota is filled with the cluster's
 top-scoring samples. The union of per-cluster picks is the curated set of

@@ -94,10 +94,6 @@ class DegenerateAffinity(VlcurateError):
     pass
 
 
-class EigensolverNotConverged(VlcurateError):
-    pass
-
-
 # -- quality labels ----------------------------------------------------
 
 class EmptyReport(VlcurateError):

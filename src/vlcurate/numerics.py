@@ -1,13 +1,13 @@
 """Deterministic numerical engines: PCA, k-means++, spectral clustering.
 
 Everything is seeded and pure: identical (data, seed) always reproduces
-identical output. ``np.linalg.eigh`` solves PCA's d x d covariance (and
-the small projected matrix inside ``top_eigenpairs``). Spectral
-clustering never forms the N x N Laplacian or decomposes it whole: it
-builds the normalized affinity in place in one N x N buffer and takes its
-k leading eigenpairs from a seeded block Krylov solver. Tests cross-check
-the results against independent brute-force routes, dense ``eigh`` of the
-Laplacian among them.
+identical output. ``np.linalg.eigh`` solves PCA's d x d covariance and
+the p x p landmark Gram of spectral clustering. Spectral clustering is
+landmark-based (Chen & Cai, AAAI 2011): instead of an N x N affinity it
+links each point to a few of p seeded landmark rows, so its memory and
+time grow linearly in N. Tests cross-check the results against
+independent brute-force routes, dense ``eigh`` of the landmark graph's
+N x N affinity among them.
 
 Balanced k-means adds a capacity post-pass on top of standard Lloyd:
 each oversized cluster keeps its ``capacity`` closest members, evicted
@@ -26,7 +26,6 @@ from .errors import (
     BadRank,
     DegenerateAffinity,
     DimensionMismatch,
-    EigensolverNotConverged,
     InfeasibleCapacity,
     TooManyClusters,
 )
@@ -34,19 +33,10 @@ from .errors import (
 LLOYD_MAX_ITER = 300
 DEFAULT_RESTARTS = 10
 
-# top_eigenpairs: the block is k + EIG_OVERSAMPLE columns wide (at most N),
-# a Krylov basis holds at most EIG_DEPTH blocks before a restart, and a Ritz
-# pair has converged when |M u - theta u| <= EIG_TOL for unit u (an absolute
-# bound, sized for |M| <= 1 as for a normalized affinity). A new direction
-# shorter than EIG_DROP of its column's length is rounding noise and is not
-# added to the basis. The start block is seeded, so the same matrix always
-# gives bit-identical eigenpairs.
-EIG_OVERSAMPLE = 6
-EIG_DEPTH = 24
-EIG_TOL = 1e-10
-EIG_MAX_RESTARTS = 10
-EIG_DROP = 1e-13
-EIG_SEED = 0
+# spectral_embedding: at most LANDMARKS landmark rows, each point linked to
+# its NEIGHBOURS nearest landmarks
+LANDMARKS = 500
+NEIGHBOURS = 5
 
 
 # -- PCA -----------------------------------------------------------------
@@ -110,10 +100,13 @@ class ClusterAssignment:
     inertia_history: list[float] | None = None
 
 
-def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """|x|^2 - 2 x.c + |c|^2, clamped at zero, built in one (N, k) buffer."""
+def _squared_distances(
+    data: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """|x|^2 - 2 x.c + |c|^2, clamped at zero, built in one (N, k) buffer;
+    ``sq_norms`` holds the rows' |x|^2, which callers compute once."""
     d2 = (2.0 * data) @ centroids.T
-    np.subtract((data * data).sum(axis=1)[:, None], d2, out=d2)
+    np.subtract(sq_norms[:, None], d2, out=d2)
     d2 += (centroids * centroids).sum(axis=1)[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
@@ -135,14 +128,14 @@ def _dsq_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _lloyd(
-    data: np.ndarray, centroids: np.ndarray
+    data: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     n, k = data.shape[0], centroids.shape[0]
     centroids = centroids.copy()
     labels = np.full(n, -1, dtype=int)
     history: list[float] = []
     for _ in range(LLOYD_MAX_ITER):
-        d2 = _squared_distances(data, centroids)
+        d2 = _squared_distances(data, sq_norms, centroids)
         new_labels = d2.argmin(axis=1)
         # re-seed empty clusters from the farthest points (lowest cluster
         # index claims the farthest, the next empty one the runner-up, ...)
@@ -166,17 +159,18 @@ def _lloyd(
         labels = new_labels
         for j in range(k):
             centroids[j] = data[labels == j].mean(axis=0)
-    d2 = _squared_distances(data, centroids)
+    d2 = _squared_distances(data, sq_norms, centroids)
     inertia = float(d2[np.arange(n), labels].sum())
     return labels, centroids, inertia, history
 
 
 def _enforce_capacity(
-    data: np.ndarray, labels: np.ndarray, centroids: np.ndarray, capacity: int
+    data: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
+    capacity: int,
 ) -> np.ndarray:
     k = centroids.shape[0]
     labels = labels.copy()
-    d2 = _squared_distances(data, centroids)
+    d2 = _squared_distances(data, sq_norms, centroids)
     pool: list[int] = []
     for j in range(k):
         members = np.flatnonzero(labels == j)
@@ -187,11 +181,12 @@ def _enforce_capacity(
             pool.extend(int(i) for i in evicted)
     space = capacity - np.bincount(labels[labels >= 0], minlength=k)
     if pool:
-        edges = sorted(
-            (float(d2[i, j]), i, j) for i in pool for j in range(k) if space[j] > 0
-        )
+        # every (point, open cluster) edge, nearest first, ties by point then cluster
+        points = np.repeat(np.array(pool), np.count_nonzero(space > 0))
+        clusters = np.tile(np.flatnonzero(space > 0), len(pool))
+        order = np.lexsort((clusters, points, d2[points, clusters]))
         assigned: set[int] = set()
-        for _, i, j in edges:
+        for i, j in zip(points[order].tolist(), clusters[order].tolist()):
             if i in assigned or space[j] <= 0:
                 continue
             labels[i] = j
@@ -227,15 +222,16 @@ def kmeans_pp(
             raise InfeasibleCapacity(f"capacity {capacity} x {k} clusters > {n} rows")
 
     rng = np.random.default_rng(seed)
+    sq_norms = (data * data).sum(axis=1)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
     for _ in range(DEFAULT_RESTARTS):
-        result = _lloyd(data, _dsq_seed(data, k, rng))
+        result = _lloyd(data, sq_norms, _dsq_seed(data, k, rng))
         if best is None or result[2] < best[2]:
             best = result
     labels, centroids, inertia, history = best
 
     if balanced:
-        labels = _enforce_capacity(data, labels, centroids, capacity)
+        labels = _enforce_capacity(data, sq_norms, labels, centroids, capacity)
     sizes = np.bincount(labels[labels >= 0], minlength=k)
     return ClusterAssignment(
         labels=labels,
@@ -248,125 +244,55 @@ def kmeans_pp(
 
 # -- spectral clustering -------------------------------------------------
 
-def pairwise_distances(data: np.ndarray) -> np.ndarray:
-    dist = _squared_distances(data, data)
-    np.fill_diagonal(dist, 0.0)
-    return np.sqrt(dist, out=dist)
-
-
-def _median_distance(data: np.ndarray) -> float:
-    """The median off-diagonal pairwise distance, 0.0 below two rows.
-
-    Partitions one distance matrix in place instead of copying out its
-    off-diagonal: the n zero diagonal entries sort before every distance,
-    so the off-diagonal order statistic j sits at flat position n + j."""
-    n = data.shape[0]
-    half = n * (n - 1) // 2
-    if half == 0:
-        return 0.0
-    flat = pairwise_distances(data).reshape(-1)
-    middle = [n + half - 1, n + half]
-    flat.partition(middle)
-    return float(np.mean(flat[middle]))
-
-
-def _normalized_affinity(data: np.ndarray) -> np.ndarray:
-    """M = D^-1/2 A D^-1/2 for the Gaussian affinity A (zero diagonal,
-    kernel width the median off-diagonal distance), built in place in one
-    (N, N) distance buffer."""
-    sigma = _median_distance(data)
-    if sigma == 0.0:
-        raise DegenerateAffinity("median pairwise distance is zero")
-    buf = pairwise_distances(data)
-    np.multiply(buf, buf, out=buf)
-    np.negative(buf, out=buf)
-    buf /= 2.0 * sigma * sigma
-    np.exp(buf, out=buf)
-    np.fill_diagonal(buf, 0.0)
-    degree = buf.sum(axis=1)
-    inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
-    buf *= inv_sqrt[:, None]
-    buf *= inv_sqrt[None, :]
-    return buf
-
-
-def _extend_basis(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the part of ``block`` outside the span
-    of the orthonormal ``basis``. The columns are scaled to unit length
-    first (the span is what counts, and the image of a direction with a
-    small eigenvalue is short), then go through two Gram-Schmidt passes,
-    each followed by a QR. A direction that the first pass leaves below
-    EIG_DROP, or the second shrinks below half its length, lies in the span
-    to rounding and is dropped."""
-    norms = np.linalg.norm(block, axis=0)
-    block = block[:, norms > 0.0] / norms[norms > 0.0]
-    floor = EIG_DROP
-    for _ in range(2):
-        block = block - basis @ (basis.T @ block)
-        q, r = np.linalg.qr(block)
-        block = q[:, np.abs(np.diag(r)) > floor]
-        floor = 0.5
-    return block
-
-
-def top_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k algebraically largest eigenvalues (descending) of a symmetric
-    matrix and orthonormal eigenvectors for them.
-
-    Block Krylov iteration with explicit restarts. A cycle starts from a
-    seeded block of ``k + EIG_OVERSAMPLE`` columns and grows the
-    orthonormal basis of [X, MX, M^2 X, ...] one block at a time, up to
-    ``EIG_DEPTH`` blocks. After each block, Rayleigh-Ritz runs over the
-    whole basis and ranks the Ritz pairs by algebraic value, so eigenvalues
-    near -1 never crowd out those near +1 as they do in plain subspace
-    iteration. The answer is returned as soon as each of the k leading
-    Ritz pairs has residual norm at most ``EIG_TOL``; a full basis starts
-    the next cycle from the leading Ritz vectors, and after
-    ``EIG_MAX_RESTARTS`` cycles EigensolverNotConverged is raised.
-    """
-    n = matrix.shape[0]
-    if not 1 <= k <= n:
-        raise BadRank(f"k={k} outside [1, {n}]")
-    width = min(n, k + EIG_OVERSAMPLE)
-    start = np.random.default_rng(EIG_SEED).standard_normal((n, width))
-    worst = float("inf")
-    for _ in range(EIG_MAX_RESTARTS):
-        block = _extend_basis(np.empty((n, 0)), start)
-        basis, image = block, matrix @ block
-        for depth in range(1, EIG_DEPTH + 1):
-            projected = basis.T @ image
-            theta, coords = np.linalg.eigh((projected + projected.T) / 2.0)
-            order = np.argsort(-theta, kind="stable")[:width]
-            theta, coords = theta[order], coords[:, order]
-            vectors = basis @ coords
-            residual = image @ coords[:, :k] - vectors[:, :k] * theta[:k]
-            worst = float(np.linalg.norm(residual, axis=0).max())
-            if worst <= EIG_TOL:
-                return theta[:k], vectors[:, :k]
-            if depth == EIG_DEPTH:
-                break
-            block = _extend_basis(basis, image[:, -block.shape[1]:])
-            if not block.shape[1]:   # the basis spans an invariant subspace
-                break
-            basis = np.hstack([basis, block])
-            image = np.hstack([image, matrix @ block])
-        start = vectors
-    raise EigensolverNotConverged(
-        f"top-{k} eigenpairs of a {n}x{n} matrix: residual {worst:.3g} > {EIG_TOL:g} "
-        f"after {EIG_MAX_RESTARTS} restarts")
-
-
 def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues (ascending) of the normalized Laplacian
-    L = I - D^-1/2 A D^-1/2 plus the row-normalized (N, k) matrix of their
-    eigenvectors. L is never formed: they are the k largest eigenpairs of
-    the normalized affinity, found by ``top_eigenpairs``."""
+    L = I - W of the landmark graph, plus the row-normalized (N, k) matrix
+    of their eigenvectors (rows of zeros stay zero).
+
+    ``LANDMARKS`` seeded rows are the landmarks. Each point links to its
+    ``NEIGHBOURS`` nearest landmarks with Gaussian weights, the kernel
+    width being the median of those distances, and each row of weights
+    sums to 1. With D the landmark column sums of that sparse (N, p)
+    matrix Z, W = Zh Zh^T for Zh = Z D^-1/2 is symmetric with unit row
+    sums, and its top k eigenvectors are Zh V Theta^-1/2 for the top
+    eigenpairs (Theta, V) of the p x p Gram Zh^T Zh."""
     data = np.asarray(data, dtype=float)
-    theta, rows = top_eigenpairs(_normalized_affinity(data), k)
-    norms = np.linalg.norm(rows, axis=1)
+    n = data.shape[0]
+    p = min(n, LANDMARKS)
+    if not 1 <= k <= p:
+        raise BadRank(f"k={k} outside [1, {p}]")
+    marks = np.sort(np.random.default_rng(0).choice(n, size=p, replace=False))
+    d2 = _squared_distances(data, (data * data).sum(axis=1), data[marks])
+    r = min(NEIGHBOURS, p)
+    rows = np.arange(n)
+    nearest = np.empty((n, r), dtype=np.intp)
+    near_d2 = np.empty((n, r))
+    for j in range(r):   # ascending, ties to the lower landmark
+        nearest[:, j] = d2.argmin(axis=1)
+        near_d2[:, j] = d2[rows, nearest[:, j]]
+        d2[rows, nearest[:, j]] = np.inf
+    del d2
+    sigma = float(np.median(np.sqrt(near_d2)))
+    if sigma == 0.0:
+        raise DegenerateAffinity("median landmark distance is zero")
+    # shifting each row by its nearest distance cancels in the row
+    # normalization and keeps a far point's weights from all underflowing
+    weights = np.exp((near_d2[:, :1] - near_d2) / (2.0 * sigma * sigma))
+    weights /= weights.sum(axis=1, keepdims=True)
+    degree = np.bincount(nearest.ravel(), weights.ravel(), minlength=p)
+    weights *= np.where(degree > 0.0, degree, np.inf)[nearest] ** -0.5
+    pairs = (nearest[:, :, None] * p + nearest[:, None, :]).ravel()
+    gram = np.bincount(pairs, (weights[:, :, None] * weights[:, None, :]).ravel(),
+                       minlength=p * p).reshape(p, p)
+    theta, vecs = np.linalg.eigh(gram)
+    order = np.argsort(-theta, kind="stable")[:k]
+    theta = theta[order]
+    scaled = vecs[:, order] * np.where(theta > 0.0, theta, np.inf) ** -0.5
+    embedding = np.einsum("nr,nrk->nk", weights, scaled[nearest])
+    norms = np.linalg.norm(embedding, axis=1)
     nonzero = norms > 0.0
-    rows[nonzero] /= norms[nonzero, None]
-    return 1.0 - theta, rows
+    embedding[nonzero] /= norms[nonzero, None]
+    return 1.0 - theta, embedding
 
 
 def rank_data(values: np.ndarray) -> np.ndarray:
@@ -397,7 +323,8 @@ def spearman(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def spectral_cluster(data: np.ndarray, k: int, seed: int) -> ClusterAssignment:
-    """Gaussian-affinity normalized-cut clustering (median-distance kernel width)."""
+    """Normalized-cut clustering on the landmark graph: k-means on the rows
+    of ``spectral_embedding``."""
     data = np.asarray(data, dtype=float)
     if k > data.shape[0]:
         raise TooManyClusters(f"k={k} exceeds {data.shape[0]} rows")

@@ -18,7 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Triplet, finite_float, read_jsonl, write_jsonl, write_manifest
+from .corpus import (
+    Triplet,
+    finite_float,
+    read_jsonl,
+    remove_numbered,
+    write_jsonl,
+    write_manifest,
+)
 from .errors import DuplicateId, EmptyReport, MalformedRecord, MissingLabel, UnknownSubset
 from .numerics import kmeans_pp
 
@@ -54,7 +61,8 @@ def subset_manifest_path(out_dir: str | Path, subset_id: int) -> Path:
 def write_subset_manifests(
     subsets: list[tuple[str, ...]], manifest: list[Triplet], out_dir: str | Path
 ) -> list[Path]:
-    """One manifest per subset, for the external fine-tune/eval loop."""
+    """One manifest per subset, for the external fine-tune/eval loop; the
+    manifests of subsets beyond ``subsets`` that an earlier run wrote go."""
     by_id = {t.id: t for t in manifest}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -63,6 +71,7 @@ def write_subset_manifests(
         path = subset_manifest_path(out_dir, subset_id)
         write_manifest([by_id[i] for i in members], path)
         paths.append(path)
+    remove_numbered(out_dir, lambda j: subset_manifest_path(out_dir, j).name, len(subsets))
     return paths
 
 

@@ -18,6 +18,7 @@ from .corpus import (
     Triplet,
     atomic_write,
     read_json,
+    remove_numbered,
     write_json,
     write_jsonl,
     write_manifest,
@@ -141,15 +142,39 @@ def write_selection(
     write_json(out_dir / "summary.json", summary)
 
 
+def _cluster_plot(j: int) -> str:
+    return f"cluster_{j:02d}_scores.svg"
+
+
+def plot_paths(out_dir: str | Path, k: int) -> list[Path]:
+    """The histograms ``write_report`` renders for k clusters: the corpus
+    one, then one per cluster."""
+    out_dir = Path(out_dir)
+    return [out_dir / "score_hist.svg", *(out_dir / _cluster_plot(j) for j in range(k))]
+
+
+def declared_plots(out_dir: str | Path) -> list[Path]:
+    """``plot_paths`` for the clusters of ``out_dir/summary.json``, counted
+    by its quotas; the corpus histogram alone while the summary is missing
+    or unreadable, which ``write_report`` rejects anyway."""
+    try:
+        quotas = read_json(Path(out_dir) / "summary.json", ("quotas",))["quotas"]
+    except (OSError, MalformedRecord):
+        quotas = []
+    return plot_paths(out_dir, len(quotas) if isinstance(quotas, list) else 0)
+
+
 def write_report(
     out_dir: str | Path,
     manifest: list[Triplet],
     oracle: dict[str, float] | None = None,
     seed: int = 0,
 ) -> dict:
-    """Render report.json plus histogram SVGs from a persisted selection.
-    A summary field of the wrong type or length, or a manifest or selected
-    id the oracle lacks, raises MalformedRecord before any file is written."""
+    """Render report.json plus histogram SVGs from a persisted selection,
+    and delete the histograms of clusters beyond the summary's that an
+    earlier report left. A summary field of the wrong type or length, or a
+    manifest or selected id the oracle lacks, raises MalformedRecord before
+    any file is written."""
     out_dir = Path(out_dir)
     path = out_dir / "summary.json"
     summary = read_json(path, (
@@ -161,6 +186,9 @@ def write_report(
             raise MalformedRecord(None, f"{path}: non-finite item score")
         labels = np.array(summary["cluster_labels"], dtype=int)
         k = summary["k_clusters"]
+        if k != len(summary["quotas"]):
+            raise MalformedRecord(None, f"{path}: k_clusters {k!r} but "
+                                        f"{len(summary['quotas'])} quotas")
         report = {
             "alpha": summary["alpha"],
             "k_clusters": k,
@@ -189,14 +217,16 @@ def write_report(
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise MalformedRecord(None, f"{path}: bad summary field ({exc!r})") from None
 
-    with atomic_write(out_dir / "score_hist.svg") as fh:
+    corpus_plot, *cluster_plots = plot_paths(out_dir, k)
+    with atomic_write(corpus_plot) as fh:
         fh.write(svg_histogram(scores, title="selector scores, full corpus"))
-    for j, member_scores in enumerate(members):
-        with atomic_write(out_dir / f"cluster_{j:02d}_scores.svg") as fh:
+    for j, (plot, member_scores) in enumerate(zip(cluster_plots, members)):
+        with atomic_write(plot) as fh:
             fh.write(svg_histogram(
                 member_scores,
                 title=f"cluster {j}: {member_scores.size} samples, "
                       f"quota {summary['quotas'][j]}",
             ))
+    remove_numbered(out_dir, _cluster_plot, k)
     write_json(out_dir / "report.json", report)
     return report

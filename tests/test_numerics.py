@@ -10,14 +10,12 @@ from vlcurate.errors import (
     BadRank,
     DegenerateAffinity,
     DimensionMismatch,
-    EigensolverNotConverged,
     InfeasibleCapacity,
     TooManyClusters,
 )
 from vlcurate import numerics
 from vlcurate.numerics import (
     kmeans_pp,
-    pairwise_distances,
     pca_fit,
     pca_inverse_transform,
     pca_transform,
@@ -25,7 +23,6 @@ from vlcurate.numerics import (
     spearman,
     spectral_cluster,
     spectral_embedding,
-    top_eigenpairs,
 )
 
 
@@ -283,6 +280,55 @@ def test_kmeans_balanced_default_capacity():
     assert int((got.labels == -1).sum()) == 3
 
 
+def _reference_squared_distances(data, sq_norms, centroids):
+    """The distance formula before |x|^2 was computed once per call of
+    kmeans_pp: it sums the rows' squares again on every call."""
+    d2 = (2.0 * data) @ centroids.T
+    np.subtract((data * data).sum(axis=1)[:, None], d2, out=d2)
+    d2 += (centroids * centroids).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _reference_enforce_capacity(data, sq_norms, labels, centroids, capacity):
+    """The capacity post-pass with its edges sorted as Python tuples."""
+    k = centroids.shape[0]
+    labels = labels.copy()
+    d2 = _reference_squared_distances(data, sq_norms, centroids)
+    pool = []
+    for j in range(k):
+        members = np.flatnonzero(labels == j)
+        if len(members) > capacity:
+            order = members[np.argsort(d2[members, j], kind="stable")]
+            labels[order[capacity:]] = -1
+            pool.extend(int(i) for i in order[capacity:])
+    space = capacity - np.bincount(labels[labels >= 0], minlength=k)
+    edges = sorted((float(d2[i, j]), i, j) for i in pool for j in range(k) if space[j] > 0)
+    assigned = set()
+    for _, i, j in edges:
+        if i in assigned or space[j] <= 0:
+            continue
+        labels[i] = j
+        space[j] -= 1
+        assigned.add(i)
+    return labels
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_kmeans_bytes_match_reference_formulas(balanced, monkeypatch):
+    rng = np.random.default_rng(18)
+    centers = rng.normal(size=(12, 10)) * 3.0
+    data = centers[rng.integers(12, size=3439)] + rng.normal(size=(3439, 10))
+    got = kmeans_pp(data, 30, seed=2, balanced=balanced)
+    monkeypatch.setattr(numerics, "_squared_distances", _reference_squared_distances)
+    monkeypatch.setattr(numerics, "_enforce_capacity", _reference_enforce_capacity)
+    want = kmeans_pp(data, 30, seed=2, balanced=balanced)
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes()
+    if balanced:
+        assert (got.sizes == 3439 // 30).all()
+
+
 # -- spectral clustering -----------------------------------------------------
 
 def _two_groups(seed=0):
@@ -338,21 +384,39 @@ def test_spectral_too_many_clusters():
         spectral_cluster(np.random.default_rng(0).normal(size=(4, 2)), 5, seed=0)
 
 
-# -- the truncated eigensolver against dense eigh of the Laplacian -------------
+# -- the landmark embedding against dense eigh of its affinity ----------------
 
-def dense_laplacian(data):
-    """Normalized Laplacian I - D^-1/2 A D^-1/2, built from broadcast
-    differences and a full matrix, independent of the library's kernels."""
+def landmark_affinity(data, landmarks):
+    """W = Zh Zh^T of the landmark graph, built from broadcast differences
+    and full (N, p) matrices, independent of the library's kernels. Row i
+    of Z holds Gaussian weights on the NEIGHBOURS landmarks nearest to row
+    i (kernel width the median of those distances), scaled to sum to 1, and
+    Zh = Z D^-1/2 for D the column sums of Z."""
     data = np.asarray(data, dtype=float)
-    n = len(data)
-    dist = np.sqrt(((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=-1))
-    sigma = np.median(dist[~np.eye(n, dtype=bool)])
-    affinity = np.exp(-(dist * dist) / (2.0 * sigma * sigma))
-    np.fill_diagonal(affinity, 0.0)
-    degree = affinity.sum(axis=1)
-    inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
-    lap = np.eye(n) - inv_sqrt[:, None] * affinity * inv_sqrt[None, :]
-    return (lap + lap.T) / 2.0
+    dist = np.sqrt(((data[:, None, :] - data[None, landmarks, :]) ** 2).sum(axis=-1))
+    r = min(numerics.NEIGHBOURS, len(landmarks))
+    near = np.argsort(dist, axis=1, kind="stable")[:, :r]
+    near_dist = np.take_along_axis(dist, near, axis=1)
+    sigma = np.median(near_dist)
+    z = np.zeros_like(dist)
+    np.put_along_axis(z, near, np.exp(-near_dist ** 2 / (2.0 * sigma * sigma)), axis=1)
+    z /= z.sum(axis=1, keepdims=True)
+    zhat = z / np.sqrt(z.sum(axis=0))
+    return zhat @ zhat.T
+
+
+def landmark_rows(n):
+    """The library's landmark draw: LANDMARKS seeded rows, sorted (every
+    row when N <= LANDMARKS)."""
+    p = min(n, numerics.LANDMARKS)
+    return np.sort(np.random.default_rng(0).choice(n, size=p, replace=False))
+
+
+def oracle_eigenpairs(data):
+    """Eigenvalues of L = I - W ascending, with orthonormal eigenvectors."""
+    affinity = landmark_affinity(data, landmark_rows(len(data)))
+    theta, vecs = np.linalg.eigh((affinity + affinity.T) / 2.0)
+    return 1.0 - theta[::-1], vecs[:, ::-1]
 
 
 def largest_angle(a, b):
@@ -365,14 +429,14 @@ def largest_angle(a, b):
 
 def _blobs_and_isolated_pairs(pairs=12):
     """Three blobs plus tight pairs far from everything: each pair is its own
-    component, giving the normalized affinity eigenvalues +1 and -1."""
+    component of the landmark graph."""
     data, _ = _three_blobs()
     centers = [np.array([1000.0 * (i + 1), -500.0]) for i in range(pairs)]
     return np.vstack([data, *[[c, c + [0.1, 0.0]] for c in centers]])
 
 
 def _check_against_oracle(data, k):
-    eigvals, vecs = np.linalg.eigh(dense_laplacian(data))
+    eigvals, vecs = oracle_eigenpairs(data)
     got_vals, got_rows = spectral_embedding(data, k)
     assert got_vals.shape == (k,) and got_rows.shape == (len(data), k)
     assert np.abs(got_vals - eigvals[:k]).max() < 1e-8
@@ -384,6 +448,7 @@ def _check_against_oracle(data, k):
 
 @pytest.mark.parametrize("n,k", [(30, 3), (200, 4), (1000, 3), (1000, 10)])
 def test_spectral_embedding_matches_dense_oracle_on_random_data(n, k):
+    # N = 1000 draws LANDMARKS of the rows; below that every row is a landmark
     data = np.random.default_rng(n + k).normal(size=(n, 5))
     _check_against_oracle(data, k)
 
@@ -400,38 +465,31 @@ def test_spectral_embedding_repeated_unit_eigenvalue(make, k):
 
 
 def test_spectral_embedding_isolated_pairs():
-    # eigenvalue 1 of M has multiplicity 13 and -1 multiplicity 12; iterating
-    # on M alone converges by magnitude and returns L-eigenvalues near
-    # [0.15, 0.19, 0.26] here instead of [0, 0, 0]
+    # 15 components and k = 3: any three vectors of L's 15-dimensional null
+    # space will do, and row normalization keeps them inside it
     data = _blobs_and_isolated_pairs()
-    eigvals, vecs = np.linalg.eigh(dense_laplacian(data))
-    assert int((eigvals < 1e-8).sum()) == 13
-    got_vals, _ = spectral_embedding(data, 3)
+    eigvals, vecs = oracle_eigenpairs(data)
+    assert int((eigvals < 1e-8).sum()) == 15
+    got_vals, got_rows = spectral_embedding(data, 3)
     assert np.abs(got_vals).max() < 1e-8
-    theta, got = top_eigenpairs(np.eye(len(data)) - dense_laplacian(data), 3)
-    assert np.abs(theta - 1.0).max() < 1e-8
-    assert largest_angle(got, vecs[:, :13]) < 1e-6
+    assert largest_angle(got_rows, vecs[:, :15]) < 1e-6
 
 
 def test_spectral_embedding_wanted_eigenvalues_near_the_band():
-    # ten tight, far-apart blobs and k = 10: the wide kernel leaves the last
-    # wanted eigenvalues of M just above the dense band near -1/degree that
-    # the zero diagonal puts there; a Krylov basis of eight blocks per cycle
-    # stalls here, short of the residual bound
+    # ten tight, far-apart blobs and k = 10: every wanted eigenvalue is a
+    # zero of L, one per blob, just below the first nonzero one
     rng = np.random.default_rng(0)
     centers = rng.normal(size=(10, 3)) * 10.0
     data = centers[np.arange(240) % 10] + rng.normal(scale=0.01, size=(240, 3))
-    eigvals = np.linalg.eigvalsh(dense_laplacian(data))
-    got_vals, _ = spectral_embedding(data, 10)
-    assert np.abs(got_vals - eigvals[:10]).max() < 1e-8
+    _check_against_oracle(data, 10)
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (8, 3), (9, 3), (6, 6)])
 def test_spectral_embedding_block_covers_all_rows(n, k):
-    # N at most the block width k + EIG_OVERSAMPLE: the basis is the whole space
-    assert n <= k + numerics.EIG_OVERSAMPLE
+    # N at most LANDMARKS: every row is a landmark, linked to itself too
+    assert n <= numerics.LANDMARKS
     data = np.random.default_rng(n).normal(size=(n, 3))
-    eigvals, _ = np.linalg.eigh(dense_laplacian(data))
+    eigvals, _ = oracle_eigenpairs(data)
     got_vals, got_rows = spectral_embedding(data, k)
     assert np.abs(got_vals - eigvals[:k]).max() < 1e-8
     assert got_rows.shape == (n, k)
@@ -442,7 +500,7 @@ def test_spectral_embedding_k1():
     got_vals, got_rows = spectral_embedding(data, 1)
     assert got_vals.shape == (1,)
     assert abs(got_vals[0]) < 1e-8
-    # the trivial eigenvector D^1/2 1 is positive or negative throughout
+    # W has unit row sums, so its leading eigenvector is constant
     assert np.abs(np.abs(got_rows) - 1.0).max() < 1e-12
     _check_against_oracle(data, 1)
 
@@ -455,24 +513,31 @@ def test_spectral_embedding_bit_identical_across_calls():
     assert first[1].tobytes() == second[1].tobytes()
 
 
-def test_spectral_embedding_unconverged_raises(monkeypatch):
-    data = np.random.default_rng(13).normal(size=(50, 3))
-    monkeypatch.setattr(numerics, "EIG_MAX_RESTARTS", 0)
-    with pytest.raises(EigensolverNotConverged):
-        spectral_embedding(data, 3)
+def test_spectral_embedding_one_dimensional_data_gives_unit_rows():
+    # 900 points on a line and k = 10: the landmark graph has near-zero
+    # eigenvalues to spare, and every row still comes back finite and unit
+    data = np.random.default_rng(13).normal(size=(900, 1))
+    eigvals, rows = spectral_embedding(data, 10)
+    assert np.isfinite(eigvals).all() and np.isfinite(rows).all()
+    assert eigvals.min() >= -1e-8 and eigvals.max() <= 1.0 + 1e-8
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
 
 
-def test_top_eigenpairs_rejects_bad_k():
+def test_spectral_embedding_rejects_bad_k(monkeypatch):
+    data = np.random.default_rng(15).normal(size=(10, 2))
     with pytest.raises(BadRank):
-        top_eigenpairs(np.eye(4), 0)
+        spectral_embedding(data, 0)
     with pytest.raises(BadRank):
-        top_eigenpairs(np.eye(4), 5)
+        spectral_embedding(data, 11)
+    monkeypatch.setattr(numerics, "LANDMARKS", 3)
+    with pytest.raises(BadRank):   # W has rank at most the landmark count
+        spectral_embedding(data, 4)
 
 
 def test_spectral_embedding_memory_peak():
-    # one (N, N) float64 buffer at a time: the median partitions a distance
-    # matrix in place, and the affinity is then built in a fresh one
-    n = 1500
+    # one (N, p) float64 distance buffer, where a dense N x N affinity
+    # would need 3.2 GB
+    n = 20_000
     data = np.random.default_rng(14).normal(size=(n, 16))
     tracemalloc.start()
     try:
@@ -480,14 +545,7 @@ def test_spectral_embedding_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * n * 8
-
-
-def test_pairwise_distances_basic():
-    data = np.array([[0.0, 0.0], [3.0, 4.0]])
-    dist = pairwise_distances(data)
-    assert dist[0, 1] == pytest.approx(5.0, abs=1e-12)
-    assert dist[0, 0] == 0.0
+    assert peak <= 2 * n * numerics.LANDMARKS * 8
 
 
 # -- rank helpers -------------------------------------------------------------

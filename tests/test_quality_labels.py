@@ -100,6 +100,23 @@ def test_write_subset_manifests(tmp_path):
         assert tuple(t.id for t in back) == sub
 
 
+def test_write_subset_manifests_removes_stale_ones(tmp_path):
+    """Writing 6 subsets after 8 deletes subsets 6 and 7, and only files
+    named exactly as a subset manifest."""
+    manifest = make_manifest(16, seed=7)
+    ids = [t.id for t in manifest]
+    write_subset_manifests([tuple(ids[2 * j:2 * j + 2]) for j in range(8)], manifest, tmp_path)
+    others = ["subset_6.manifest.jsonl", "subset_0007.manifest.jsonl",
+              "subset_007.manifest.jsonl.bak", "subsets.json"]
+    for name in others:
+        (tmp_path / name).write_text("kept\n", encoding="utf-8")
+    paths = write_subset_manifests([tuple(ids[2 * j:2 * j + 2]) for j in range(6)],
+                                   manifest, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [p.name for p in paths] + others)
+    assert [p.name for p in paths] == [f"subset_{j:03d}.manifest.jsonl" for j in range(6)]
+
+
 # -- labels -------------------------------------------------------------------
 
 def test_average_label_table_rows():
