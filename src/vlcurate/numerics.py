@@ -9,6 +9,12 @@ time grow linearly in N. Tests cross-check the results against
 independent brute-force routes, dense ``eigh`` of the landmark graph's
 N x N affinity among them.
 
+``pca_fit`` holds one centered copy of its input and frees it before
+``eigh``. Lloyd's centroids are per-column ``np.bincount`` sums over the
+members in row order, the bytes of ``data[labels == j].mean(axis=0)``, but
+a column whose every member is -0.0 gets +0.0, and a one-column matrix,
+whose mean numpy sums pairwise, can differ in the last bit.
+
 Balanced k-means adds a capacity post-pass on top of standard Lloyd:
 each oversized cluster keeps its ``capacity`` closest members, evicted
 points refill under-capacity clusters closest-first, and the final
@@ -64,7 +70,9 @@ def pca_fit(data: np.ndarray, m: int) -> PcaModel:
         raise BadRank(f"target dim {m} outside [1, {min(n - 1, d)}]")
     mean = data.mean(axis=0)
     centered = data - mean
-    cov = centered.T @ centered / (n - 1)
+    cov = centered.T @ centered
+    del centered   # the one full-size copy; eigh needs only the d x d covariance
+    cov /= n - 1
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals, kind="stable")[:m]
     variance = np.maximum(eigvals[order], 0.0)
@@ -101,11 +109,11 @@ class ClusterAssignment:
 
 
 def _squared_distances(
-    data: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+    twice: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
 ) -> np.ndarray:
-    """|x|^2 - 2 x.c + |c|^2, clamped at zero, built in one (N, k) buffer;
-    ``sq_norms`` holds the rows' |x|^2, which callers compute once."""
-    d2 = (2.0 * data) @ centroids.T
+    """|x|^2 - 2 x.c + |c|^2, clamped at zero, built in one (N, k) buffer
+    from 2x (``twice``) and |x|^2 (``sq_norms``), which callers compute once."""
+    d2 = twice @ centroids.T
     np.subtract(sq_norms[:, None], d2, out=d2)
     d2 += (centroids * centroids).sum(axis=1)[None, :]
     return np.maximum(d2, 0.0, out=d2)
@@ -128,49 +136,46 @@ def _dsq_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _lloyd(
-    data: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+    data: np.ndarray, twice: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     n, k = data.shape[0], centroids.shape[0]
     centroids = centroids.copy()
     labels = np.full(n, -1, dtype=int)
+    rows = np.arange(n)
     history: list[float] = []
     for _ in range(LLOYD_MAX_ITER):
-        d2 = _squared_distances(data, sq_norms, centroids)
+        d2 = _squared_distances(twice, sq_norms, centroids)
         new_labels = d2.argmin(axis=1)
         # re-seed empty clusters from the farthest points (lowest cluster
-        # index claims the farthest, the next empty one the runner-up, ...)
-        point_d2 = d2[np.arange(n), new_labels]
+        # index claims the farthest, the next empty one the runner-up, ...;
+        # ties to the lowest point index) in clusters that can spare one
+        point_d2 = d2[rows, new_labels]
         counts = np.bincount(new_labels, minlength=k)
-        taken: set[int] = set()
         for j in np.flatnonzero(counts == 0):
-            candidates = [
-                (-point_d2[i], i) for i in range(n) if i not in taken and counts[new_labels[i]] > 1
-            ]
-            neg_d, far = min(candidates)
+            far = int(np.where(counts[new_labels] > 1, point_d2, -np.inf).argmax())
             counts[new_labels[far]] -= 1
             new_labels[far] = j
             counts[j] = 1
             centroids[j] = data[far]
             point_d2[far] = 0.0
-            taken.add(far)
         history.append(float(point_d2.sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            centroids[j] = data[labels == j].mean(axis=0)
-    d2 = _squared_distances(data, sq_norms, centroids)
-    inertia = float(d2[np.arange(n), labels].sum())
+        centroids = np.column_stack([np.bincount(labels, column, minlength=k)
+                                     for column in data.T]) / counts[:, None]
+    d2 = _squared_distances(twice, sq_norms, centroids)
+    inertia = float(d2[rows, labels].sum())
     return labels, centroids, inertia, history
 
 
 def _enforce_capacity(
-    data: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
+    twice: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
     capacity: int,
 ) -> np.ndarray:
     k = centroids.shape[0]
     labels = labels.copy()
-    d2 = _squared_distances(data, sq_norms, centroids)
+    d2 = _squared_distances(twice, sq_norms, centroids)
     pool: list[int] = []
     for j in range(k):
         members = np.flatnonzero(labels == j)
@@ -222,16 +227,16 @@ def kmeans_pp(
             raise InfeasibleCapacity(f"capacity {capacity} x {k} clusters > {n} rows")
 
     rng = np.random.default_rng(seed)
-    sq_norms = (data * data).sum(axis=1)
+    twice, sq_norms = 2.0 * data, (data * data).sum(axis=1)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
     for _ in range(DEFAULT_RESTARTS):
-        result = _lloyd(data, sq_norms, _dsq_seed(data, k, rng))
+        result = _lloyd(data, twice, sq_norms, _dsq_seed(data, k, rng))
         if best is None or result[2] < best[2]:
             best = result
     labels, centroids, inertia, history = best
 
     if balanced:
-        labels = _enforce_capacity(data, sq_norms, labels, centroids, capacity)
+        labels = _enforce_capacity(twice, sq_norms, labels, centroids, capacity)
     sizes = np.bincount(labels[labels >= 0], minlength=k)
     return ClusterAssignment(
         labels=labels,
@@ -262,7 +267,7 @@ def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     if not 1 <= k <= p:
         raise BadRank(f"k={k} outside [1, {p}]")
     marks = np.sort(np.random.default_rng(0).choice(n, size=p, replace=False))
-    d2 = _squared_distances(data, (data * data).sum(axis=1), data[marks])
+    d2 = _squared_distances(2.0 * data, (data * data).sum(axis=1), data[marks])
     r = min(NEIGHBOURS, p)
     rows = np.arange(n)
     nearest = np.empty((n, r), dtype=np.intp)

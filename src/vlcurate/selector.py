@@ -18,7 +18,9 @@ items: ``predict`` is B = 1, ``loss_and_grad`` stacks its equal-length
 sets, and ``predict_items`` runs N one-item sets (T = 1, where attention
 weights are exactly 1 and nothing needs sorting). Products stay stacked per
 set, one BLAS call each, and per-set terms are added in set order, so a set
-gets the same bits alone as in a batch.
+gets the same bits alone as in a batch. ``train`` checks, sorts and stacks
+its sets once, and its epochs reuse one set of (B, T, T) attention buffers:
+the scores, turned into the softmax in place, and the softmax gradient.
 
 Parameters live in one flat float64 vector addressed through a shape table,
 and gradients are computed by hand (no autodiff). The scalar head is
@@ -164,13 +166,22 @@ def _T(A: np.ndarray) -> np.ndarray:
     return A.transpose(0, 2, 1)
 
 
+def _scratch(work: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The buffer ``work[key]``, allocated on first use: one batch keeps its shapes."""
+    if key not in work:
+        work[key] = np.empty(shape)
+    return work[key]
+
+
 def _softmax_rows(S: np.ndarray) -> np.ndarray:
-    shifted = S - S.max(axis=-1, keepdims=True)
-    E = np.exp(shifted)
-    return E / E.sum(axis=-1, keepdims=True)
+    """The softmax of each row of S, written over S."""
+    S -= S.max(axis=-1, keepdims=True)
+    np.exp(S, out=S)
+    S /= S.sum(axis=-1, keepdims=True)
+    return S
 
 
-def _forward(model: SelectorModel, p, X: np.ndarray):
+def _forward(model: SelectorModel, p, X: np.ndarray, work: dict[str, np.ndarray]):
     """(scores (B,), cache) for a (B, T, D) batch of canonical sets; p: param views."""
     if model.kind == "mlp":
         H1 = np.tanh(X @ p["l1.W"] + p["l1.b"])
@@ -187,7 +198,9 @@ def _forward(model: SelectorModel, p, X: np.ndarray):
             Q = H @ p[a + "Wq"] + p[a + "bq"]
             K = H @ p[a + "Wk"] + p[a + "bk"]
             V = H @ p[a + "Wv"] + p[a + "bv"]
-            P = _softmax_rows(Q @ _T(K) * scale)
+            S = np.matmul(Q, _T(K), out=_scratch(work, f"P{i}", (*Q.shape[:2], Q.shape[1])))
+            S *= scale
+            P = _softmax_rows(S)
             C = P @ V
             H1 = H + (C @ p[a + "Wo"] + p[a + "bo"])
             Z = np.tanh(H1 @ p[f + "W1"] + p[f + "b1"])
@@ -203,14 +216,14 @@ def _forward(model: SelectorModel, p, X: np.ndarray):
 def predict(model: SelectorModel, X) -> float:
     """Score one set of item embeddings; invariant to row order."""
     X = _canonical(_check_input(model, X, min_rows=1))
-    scores, _ = _forward(model, _views(model.params, _table(model)), X[None])
+    scores, _ = _forward(model, _views(model.params, _table(model)), X[None], {})
     return float(scores[0])
 
 
 def predict_items(model: SelectorModel, X) -> np.ndarray:
     """Score each row as its own singleton set (curation-time use)."""
     X = _check_input(model, X, min_rows=0)
-    return _forward(model, _views(model.params, _table(model)), X[:, None, :])[0]
+    return _forward(model, _views(model.params, _table(model)), X[:, None, :], {})[0]
 
 
 # -- backward ------------------------------------------------------------
@@ -227,8 +240,16 @@ def _affine_grad(g, name_W: str, name_b: str, Hin: np.ndarray, dOut: np.ndarray)
     g[name_b] += _sum_sets(dOut.sum(axis=1))
 
 
+def _softmax_grad(P: np.ndarray, dP: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dS = P * (dP - rowsum(dP * P)), the gradient through the row softmax
+    P, written into ``out``; dP is overwritten."""
+    np.multiply(dP, P, out=out)
+    dP -= out.sum(axis=-1, keepdims=True)
+    return np.multiply(P, dP, out=out)
+
+
 def _backward(model: SelectorModel, p, X: np.ndarray, cache, dscore: np.ndarray,
-              g: dict[str, np.ndarray]) -> None:
+              g: dict[str, np.ndarray], work: dict[str, np.ndarray]) -> None:
     """Add d(loss)/d(params) into the views g, given d(loss)/d(score) per set."""
     T = X.shape[1]
     if model.kind == "mlp":
@@ -260,9 +281,9 @@ def _backward(model: SelectorModel, p, X: np.ndarray, cache, dscore: np.ndarray,
         Hin, Q, K, V, P, C = blk["Hin"], blk["Q"], blk["K"], blk["V"], blk["P"], blk["C"]
         _affine_grad(g, a + "Wo", a + "bo", C, dH1)
         dC = dH1 @ p[a + "Wo"].T
-        dP = dC @ _T(V)
+        dP = np.matmul(dC, _T(V), out=_scratch(work, "dP", P.shape))
         dV = _T(P) @ dC
-        dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True))
+        dS = _softmax_grad(P, dP, _scratch(work, "dS", P.shape))
         dQ = dS @ K * scale
         dK = _T(dS) @ Q * scale
         for m, dM in (("q", dQ), ("k", dK), ("v", dV)):
@@ -275,21 +296,28 @@ def loss_and_grad(
     model: SelectorModel, sets: list[np.ndarray], labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean squared error over equal-length labeled sets, with its full gradient."""
+    return _batch_loss_and_grad(model, *_stack_sets(model, sets, labels), {})
+
+
+def _stack_sets(model: SelectorModel, sets, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The checked, canonical sets as one (B, T, D) batch, and the labels."""
     if len(sets) != len(labels) or len(sets) == 0:
         raise BadConfig("need one label per set and at least one set")
-    labels = np.asarray(labels, dtype=float)
     canonical = [_canonical(_check_input(model, X, min_rows=1)) for X in sets]
     lengths = {X.shape[0] for X in canonical}
     if len(lengths) != 1:
         raise DimensionMismatch(f"training sets differ in length: {sorted(lengths)}")
-    X = np.stack(canonical)
+    return np.stack(canonical), np.asarray(labels, dtype=float)
+
+
+def _batch_loss_and_grad(model: SelectorModel, X, labels, work) -> tuple[float, np.ndarray]:
     table = _table(model)
     p = _views(model.params, table)
     grad = np.zeros_like(model.params)
-    scores, cache = _forward(model, p, X)
+    scores, cache = _forward(model, p, X, work)
     err = scores - labels
-    n = len(sets)
-    _backward(model, p, X, cache, 2.0 * err / n, _views(grad, table))
+    n = len(X)
+    _backward(model, p, X, cache, 2.0 * err / n, _views(grad, table), work)
     return float(_sum_sets(err * err / n)), grad
 
 
@@ -308,6 +336,8 @@ def train(
         raise BadConfig("epochs must be >= 1 and lr > 0")
     if len(sets) < 2:
         raise BadConfig("training needs at least 2 labeled sets")
+    X, labels = _stack_sets(model, sets, labels)
+    work: dict[str, np.ndarray] = {}
     params = model.params.copy()
     current = replace(model, params=params)
     m = np.zeros_like(params)
@@ -315,7 +345,7 @@ def train(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     losses = []
     for epoch in range(epochs):
-        loss, grad = loss_and_grad(current, sets, labels)
+        loss, grad = _batch_loss_and_grad(current, X, labels, work)
         if not np.isfinite(loss):
             raise DivergedTraining(epoch)
         losses.append(float(loss))

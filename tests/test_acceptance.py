@@ -87,7 +87,8 @@ def test_criterion_02_embedding_layout():
             gpt=float(rng.uniform(0, 100)),
         )
     scores = indicator_matrix(manifest, cache)
-    embeddings = assemble_corpus(manifest, cache, features, m, "joint")
+    joint = np.hstack([features["image"], features["text_llm"]])
+    embeddings = assemble_corpus(manifest, cache, joint, features["image"].shape[1], m, "joint")
 
     # hand-composed oracle: two-pass fsum z-scores for the four indicator
     # slots, then an explicit centered matrix product for the PCA block
@@ -96,7 +97,6 @@ def test_criterion_02_embedding_layout():
         (fsum((scores[i, j] - mu[j]) ** 2 for i in range(n)) / n) ** 0.5
         for j in range(4)
     ]
-    joint = np.hstack([features["image"], features["text_llm"]])
     model = pca_fit(joint, m)
     assert embeddings.shape == (n, 4 + m)   # one row per sample, manifest order
     for i, emb in enumerate(embeddings):

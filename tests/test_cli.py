@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shutil
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -27,13 +28,23 @@ from vlcurate.config import (
     rerun_reason,
     stage_mark_done,
 )
-from vlcurate.corpus import hash_file, load_manifest, read_feature_file, read_scores
+from vlcurate.corpus import (
+    ScoreCache,
+    ScoreRecord,
+    hash_file,
+    load_manifest,
+    read_feature_file,
+    read_scores,
+    write_feature_file,
+    write_manifest,
+    write_scores,
+)
 from vlcurate.errors import BadConfig, VlcurateError
 from vlcurate.numerics import spearman
 from vlcurate.report import svg_histogram, uplift_stats
 from vlcurate.synth import read_oracle
 
-from conftest import StubEndpoint
+from conftest import StubEndpoint, make_manifest
 
 
 # ------------------------------------------------------------------ config
@@ -1049,3 +1060,39 @@ def test_score_endpoints_from_environment(tmp_path, monkeypatch):
     finally:
         reward_stub.close()
         rating_stub.close()
+
+
+# ------------------------------------------------------------------ memory
+
+def test_embed_peak_holds_two_copies_of_the_joined_features(tmp_path):
+    # embed holds the joined [image | llm-text] matrix J, briefly one more
+    # full-size copy (the join, the centered copy, the transform's input)
+    # and two d x d matrices D (the covariance and its eigenvectors). Keeping
+    # the per-file matrices beside the join, and the centered copy through
+    # eigh, peaked at 30.7 MB on this corpus, over the 23.0 MB bound.
+    n, image_dim, text_dim = 1500, 128, 512
+    cfg = build_config(flag_values={"workdir": str(tmp_path / "work")})
+    manifest = make_manifest(n)
+    ids = [t.id for t in manifest]
+    rng = np.random.default_rng(0)
+    cfg.features_path().mkdir(parents=True)
+    for name, dim in (("image", image_dim), ("text_llm", text_dim)):
+        # integer values: short to write, and PCA does not care
+        write_feature_file(cfg.features_path() / f"{name}.txt", ids,
+                           rng.integers(-50, 50, size=(n, dim)).astype(float),
+                           cfg.matrix_store())
+    write_manifest(manifest, cfg.manifest_path())
+    cache = ScoreCache()
+    for i in ids:
+        cache.records[i] = ScoreRecord(clip=rng.uniform(), length=int(rng.integers(1, 99)),
+                                       reward=rng.normal(), gpt=rng.uniform(0, 100))
+    write_scores(cache, cfg.scores_path())
+    tracemalloc.start()
+    try:
+        assert main(["embed", "--workdir", cfg.workdir]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = image_dim + text_dim
+    joined, square = n * d * 8, d * d * 8
+    assert peak <= 2 * joined + 2 * square + (1 << 20)

@@ -280,20 +280,22 @@ def test_kmeans_balanced_default_capacity():
     assert int((got.labels == -1).sum()) == 3
 
 
-def _reference_squared_distances(data, sq_norms, centroids):
-    """The distance formula before |x|^2 was computed once per call of
-    kmeans_pp: it sums the rows' squares again on every call."""
+def _reference_squared_distances(twice, sq_norms, centroids):
+    """The distance formula before 2x and |x|^2 were computed once per call
+    of kmeans_pp: it recovers x = 2x / 2 (exact) and recomputes both on
+    every call."""
+    data = twice / 2.0
     d2 = (2.0 * data) @ centroids.T
     np.subtract((data * data).sum(axis=1)[:, None], d2, out=d2)
     d2 += (centroids * centroids).sum(axis=1)[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _reference_enforce_capacity(data, sq_norms, labels, centroids, capacity):
+def _reference_enforce_capacity(twice, sq_norms, labels, centroids, capacity):
     """The capacity post-pass with its edges sorted as Python tuples."""
     k = centroids.shape[0]
     labels = labels.copy()
-    d2 = _reference_squared_distances(data, sq_norms, centroids)
+    d2 = _reference_squared_distances(twice, sq_norms, centroids)
     pool = []
     for j in range(k):
         members = np.flatnonzero(labels == j)
@@ -313,6 +315,43 @@ def _reference_enforce_capacity(data, sq_norms, labels, centroids, capacity):
     return labels
 
 
+def _reference_lloyd(data, twice, sq_norms, centroids):
+    """Lloyd's loop as it was: a Python scan over (-d^2, i) tuples re-seeds
+    each empty cluster, and each centroid is a masked mean. The bincount
+    sums that replace the mean add the same rows in the same order, starting
+    from +0.0: a column whose every member is -0.0 averages to +0.0 (as
+    numpy 2.4's mean does too), and on a one-column matrix, whose mean numpy
+    sums pairwise, the last bit can differ."""
+    n, k = data.shape[0], centroids.shape[0]
+    centroids = centroids.copy()
+    labels = np.full(n, -1, dtype=int)
+    history = []
+    for _ in range(numerics.LLOYD_MAX_ITER):
+        d2 = _reference_squared_distances(twice, sq_norms, centroids)
+        new_labels = d2.argmin(axis=1)
+        point_d2 = d2[np.arange(n), new_labels]
+        counts = np.bincount(new_labels, minlength=k)
+        taken = set()
+        for j in np.flatnonzero(counts == 0):
+            candidates = [(-point_d2[i], i) for i in range(n)
+                          if i not in taken and counts[new_labels[i]] > 1]
+            _, far = min(candidates)
+            counts[new_labels[far]] -= 1
+            new_labels[far] = j
+            counts[j] = 1
+            centroids[j] = data[far]
+            point_d2[far] = 0.0
+            taken.add(far)
+        history.append(float(point_d2.sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            centroids[j] = data[labels == j].mean(axis=0)
+    d2 = _reference_squared_distances(twice, sq_norms, centroids)
+    return labels, centroids, float(d2[np.arange(n), labels].sum()), history
+
+
 @pytest.mark.parametrize("balanced", [False, True])
 def test_kmeans_bytes_match_reference_formulas(balanced, monkeypatch):
     rng = np.random.default_rng(18)
@@ -321,12 +360,31 @@ def test_kmeans_bytes_match_reference_formulas(balanced, monkeypatch):
     got = kmeans_pp(data, 30, seed=2, balanced=balanced)
     monkeypatch.setattr(numerics, "_squared_distances", _reference_squared_distances)
     monkeypatch.setattr(numerics, "_enforce_capacity", _reference_enforce_capacity)
+    monkeypatch.setattr(numerics, "_lloyd", _reference_lloyd)
     want = kmeans_pp(data, 30, seed=2, balanced=balanced)
     assert got.labels.tobytes() == want.labels.tobytes()
     assert got.centroids.tobytes() == want.centroids.tobytes()
     assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes()
+    assert got.inertia_history == want.inertia_history
     if balanced:
         assert (got.sizes == 3439 // 30).all()
+
+
+def test_lloyd_reseeds_empty_clusters_like_reference_loop():
+    # four points at equal distance from the origin and two copies of the
+    # origin: starting with four centroids on the origin leaves clusters
+    # 1-3 empty, and they are re-seeded from tied farthest points
+    data = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                     [0.0, 0.0], [0.0, -1.0], [3.0, 3.0]])
+    init = np.array([[0.0, 0.0]] * 4 + [[3.0, 3.0]])
+    args = (data, 2.0 * data, (data * data).sum(axis=1), init)
+    labels = numerics._squared_distances(*args[1:]).argmin(axis=1)
+    assert np.bincount(labels, minlength=5).tolist() == [6, 0, 0, 0, 1]
+    got, want = numerics._lloyd(*args), _reference_lloyd(*args)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert (got[2], got[3]) == (want[2], want[3])
+    assert (np.bincount(got[0], minlength=5) >= 1).all()
 
 
 # -- spectral clustering -----------------------------------------------------

@@ -15,6 +15,7 @@ from vlcurate.errors import (
     NonFiniteFeature,
 )
 from vlcurate.numerics import spearman
+from vlcurate import selector
 from vlcurate.quality_labels import load_reference_reports
 from vlcurate.selector import (
     SelectorModel,
@@ -282,6 +283,35 @@ def test_train_determinism():
         model = init_selector("attention", input_dim=5, seed=4, d_model=8, ff_dim=16)
         runs.append(train(model, sets, labels, epochs=10, lr=0.01).model.params)
     assert np.array_equal(runs[0], runs[1])
+
+
+def _reference_softmax_rows(S):
+    """The row softmax with a fresh array for every step."""
+    shifted = S - S.max(axis=-1, keepdims=True)
+    E = np.exp(shifted)
+    return E / E.sum(axis=-1, keepdims=True)
+
+
+def _reference_softmax_grad(P, dP, out):
+    """The softmax gradient as one fresh expression; ``out`` is unused."""
+    return P * (dP - (dP * P).sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("kind, layers", [("attention", 1), ("attention", 2), ("mlp", 2)])
+def test_train_bytes_match_reference_formulas(kind, layers, monkeypatch):
+    # paper-shaped: 30 subsets of 114 items, 10-wide embeddings, 20 epochs;
+    # the reference allocates every attention array afresh on every call
+    rng = np.random.default_rng(31)
+    sets = list(rng.normal(size=(30, 114, 10)))
+    labels = rng.normal(30.0, 1.0, size=30)
+    model = init_selector(kind, input_dim=10, seed=5, layers=layers)
+    got = train(model, sets, labels, epochs=20)
+    monkeypatch.setattr(selector, "_softmax_rows", _reference_softmax_rows)
+    monkeypatch.setattr(selector, "_softmax_grad", _reference_softmax_grad)
+    monkeypatch.setattr(selector, "_scratch", lambda work, key, shape: np.empty(shape))
+    want = train(model, sets, labels, epochs=20)
+    assert got.model.params.tobytes() == want.model.params.tobytes()
+    assert got.losses == want.losses
 
 
 def test_train_losses_recorded_before_update():
