@@ -5,7 +5,9 @@ identical output. ``np.linalg.eigh`` solves PCA's d x d covariance and
 the p x p landmark Gram of spectral clustering. Spectral clustering is
 landmark-based (Chen & Cai, AAAI 2011): instead of an N x N affinity it
 links each point to a few of p seeded landmark rows, so its memory and
-time grow linearly in N. Tests cross-check the results against
+time grow linearly in N. Landmarks are drawn among distinct rows, so
+copies of a row cannot fill its nearest landmarks and shrink the kernel
+width to rounding noise. Tests cross-check the results against
 independent brute-force routes, dense ``eigh`` of the landmark graph's
 N x N affinity among them.
 
@@ -254,19 +256,19 @@ def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     L = I - W of the landmark graph, plus the row-normalized (N, k) matrix
     of their eigenvectors (rows of zeros stay zero).
 
-    ``LANDMARKS`` seeded rows are the landmarks. Each point links to its
-    ``NEIGHBOURS`` nearest landmarks with Gaussian weights, the kernel
-    width being the median of those distances, and each row of weights
-    sums to 1. With D the landmark column sums of that sparse (N, p)
-    matrix Z, W = Zh Zh^T for Zh = Z D^-1/2 is symmetric with unit row
-    sums, and its top k eigenvectors are Zh V Theta^-1/2 for the top
-    eigenpairs (Theta, V) of the p x p Gram Zh^T Zh."""
+    ``LANDMARKS`` seeded rows, drawn among the first copies of the
+    distinct rows, are the landmarks, and k may not exceed their count.
+    Each point links to its ``NEIGHBOURS`` nearest landmarks with Gaussian
+    weights, the kernel width being the median of those distances, and
+    each row of weights sums to 1. With D the landmark column sums of that
+    sparse (N, p) matrix Z, W = Zh Zh^T for Zh = Z D^-1/2 is symmetric with
+    unit row sums, and its top k eigenvectors are Zh V Theta^-1/2 for the
+    top eigenpairs (Theta, V) of the p x p Gram Zh^T Zh."""
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
-    p = min(n, LANDMARKS)
-    if not 1 <= k <= p:
-        raise BadRank(f"k={k} outside [1, {p}]")
-    marks = np.sort(np.random.default_rng(0).choice(n, size=p, replace=False))
+    firsts = np.sort(np.unique(data, axis=0, return_index=True)[1])
+    p = min(len(firsts), LANDMARKS)
+    marks = firsts[np.sort(np.random.default_rng(0).choice(len(firsts), size=p, replace=False))]
     d2 = _squared_distances(2.0 * data, (data * data).sum(axis=1), data[marks])
     r = min(NEIGHBOURS, p)
     rows = np.arange(n)
@@ -280,6 +282,8 @@ def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     sigma = float(np.median(np.sqrt(near_d2)))
     if sigma == 0.0:
         raise DegenerateAffinity("median landmark distance is zero")
+    if not 1 <= k <= p:
+        raise BadRank(f"k={k} outside [1, {p}]")
     # shifting each row by its nearest distance cancels in the row
     # normalization and keeps a far point's weights from all underflowing
     weights = np.exp((near_d2[:, :1] - near_d2) / (2.0 * sigma * sigma))

@@ -13,14 +13,13 @@ Scores must not depend on item order. Float addition is not associative, so
 instead of relying on symmetric pooling alone every set's rows are first
 sorted lexicographically; permuted inputs then produce bit-identical scores.
 
-One forward and one backward take a (B, T, D) batch of B sorted sets of T
-items: ``predict`` is B = 1, ``loss_and_grad`` stacks its equal-length
-sets, and ``predict_items`` runs N one-item sets (T = 1, where attention
-weights are exactly 1 and nothing needs sorting). Products stay stacked per
-set, one BLAS call each, and per-set terms are added in set order, so a set
-gets the same bits alone as in a batch. ``train`` checks, sorts and stacks
-its sets once, and its epochs reuse one set of (B, T, T) attention buffers:
-the scores, turned into the softmax in place, and the softmax gradient.
+Training runs one forward and one backward per sorted (T, D) set and adds
+each set's squared error and gradient into running totals in set order,
+so at most one set's (T, T) attention arrays are alive at a time.
+``train`` checks and sorts its sets once, and ``loss_and_grad`` is one
+epoch of it. The forward also takes a (B, T, D) stack, one BLAS call per
+set: ``predict_items`` scores N one-item sets in one pass (T = 1, where
+attention weights are exactly 1 and nothing needs sorting).
 
 Parameters live in one flat float64 vector addressed through a shape table,
 and gradients are computed by hand (no autodiff). The scalar head is
@@ -161,18 +160,6 @@ def _table(model: SelectorModel):
     return shape_table(model.kind, model.input_dim, model.d_model, model.ff_dim, model.layers)
 
 
-def _T(A: np.ndarray) -> np.ndarray:
-    """Transpose every matrix of a (B, m, n) stack."""
-    return A.transpose(0, 2, 1)
-
-
-def _scratch(work: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The buffer ``work[key]``, allocated on first use: one batch keeps its shapes."""
-    if key not in work:
-        work[key] = np.empty(shape)
-    return work[key]
-
-
 def _softmax_rows(S: np.ndarray) -> np.ndarray:
     """The softmax of each row of S, written over S."""
     S -= S.max(axis=-1, keepdims=True)
@@ -181,13 +168,14 @@ def _softmax_rows(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _forward(model: SelectorModel, p, X: np.ndarray, work: dict[str, np.ndarray]):
-    """(scores (B,), cache) for a (B, T, D) batch of canonical sets; p: param views."""
+def _forward(model: SelectorModel, p, X: np.ndarray):
+    """(score, cache) for one canonical (T, D) set, or (scores (B,), cache)
+    for a (B, T, D) stack of them; p: param views."""
     if model.kind == "mlp":
         H1 = np.tanh(X @ p["l1.W"] + p["l1.b"])
         H2 = np.tanh(H1 @ p["l2.W"] + p["l2.b"])
         items = H2 @ p["head.w"] + p["head.b"][0]
-        return items.mean(axis=1), {"H1": H1, "H2": H2}
+        return items.mean(axis=-1), {"H1": H1, "H2": H2}
     H, blocks = X, []
     if model.kind == "attention":
         scale = 1.0 / math.sqrt(model.d_model)
@@ -198,7 +186,7 @@ def _forward(model: SelectorModel, p, X: np.ndarray, work: dict[str, np.ndarray]
             Q = H @ p[a + "Wq"] + p[a + "bq"]
             K = H @ p[a + "Wk"] + p[a + "bk"]
             V = H @ p[a + "Wv"] + p[a + "bv"]
-            S = np.matmul(Q, _T(K), out=_scratch(work, f"P{i}", (*Q.shape[:2], Q.shape[1])))
+            S = Q @ K.swapaxes(-1, -2)
             S *= scale
             P = _softmax_rows(S)
             C = P @ V
@@ -207,37 +195,30 @@ def _forward(model: SelectorModel, p, X: np.ndarray, work: dict[str, np.ndarray]
             blocks.append({"Hin": H, "Q": Q, "K": K, "V": V, "P": P, "C": C,
                            "H1": H1, "Z": Z})
             H = H1 + (Z @ p[f + "W2"] + p[f + "b2"])
-    pooled = H.mean(axis=1)
-    # (B, 1, m) @ (m,): one dot product per set, as for a single set
-    scores = (pooled[:, None, :] @ p["head.w"])[:, 0] + p["head.b"][0]
+    pooled = H.mean(axis=-2)
+    # (..., 1, m) @ (m,): one dot product per set
+    scores = (pooled[..., None, :] @ p["head.w"])[..., 0] + p["head.b"][0]
     return scores, {"blocks": blocks, "pooled": pooled}
 
 
 def predict(model: SelectorModel, X) -> float:
     """Score one set of item embeddings; invariant to row order."""
     X = _canonical(_check_input(model, X, min_rows=1))
-    scores, _ = _forward(model, _views(model.params, _table(model)), X[None], {})
-    return float(scores[0])
+    return float(_forward(model, _views(model.params, _table(model)), X)[0])
 
 
 def predict_items(model: SelectorModel, X) -> np.ndarray:
     """Score each row as its own singleton set (curation-time use)."""
     X = _check_input(model, X, min_rows=0)
-    return _forward(model, _views(model.params, _table(model)), X[:, None, :], {})[0]
+    return _forward(model, _views(model.params, _table(model)), X[:, None, :])[0]
 
 
 # -- backward ------------------------------------------------------------
 
-def _sum_sets(S: np.ndarray) -> np.ndarray:
-    """Sum per-set terms over the batch axis one set after another, in list
-    order (``sum`` would add a 1-D axis pairwise)."""
-    return np.add.accumulate(S, axis=0)[-1]
-
-
 def _affine_grad(g, name_W: str, name_b: str, Hin: np.ndarray, dOut: np.ndarray) -> None:
-    """Add the gradients of Out = Hin @ W + b, summed over items, then sets."""
-    g[name_W] += _sum_sets(_T(Hin) @ dOut)
-    g[name_b] += _sum_sets(dOut.sum(axis=1))
+    """Add the gradients of Out = Hin @ W + b, summed over items."""
+    g[name_W] += Hin.T @ dOut
+    g[name_b] += dOut.sum(axis=0)
 
 
 def _softmax_grad(P: np.ndarray, dP: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -248,26 +229,27 @@ def _softmax_grad(P: np.ndarray, dP: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(P, dP, out=out)
 
 
-def _backward(model: SelectorModel, p, X: np.ndarray, cache, dscore: np.ndarray,
-              g: dict[str, np.ndarray], work: dict[str, np.ndarray]) -> None:
-    """Add d(loss)/d(params) into the views g, given d(loss)/d(score) per set."""
-    T = X.shape[1]
+def _backward(model: SelectorModel, p, X: np.ndarray, cache, dscore: float,
+              g: dict[str, np.ndarray]) -> None:
+    """Add d(loss)/d(params) of one (T, D) set into the views g, given
+    d(loss)/d(score)."""
+    T = X.shape[0]
     if model.kind == "mlp":
         H1, H2 = cache["H1"], cache["H2"]
-        d_items = np.repeat((dscore / T)[:, None], T, axis=1)
-        g["head.w"] += _sum_sets((_T(H2) @ d_items[:, :, None])[:, :, 0])
-        g["head.b"][0] += _sum_sets(d_items.sum(axis=1))
-        dU2 = d_items[:, :, None] * p["head.w"] * (1.0 - H2 * H2)
+        d_items = np.full(T, dscore / T)
+        g["head.w"] += H2.T @ d_items
+        g["head.b"][0] += d_items.sum()
+        dU2 = d_items[:, None] * p["head.w"] * (1.0 - H2 * H2)
         _affine_grad(g, "l2.W", "l2.b", H1, dU2)
         dU1 = (dU2 @ p["l2.W"].T) * (1.0 - H1 * H1)
         _affine_grad(g, "l1.W", "l1.b", X, dU1)
         return
-    g["head.w"] += _sum_sets(dscore[:, None] * cache["pooled"])
-    g["head.b"][0] += _sum_sets(dscore)
+    g["head.w"] += dscore * cache["pooled"]
+    g["head.b"][0] += dscore
     if model.kind == "linear":
         return
     scale = 1.0 / math.sqrt(model.d_model)
-    dH = np.repeat((dscore[:, None] * p["head.w"] / T)[:, None, :], T, axis=1)
+    dH = np.repeat((dscore * p["head.w"] / T)[None, :], T, axis=0)
     for i in reversed(range(model.layers)):
         a = f"blk{i}.att."
         f = f"blk{i}.ff."
@@ -281,11 +263,11 @@ def _backward(model: SelectorModel, p, X: np.ndarray, cache, dscore: np.ndarray,
         Hin, Q, K, V, P, C = blk["Hin"], blk["Q"], blk["K"], blk["V"], blk["P"], blk["C"]
         _affine_grad(g, a + "Wo", a + "bo", C, dH1)
         dC = dH1 @ p[a + "Wo"].T
-        dP = np.matmul(dC, _T(V), out=_scratch(work, "dP", P.shape))
-        dV = _T(P) @ dC
-        dS = _softmax_grad(P, dP, _scratch(work, "dS", P.shape))
+        dP = dC @ V.T
+        dV = P.T @ dC
+        dS = _softmax_grad(P, dP, np.empty_like(P))
         dQ = dS @ K * scale
-        dK = _T(dS) @ Q * scale
+        dK = dS.T @ Q * scale
         for m, dM in (("q", dQ), ("k", dK), ("v", dV)):
             _affine_grad(g, a + "W" + m, a + "b" + m, Hin, dM)
         dH = dH1 + dQ @ p[a + "Wq"].T + dK @ p[a + "Wk"].T + dV @ p[a + "Wv"].T
@@ -296,29 +278,36 @@ def loss_and_grad(
     model: SelectorModel, sets: list[np.ndarray], labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean squared error over equal-length labeled sets, with its full gradient."""
-    return _batch_loss_and_grad(model, *_stack_sets(model, sets, labels), {})
+    sets, labels = _check_sets(model, sets, labels)
+    table = _table(model)
+    grad = np.zeros_like(model.params)
+    loss = _add_loss_grad(model, _views(model.params, table), sets, labels,
+                          _views(grad, table))
+    return loss, grad
 
 
-def _stack_sets(model: SelectorModel, sets, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The checked, canonical sets as one (B, T, D) batch, and the labels."""
+def _check_sets(model: SelectorModel, sets, labels) -> tuple[list[np.ndarray], np.ndarray]:
+    """The checked, canonical sets, all of one length, and the labels."""
     if len(sets) != len(labels) or len(sets) == 0:
         raise BadConfig("need one label per set and at least one set")
     canonical = [_canonical(_check_input(model, X, min_rows=1)) for X in sets]
     lengths = {X.shape[0] for X in canonical}
     if len(lengths) != 1:
         raise DimensionMismatch(f"training sets differ in length: {sorted(lengths)}")
-    return np.stack(canonical), np.asarray(labels, dtype=float)
+    return canonical, np.asarray(labels, dtype=float)
 
 
-def _batch_loss_and_grad(model: SelectorModel, X, labels, work) -> tuple[float, np.ndarray]:
-    table = _table(model)
-    p = _views(model.params, table)
-    grad = np.zeros_like(model.params)
-    scores, cache = _forward(model, p, X, work)
-    err = scores - labels
-    n = len(X)
-    _backward(model, p, X, cache, 2.0 * err / n, _views(grad, table), work)
-    return float(_sum_sets(err * err / n)), grad
+def _add_loss_grad(model: SelectorModel, p, sets, labels, g) -> float:
+    """The mean squared error; its gradient is added into the views g one
+    set at a time, in list order."""
+    n = len(sets)
+    loss = 0.0
+    for X, label in zip(sets, labels):
+        score, cache = _forward(model, p, X)
+        err = score - label
+        _backward(model, p, X, cache, 2.0 * err / n, g)
+        loss += err * err / n
+    return float(loss)
 
 
 def train(
@@ -336,19 +325,23 @@ def train(
         raise BadConfig("epochs must be >= 1 and lr > 0")
     if len(sets) < 2:
         raise BadConfig("training needs at least 2 labeled sets")
-    X, labels = _stack_sets(model, sets, labels)
-    work: dict[str, np.ndarray] = {}
+    sets, labels = _check_sets(model, sets, labels)
     params = model.params.copy()
     current = replace(model, params=params)
+    table = _table(model)
+    p = _views(params, table)
+    grad = np.zeros_like(params)
+    g = _views(grad, table)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     losses = []
     for epoch in range(epochs):
-        loss, grad = _batch_loss_and_grad(current, X, labels, work)
+        grad.fill(0.0)
+        loss = _add_loss_grad(current, p, sets, labels, g)
         if not np.isfinite(loss):
             raise DivergedTraining(epoch)
-        losses.append(float(loss))
+        losses.append(loss)
         if optimizer == "adam":
             t = epoch + 1
             m = beta1 * m + (1.0 - beta1) * grad

@@ -463,16 +463,18 @@ def landmark_affinity(data, landmarks):
     return zhat @ zhat.T
 
 
-def landmark_rows(n):
-    """The library's landmark draw: LANDMARKS seeded rows, sorted (every
-    row when N <= LANDMARKS)."""
-    p = min(n, numerics.LANDMARKS)
-    return np.sort(np.random.default_rng(0).choice(n, size=p, replace=False))
+def landmark_rows(data):
+    """The library's landmark draw: LANDMARKS seeded rows among the first
+    copies of the distinct rows, sorted (every distinct row when there are
+    at most LANDMARKS)."""
+    distinct = np.sort(np.unique(data, axis=0, return_index=True)[1])
+    p = min(len(distinct), numerics.LANDMARKS)
+    return distinct[np.sort(np.random.default_rng(0).choice(len(distinct), size=p, replace=False))]
 
 
 def oracle_eigenpairs(data):
     """Eigenvalues of L = I - W ascending, with orthonormal eigenvectors."""
-    affinity = landmark_affinity(data, landmark_rows(len(data)))
+    affinity = landmark_affinity(data, landmark_rows(data))
     theta, vecs = np.linalg.eigh((affinity + affinity.T) / 2.0)
     return 1.0 - theta[::-1], vecs[:, ::-1]
 
@@ -551,6 +553,27 @@ def test_spectral_embedding_block_covers_all_rows(n, k):
     got_vals, got_rows = spectral_embedding(data, k)
     assert np.abs(got_vals - eigvals[:k]).max() < 1e-8
     assert got_rows.shape == (n, k)
+
+
+@pytest.mark.parametrize("n,copies", [(100, 3), (150, 20), (1000, 3)])
+def test_spectral_duplicate_rows_match_distinct_rows(n, copies):
+    # every row repeated: a landmark drawn among all rows would sit on top
+    # of its copies and shrink the kernel width (the median landmark
+    # distance) to rounding noise, splitting off copy groups as components;
+    # drawn among distinct rows, the graph has the distinct rows'
+    # eigenvalues, each copy its row's embedding, and clusters stay balanced
+    distinct = np.random.default_rng(0).normal(size=(n, 16))
+    data = np.repeat(distinct, copies, axis=0)
+    got_vals, got_rows = spectral_embedding(data, 10)
+    want_vals, want_rows = spectral_embedding(distinct, 10)
+    assert np.abs(got_vals - want_vals).max() < 1e-8
+    assert largest_angle(got_rows, np.repeat(want_rows, copies, axis=0)) < 1e-6
+    if len(data) <= numerics.LANDMARKS:
+        _check_against_oracle(data, 10)
+    got = spectral_cluster(data, 10, seed=0)
+    groups = got.labels.reshape(n, copies)
+    assert (groups == groups[:, :1]).all()
+    assert max(got.sizes) <= len(data) // 3
 
 
 def test_spectral_embedding_k1():

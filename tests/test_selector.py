@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,10 +309,26 @@ def test_train_bytes_match_reference_formulas(kind, layers, monkeypatch):
     got = train(model, sets, labels, epochs=20)
     monkeypatch.setattr(selector, "_softmax_rows", _reference_softmax_rows)
     monkeypatch.setattr(selector, "_softmax_grad", _reference_softmax_grad)
-    monkeypatch.setattr(selector, "_scratch", lambda work, key, shape: np.empty(shape))
     want = train(model, sets, labels, epochs=20)
     assert got.model.params.tobytes() == want.model.params.tobytes()
     assert got.losses == want.losses
+
+
+def test_train_attention_peak_holds_a_few_set_sized_buffers():
+    # 30 sets of 600 items: one set's (T, T) attention arrays are 2.9 MB
+    # each, where a (30, T, T) stack of them would be 86 MB
+    t = 600
+    rng = np.random.default_rng(32)
+    sets = list(rng.normal(size=(30, t, 10)))
+    labels = rng.normal(30.0, 1.0, size=30)
+    model = init_selector("attention", input_dim=10, seed=5)
+    tracemalloc.start()
+    try:
+        train(model, sets, labels, epochs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * t * t * 8
 
 
 def test_train_losses_recorded_before_update():
