@@ -18,8 +18,9 @@ each set's squared error and gradient into running totals in set order,
 so at most one set's (T, T) attention arrays are alive at a time.
 ``train`` checks and sorts its sets once, and ``loss_and_grad`` is one
 epoch of it. The forward also takes a (B, T, D) stack, one BLAS call per
-set: ``predict_items`` scores N one-item sets in one pass (T = 1, where
-attention weights are exactly 1 and nothing needs sorting).
+set, so a set scores the same bits in any stack: ``predict_items`` scores
+N one-item sets in stacks of ``PREDICT_BLOCK`` (T = 1, where attention
+weights are exactly 1 and nothing needs sorting).
 
 Parameters live in one flat float64 vector addressed through a shape table,
 and gradients are computed by hand (no autodiff). The scalar head is
@@ -47,6 +48,9 @@ from .errors import (
 
 MODEL_VERSION = 1
 KINDS = ("linear", "mlp", "attention")
+# predict_items scores this many one-item sets per forward pass, so its
+# temporaries stay near 1 MB at any N
+PREDICT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -208,9 +212,15 @@ def predict(model: SelectorModel, X) -> float:
 
 
 def predict_items(model: SelectorModel, X) -> np.ndarray:
-    """Score each row as its own singleton set (curation-time use)."""
+    """Score each row as its own singleton set (curation-time use), one
+    stack of at most ``PREDICT_BLOCK`` sets at a time."""
     X = _check_input(model, X, min_rows=0)
-    return _forward(model, _views(model.params, _table(model)), X[:, None, :])[0]
+    p = _views(model.params, _table(model))
+    scores = np.empty(len(X))
+    for start in range(0, len(X), PREDICT_BLOCK):
+        block = X[start:start + PREDICT_BLOCK]
+        scores[start:start + len(block)] = _forward(model, p, block[:, None, :])[0]
+    return scores
 
 
 # -- backward ------------------------------------------------------------

@@ -153,8 +153,9 @@ def test_predict_rejects_bad_input():
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "attention"])
-@pytest.mark.parametrize("n,dim", [(6, 5), (500, 10)])
+@pytest.mark.parametrize("n,dim", [(6, 5), (500, 10), (1100, 4)])
 def test_predict_items_matches_singletons(kind, n, dim):
+    # 1100 rows span three stacks of PREDICT_BLOCK, the last one short
     model = _nonzero_head(kind, input_dim=dim)
     rng = np.random.default_rng(4)
     X = rng.normal(size=(n, dim))
@@ -162,6 +163,20 @@ def test_predict_items_matches_singletons(kind, n, dim):
     assert per_item.shape == (n,)
     for i in range(n):
         assert per_item[i] == predict(model, X[i:i + 1])  # bitwise
+
+
+def test_predict_items_peak_holds_one_block_of_temporaries():
+    # 20000 one-item sets scored in a single stack peak at 23 MB of
+    # attention temporaries; stacks of PREDICT_BLOCK peak under 1 MB
+    X = np.random.default_rng(5).normal(size=(20_000, 40))
+    model = _nonzero_head("attention", input_dim=40)
+    tracemalloc.start()
+    try:
+        predict_items(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 # -- gradients ------------------------------------------------------------
