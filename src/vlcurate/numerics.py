@@ -5,11 +5,13 @@ identical output. ``np.linalg.eigh`` solves PCA's d x d covariance and
 the p x p landmark Gram of spectral clustering. Spectral clustering is
 landmark-based (Chen & Cai, AAAI 2011): instead of an N x N affinity it
 links each point to a few of p seeded landmark rows, so its memory and
-time grow linearly in N. Landmarks are drawn among distinct rows, so
-copies of a row cannot fill its nearest landmarks and shrink the kernel
-width to rounding noise. Tests cross-check the results against
-independent brute-force routes, dense ``eigh`` of the landmark graph's
-N x N affinity among them.
+time grow linearly in N. The nearest landmarks are searched over blocks
+of ``DISTANCE_BLOCK`` rows, so it holds one (block, p) distance block,
+the p x p Gram and (N, r) neighbour lists, never all N rows' distances.
+Landmarks are drawn among distinct rows, so copies of a row cannot fill
+its nearest landmarks and shrink the kernel width to rounding noise.
+Tests cross-check the results against independent brute-force routes,
+dense ``eigh`` of the landmark graph's N x N affinity among them.
 
 ``pca_fit`` holds one centered copy of its input and frees it before
 ``eigh``. Lloyd's centroids are per-column ``np.bincount`` sums over the
@@ -45,6 +47,8 @@ DEFAULT_RESTARTS = 10
 # its NEIGHBOURS nearest landmarks
 LANDMARKS = 500
 NEIGHBOURS = 5
+# rows per block of spectral_embedding's nearest-landmark search
+DISTANCE_BLOCK = 512
 
 
 # -- PCA -----------------------------------------------------------------
@@ -263,22 +267,30 @@ def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     each row of weights sums to 1. With D the landmark column sums of that
     sparse (N, p) matrix Z, W = Zh Zh^T for Zh = Z D^-1/2 is symmetric with
     unit row sums, and its top k eigenvectors are Zh V Theta^-1/2 for the
-    top eigenpairs (Theta, V) of the p x p Gram Zh^T Zh."""
+    top eigenpairs (Theta, V) of the p x p Gram Zh^T Zh.
+
+    Distances are taken ``DISTANCE_BLOCK`` rows at a time, and that
+    fixed-block product defines the result's bits: BLAS may round a few
+    distances differently in the last bit for another block shape, as it
+    does for another thread count."""
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
     firsts = np.sort(np.unique(data, axis=0, return_index=True)[1])
     p = min(len(firsts), LANDMARKS)
     marks = firsts[np.sort(np.random.default_rng(0).choice(len(firsts), size=p, replace=False))]
-    d2 = _squared_distances(2.0 * data, (data * data).sum(axis=1), data[marks])
+    landmarks = data[marks]
     r = min(NEIGHBOURS, p)
-    rows = np.arange(n)
     nearest = np.empty((n, r), dtype=np.intp)
     near_d2 = np.empty((n, r))
-    for j in range(r):   # ascending, ties to the lower landmark
-        nearest[:, j] = d2.argmin(axis=1)
-        near_d2[:, j] = d2[rows, nearest[:, j]]
-        d2[rows, nearest[:, j]] = np.inf
-    del d2
+    for start in range(0, n, DISTANCE_BLOCK):
+        block = data[start:start + DISTANCE_BLOCK]
+        d2 = _squared_distances(2.0 * block, (block * block).sum(axis=1), landmarks)
+        rows, cut = np.arange(len(block)), slice(start, start + len(block))
+        for j in range(r):   # ascending, ties to the lower landmark
+            nearest[cut, j] = d2.argmin(axis=1)
+            near_d2[cut, j] = d2[rows, nearest[cut, j]]
+            d2[rows, nearest[cut, j]] = np.inf
+        del d2
     sigma = float(np.median(np.sqrt(near_d2)))
     if sigma == 0.0:
         raise DegenerateAffinity("median landmark distance is zero")
@@ -293,7 +305,9 @@ def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     pairs = (nearest[:, :, None] * p + nearest[:, None, :]).ravel()
     gram = np.bincount(pairs, (weights[:, :, None] * weights[:, None, :]).ravel(),
                        minlength=p * p).reshape(p, p)
+    del pairs
     theta, vecs = np.linalg.eigh(gram)
+    del gram
     order = np.argsort(-theta, kind="stable")[:k]
     theta = theta[order]
     scaled = vecs[:, order] * np.where(theta > 0.0, theta, np.inf) ** -0.5

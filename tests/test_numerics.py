@@ -615,9 +615,32 @@ def test_spectral_embedding_rejects_bad_k(monkeypatch):
         spectral_embedding(data, 4)
 
 
+def test_spectral_embedding_empty_matrix_raises_bad_rank():
+    with pytest.raises(BadRank):
+        spectral_embedding(np.empty((0, 4)), 1)
+
+
+def test_spectral_embedding_matches_dense_oracle_across_block_boundaries(monkeypatch):
+    # 142 blocks of 7 rows and a tail of 6, each searched on its own
+    monkeypatch.setattr(numerics, "DISTANCE_BLOCK", 7)
+    data = np.random.default_rng(1003).normal(size=(1000, 5))
+    _check_against_oracle(data, 3)
+    _check_against_oracle(data, 10)
+
+
+@pytest.mark.parametrize("block", [7, 2 * 512 + 77])
+def test_spectral_cluster_labels_do_not_depend_on_the_block(block, monkeypatch):
+    # N spans three default blocks and a tail of 77 rows; one block of all
+    # N rows is the unblocked search
+    data = np.random.default_rng(16).normal(size=(2 * 512 + 77, 8))
+    want = spectral_cluster(data, 10, seed=0).labels
+    monkeypatch.setattr(numerics, "DISTANCE_BLOCK", block)
+    assert np.array_equal(spectral_cluster(data, 10, seed=0).labels, want)
+
+
 def test_spectral_embedding_memory_peak():
-    # one (N, p) float64 distance buffer, where a dense N x N affinity
-    # would need 3.2 GB
+    # a third of one (N, p) float64 distance matrix (26.7 MB here), where a
+    # dense N x N affinity would need 3.2 GB: the search holds one block
     n = 20_000
     data = np.random.default_rng(14).normal(size=(n, 16))
     tracemalloc.start()
@@ -626,7 +649,7 @@ def test_spectral_embedding_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n * numerics.LANDMARKS * 8
+    assert peak <= n * numerics.LANDMARKS * 8 / 3
 
 
 # -- rank helpers -------------------------------------------------------------
