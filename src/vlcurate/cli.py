@@ -35,7 +35,6 @@ from .config import PipelineConfig, build_config, fingerprint, rerun_reason, sta
 from .corpus import (
     REQUIRED_MATRICES,
     SCORE_SLOTS,
-    ScoreCache,
     load_features,
     load_manifest,
     read_json,
@@ -73,7 +72,7 @@ def _score(cfg: PipelineConfig, args, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_clip"),
                              cfg.matrix_store(), digests)
-    cache = read_scores(cfg.scores_path()) if cfg.scores_path().exists() else ScoreCache()
+    cache = read_scores(cfg.scores_path()) if cfg.scores_path().exists() else {}
     providers = {}
     if cfg.provider == "http":
         headers = {"Authorization": f"Bearer {cfg.api_key}"} if cfg.api_key else None
@@ -228,8 +227,9 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
         ),
         "score": Stage(
             inputs=[cfg.manifest_path(), *features("image", "text_clip")],
-            config={"provider": cfg.provider, "reward_url": cfg.reward_url,
-                    "rating_url": cfg.rating_url, "workers": cfg.workers},
+            # a cached score is never fetched again, so the provider, its
+            # URLs and the worker count cannot change scores.jsonl
+            config={},
             outputs=[cfg.scores_path()],
             body=_score,
         ),

@@ -10,8 +10,11 @@ hashes each input file once per stage run, and the stage body reuses
 those digests (the feature reads look up their binary twins by them). A
 stage's record, ``.fingerprints/<stage>.sha256``, holds three maps:
 ``inputs`` (path -> sha256 of the file's bytes), ``config`` (key ->
-sha256 of the value's JSON, so that an endpoint URL carrying a credential
-never reaches disk) and ``outputs`` (path -> sha256 of the file's bytes).
+sha256 of the value's JSON) and ``outputs`` (path -> sha256 of the file's
+bytes). ``score`` fingerprints no config: a cached score is never fetched
+again, so the provider, its endpoint URLs and ``workers`` (threads that
+share no state, each filling the records of its own samples) cannot
+change its output, and no URL is recorded anywhere.
 Paths inside the workdir are kept relative to it, so a copied workdir
 stays current. A rerun whose inputs, config and outputs all match its
 record is a no-op; otherwise ``rerun_reason`` names the first input,

@@ -10,7 +10,8 @@ write and read:
   ``id <dim>`` followed by ``<id> v1 ... v<dim>`` rows (decimal floats,
   whitespace separated)
 * score cache (``scores.jsonl``): one JSON object per line keyed by ``id``
-  with fields ``clip``, ``length``, ``reward``, ``gpt`` (all optional per row)
+  with fields ``clip``, ``length``, ``reward``, ``gpt`` (all optional per
+  row), read into a ``ScoreCache``: a plain dict of id -> ScoreRecord
 
 Stages read feature matrices from binary twins instead of parsing the
 text again. ``<workdir>/.matrices/`` holds, for each feature file, one
@@ -435,20 +436,12 @@ class ScoreRecord:
         return next((slot for slot in SCORE_SLOTS if getattr(self, slot) is None), None)
 
 
-class ScoreCache:
-    """Mutable id -> ScoreRecord map, persisted as line-delimited JSON."""
-
-    def __init__(self) -> None:
-        self.records: dict[str, ScoreRecord] = {}
-
-    def get(self, sample_id: str) -> ScoreRecord:
-        if sample_id not in self.records:
-            self.records[sample_id] = ScoreRecord()
-        return self.records[sample_id]
+# id -> that sample's scores; a plain dict, persisted as line-delimited JSON
+ScoreCache = dict[str, ScoreRecord]
 
 
 def read_scores(path: str | Path) -> ScoreCache:
-    cache = ScoreCache()
+    cache: ScoreCache = {}
     for line_no, raw in read_jsonl(path):
         if "id" not in raw:
             raise MalformedRecord(line_no, "missing id")
@@ -461,14 +454,14 @@ def read_scores(path: str | Path) -> ScoreCache:
             record.validate()
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedRecord(line_no, f"non-numeric score field ({exc})") from None
-        cache.records[str(raw["id"])] = record
+        cache[str(raw["id"])] = record
     return cache
 
 
 def write_scores(cache: ScoreCache, path: str | Path) -> None:
-    for record in cache.records.values():
+    for record in cache.values():
         record.validate()
     write_jsonl(path, (
         {"id": sample_id, **{slot: getattr(record, slot) for slot in SCORE_SLOTS
                              if getattr(record, slot) is not None}}
-        for sample_id, record in cache.records.items()))
+        for sample_id, record in cache.items()))

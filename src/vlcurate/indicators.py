@@ -8,7 +8,9 @@ HTTP-JSON endpoints; the pure functions here never touch the network.
 The endpoint clients speak HTTP/1.1 through the standard library's
 ``http.client``: each worker thread keeps one keep-alive connection per
 endpoint and reopens it once, without spending a retry, when the server
-closed it while it sat idle.
+closed it while it sat idle. ``score_corpus`` writes the scores into the
+plain id -> ScoreRecord dict of corpus.py; each worker writes only the
+records of the samples it was handed.
 
 Instructions deliberately do not influence clip/length/reward values --
 they enter only through the rating prompt's instruction slot.
@@ -16,6 +18,7 @@ they enter only through the rating prompt's instruction slot.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import math
@@ -23,13 +26,12 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from urllib.parse import quote, urlsplit
 
 import numpy as np
 
-from .corpus import ScoreCache, Triplet
+from .corpus import ScoreCache, ScoreRecord, Triplet
 from .errors import (
     BadConfig,
     DegenerateEmbedding,
@@ -65,6 +67,7 @@ class PromptTemplate:
                 raise TemplateError(f"system template lacks the {placeholder} slot")
 
 
+@functools.cache
 def default_prompt_template() -> PromptTemplate:
     return PromptTemplate(
         system_template=_load_asset("rating_prompt_system.txt"),
@@ -153,12 +156,10 @@ class _JsonClient:
         if parts.scheme not in _CONNECTIONS or not parts.hostname or "@" in parts.netloc:
             raise BadConfig(f"provider URL {url!r} is not http:// or https:// with a "
                             "host and without user info")
-        self.url = url
         self.retries = retries
-        self.timeout = timeout
         self.headers = {"Content-Type": "application/json", **(headers or {})}
-        self._connect = partial(_CONNECTIONS[parts.scheme], parts.hostname, port,
-                                timeout=timeout)
+        self._connect = functools.partial(_CONNECTIONS[parts.scheme], parts.hostname,
+                                          port, timeout=timeout)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         # percent-encode spaces and non-ASCII; keep reserved characters and escapes
         self._target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
@@ -224,21 +225,12 @@ class _JsonClient:
 
 
 class RatingClient(_JsonClient):
-    """HTTP auto-grader: POST {system, user}, reply {content}; retried on failure."""
-
-    def __init__(
-        self,
-        url: str,
-        template: PromptTemplate | None = None,
-        retries: int = 3,
-        timeout: float = 30.0,
-        headers: dict[str, str] | None = None,
-    ):
-        super().__init__(url, retries, timeout, headers)
-        self.template = template or default_prompt_template()
+    """HTTP auto-grader: POST {system, user} rendered from the default
+    prompt template, reply {content}; retried on failure."""
 
     def score(self, triplet: Triplet) -> float:
-        system, user = render_gpt_prompt(self.template, triplet.instruction, triplet.response)
+        system, user = render_gpt_prompt(default_prompt_template(), triplet.instruction,
+                                         triplet.response)
         return self._post(triplet.id, {"system": system, "user": user},
                           "content", parse_gpt_reply)
 
@@ -277,56 +269,47 @@ def score_corpus(
     the image and text_clip feature matrices, which follow the manifest
     order; length from the response text; reward and gpt from the cache,
     else the provider, else MissingScore when the provider is absent
-    (cache-only mode).
+    (cache-only mode). Each manifest id's record is looked up once; the
+    remote calls then run one sample at a time in the calling thread, or
+    on ``workers`` threads that each write only the record of the sample
+    they were handed, so the threads share no state.
     """
     image, text = features["image"], features["text_clip"]
     if len(image) != len(manifest) or len(text) != len(manifest):
         raise DimensionMismatch(
             f"feature rows ({len(image)}, {len(text)}) != manifest size {len(manifest)}"
         )
-    lock = threading.Lock()
-
-    def fill_remote(triplet: Triplet) -> None:
-        with lock:
-            record = cache.get(triplet.id)
-            need_reward = record.reward is None
-            need_gpt = record.gpt is None
-        if need_reward:
-            if reward_provider is None:
-                raise MissingScore(triplet.id, "reward")
-            value = reward_provider.score(triplet)
-            with lock:
-                record.reward = value
-        if need_gpt:
-            if gpt_provider is None:
-                raise MissingScore(triplet.id, "gpt")
-            value = gpt_provider.score(triplet)
-            with lock:
-                record.gpt = value
-
+    pending = []
     for i, triplet in enumerate(manifest):
-        record = cache.get(triplet.id)
+        record = cache.setdefault(triplet.id, ScoreRecord())
         if record.clip is None:
             record.clip = clip_score(image[i], text[i])
         if record.length is None:
             record.length = length_score(triplet.response)
+        if record.reward is None or record.gpt is None:
+            pending.append((triplet, record))
 
-    pending = [
-        t
-        for t in manifest
-        if cache.get(t.id).reward is None or cache.get(t.id).gpt is None
-    ]
-    if pending:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(fill_remote, pending):
-                    _ = result
-        else:
-            for triplet in pending:
-                fill_remote(triplet)
+    def fill_remote(pair: tuple[Triplet, ScoreRecord]) -> None:
+        triplet, record = pair
+        if record.reward is None:
+            if reward_provider is None:
+                raise MissingScore(triplet.id, "reward")
+            record.reward = reward_provider.score(triplet)
+        if record.gpt is None:
+            if gpt_provider is None:
+                raise MissingScore(triplet.id, "gpt")
+            record.gpt = gpt_provider.score(triplet)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(fill_remote, pending):
+                pass
+    else:
+        for pair in pending:
+            fill_remote(pair)
 
     for triplet in manifest:
-        record = cache.records[triplet.id]
+        record = cache[triplet.id]
         record.validate()
         missing = record.missing()
         if missing:
@@ -338,7 +321,7 @@ def indicator_matrix(manifest: list[Triplet], cache: ScoreCache) -> np.ndarray:
     """Stack complete cached scores as an (N, 4) matrix in manifest order."""
     out = np.empty((len(manifest), 4), dtype=float)
     for i, triplet in enumerate(manifest):
-        record = cache.records.get(triplet.id)
+        record = cache.get(triplet.id)
         missing = "all" if record is None else record.missing()
         if missing:
             raise MissingScore(triplet.id, missing)

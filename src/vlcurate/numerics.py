@@ -277,6 +277,8 @@ def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     n = data.shape[0]
     firsts = np.sort(np.unique(data, axis=0, return_index=True)[1])
     p = min(len(firsts), LANDMARKS)
+    if p == 0:   # no rows, so no distances for the kernel width's median
+        raise BadRank(f"k={k} outside [1, 0]")
     marks = firsts[np.sort(np.random.default_rng(0).choice(len(firsts), size=p, replace=False))]
     landmarks = data[marks]
     r = min(NEIGHBOURS, p)
@@ -319,20 +321,13 @@ def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 
 
 def rank_data(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties averaged."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    sorted_vals = values[order]
-    positions = np.arange(1.0, values.size + 1.0)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = positions[i:j + 1].mean()
-        i = j + 1
-    return ranks
+    """1-based ranks, ties averaged: the equal values at sorted positions
+    s..e all get (s + e) / 2, which is exact in float64. Each NaN ranks
+    alone, after every number."""
+    _, group, counts = np.unique(np.asarray(values, dtype=float).ravel(), return_inverse=True,
+                                 return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2.0)[group]
 
 
 def spearman(a: np.ndarray, b: np.ndarray) -> float:

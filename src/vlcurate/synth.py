@@ -128,7 +128,7 @@ def generate(
     gpt = np.clip(100.0 * q + rng.normal(0.0, 5.0, n), 0.0, 100.0)
 
     manifest = []
-    scores = ScoreCache()
+    scores: ScoreCache = {}
     oracle: dict[str, float] = {}
     for i in range(n):
         sample_id = f"syn-{i:05d}"
@@ -141,7 +141,7 @@ def generate(
                 response=" ".join(_VOCAB[w] for w in words),
             )
         )
-        scores.records[sample_id] = ScoreRecord(
+        scores[sample_id] = ScoreRecord(
             reward=float(reward[i]), gpt=float(gpt[i])
         )
         oracle[sample_id] = float(q[i])

@@ -80,7 +80,7 @@ def test_criterion_02_embedding_layout():
     rng = np.random.default_rng(21)
     cache = ScoreCache()
     for t in manifest:
-        cache.records[t.id] = ScoreRecord(
+        cache[t.id] = ScoreRecord(
             clip=float(rng.uniform(-1, 1)),
             length=int(rng.integers(1, 200)),
             reward=float(rng.normal()),
@@ -105,7 +105,7 @@ def test_criterion_02_embedding_layout():
         expect = np.concatenate([expect_z, expect_p])
         assert np.max(np.abs(emb - expect)) < 1e-10
     # slot order is fixed: clip, length, reward, gpt, then the m features
-    rec = cache.records[manifest[0].id]
+    rec = cache[manifest[0].id]
     raw = np.array([rec.clip, float(rec.length), rec.reward, rec.gpt])
     z = (raw - np.array(mu)) / np.array(sd)
     assert embeddings[0, :4] == pytest.approx(z, abs=1e-12)

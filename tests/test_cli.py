@@ -444,7 +444,7 @@ def test_pipeline_indicator_and_no_clustering(pipeline, tmp_path):
     # ranking by the gpt indicator alone must pick the gpt top-10
     cache = read_scores(work / "scores.jsonl")
     manifest = load_manifest(work / "manifest.jsonl")
-    gpt = np.array([cache.records[t.id].gpt for t in manifest])
+    gpt = np.array([cache[t.id].gpt for t in manifest])
     want = {manifest[i].id for i in np.argsort(-gpt)[:10]}
     assert set(summary["selected_ids"]) == want
 
@@ -458,7 +458,7 @@ def test_pipeline_no_standardize_keeps_raw_indicators(pipeline, tmp_path):
     cache = read_scores(work / "scores.jsonl")
     manifest = load_manifest(work / "manifest.jsonl")
     for t in manifest[:5]:
-        rec = cache.records[t.id]
+        rec = cache[t.id]
         assert rows[t.id][0] == pytest.approx(rec.clip, abs=1e-12)
         assert rows[t.id][1] == pytest.approx(float(rec.length), abs=1e-12)
 
@@ -939,7 +939,7 @@ def test_score_failure_keeps_paid_scores(tmp_path):
         assert main(argv) == 1
         cache = read_scores(work / "scores.jsonl")
         fetched = sum((r.reward is not None) + (r.gpt is not None)
-                      for r in cache.records.values())
+                      for r in cache.values())
         assert fetched == paid
         reward_stub.received.clear()
         rating_stub.received.clear()
@@ -947,7 +947,7 @@ def test_score_failure_keeps_paid_scores(tmp_path):
         rating_stub.handler = lambda payload: {"content": "66"}
         assert main(argv) == 0
         assert len(reward_stub.received) + len(rating_stub.received) == 2 * n - paid
-        assert all(r.missing() is None for r in read_scores(work / "scores.jsonl").records.values())
+        assert all(r.missing() is None for r in read_scores(work / "scores.jsonl").values())
     finally:
         reward_stub.close()
         rating_stub.close()
@@ -977,7 +977,7 @@ def test_score_reruns_after_cache_gutted(tmp_path, capsys):
         assert "up-to-date" not in capsys.readouterr().out
         assert reward_stub.received == []
         assert len(rating_stub.received) == 1
-        assert read_scores(path).records[gutted].gpt == 66.0
+        assert read_scores(path)[gutted].gpt == 66.0
         assert main(["embed", "--workdir", str(work)]) == 0
     finally:
         reward_stub.close()
@@ -1034,12 +1034,57 @@ def test_score_http_provider_fills_cache(tmp_path):
         assert len(rating_stub.received) == 30
         assert set(reward_stub.received[0]["payload"]) == {"question", "answer"}
         for t in manifest:
-            assert cache.records[t.id].reward == 0.5
-            assert cache.records[t.id].gpt == 66.0
-            assert cache.records[t.id].clip is not None
+            assert cache[t.id].reward == 0.5
+            assert cache[t.id].gpt == 66.0
+            assert cache[t.id].clip is not None
     finally:
         reward_stub.close()
         rating_stub.close()
+
+
+def test_score_provider_flags_keep_a_scored_cache_current(tmp_path, capsys):
+    # a cached score is never fetched again, so neither the worker count nor
+    # the provider and its URLs can change scores.jsonl
+    work = tmp_path / "work"
+    assert main(["synth", "--n", "30", "--seed", "2", "--workdir", str(work)]) == 0
+    assert main(["score", "--workdir", str(work)]) == 0
+    stub = StubEndpoint()
+    http = ["--provider", "http", "--reward-url", stub.url, "--rating-url", stub.url]
+    try:
+        for flags in (["--workers", "3"], http, [*http, "--workers", "4"]):
+            capsys.readouterr()
+            assert main(["score", *flags, "--workdir", str(work)]) == 0
+            assert "[score] up-to-date, skipping" in capsys.readouterr().out, flags
+    finally:
+        stub.close()
+    assert stub.received == [] and stub.connections == 0
+
+
+def test_score_record_with_provider_config_reruns_once_without_calls(tmp_path, capsys):
+    # a record of an earlier release fingerprints provider, both URLs and workers
+    work = tmp_path / "work"
+    assert main(["synth", "--n", "30", "--seed", "2", "--workdir", str(work)]) == 0
+    assert main(["score", "--workdir", str(work)]) == 0
+    path = work / ".fingerprints" / "score.sha256"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert record["config"] == {}
+    record["config"] = fingerprint([], {"provider": "cache", "reward_url": "",
+                                        "rating_url": "", "workers": 1}).config
+    path.write_text(json.dumps(record), encoding="utf-8")
+    scores = (work / "scores.jsonl").read_bytes()
+    stub = StubEndpoint()
+    argv = ["score", "--provider", "http", "--reward-url", stub.url,
+            "--rating-url", stub.url, "--workdir", str(work)]
+    try:
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "ran because config provider changed" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "[score] up-to-date, skipping" in capsys.readouterr().out
+    finally:
+        stub.close()
+    assert stub.received == [] and stub.connections == 0
+    assert (work / "scores.jsonl").read_bytes() == scores
 
 
 def test_score_endpoints_from_environment(tmp_path, monkeypatch):
@@ -1056,7 +1101,7 @@ def test_score_endpoints_from_environment(tmp_path, monkeypatch):
         assert main(["score", "--provider", "http", "--workdir", str(work)]) == 0
         assert reward_stub.received[0]["headers"].get("Authorization") == "Bearer sekrit"
         cache = read_scores(work / "scores.jsonl")
-        assert all(rec.gpt == 12.5 for rec in cache.records.values())
+        assert all(rec.gpt == 12.5 for rec in cache.values())
     finally:
         reward_stub.close()
         rating_stub.close()
@@ -1084,7 +1129,7 @@ def test_embed_peak_holds_two_copies_of_the_joined_features(tmp_path):
     write_manifest(manifest, cfg.manifest_path())
     cache = ScoreCache()
     for i in ids:
-        cache.records[i] = ScoreRecord(clip=rng.uniform(), length=int(rng.integers(1, 99)),
+        cache[i] = ScoreRecord(clip=rng.uniform(), length=int(rng.integers(1, 99)),
                                        reward=rng.normal(), gpt=rng.uniform(0, 100))
     write_scores(cache, cfg.scores_path())
     tracemalloc.start()

@@ -472,23 +472,23 @@ def test_text_that_does_not_parse_back_gets_no_twin(tmp_path):
 
 def test_scores_roundtrip_single(tmp_path):
     cache = ScoreCache()
-    cache.records["a"] = ScoreRecord(clip=0.5, length=12, reward=1.2, gpt=85.0)
+    cache["a"] = ScoreRecord(clip=0.5, length=12, reward=1.2, gpt=85.0)
     path = tmp_path / "scores.jsonl"
     write_scores(cache, path)
     back = read_scores(path)
-    assert back.records["a"] == cache.records["a"]
-    assert isinstance(back.records["a"].length, int)
+    assert back["a"] == cache["a"]
+    assert isinstance(back["a"].length, int)
 
 
 def test_scores_roundtrip_partial(tmp_path):
     cache = ScoreCache()
-    cache.records["a"] = ScoreRecord(reward=-3.5, gpt=12.0)
+    cache["a"] = ScoreRecord(reward=-3.5, gpt=12.0)
     path = tmp_path / "scores.jsonl"
     write_scores(cache, path)
     back = read_scores(path)
-    assert back.records["a"].clip is None
-    assert back.records["a"].length is None
-    assert back.records["a"].reward == -3.5
+    assert back["a"].clip is None
+    assert back["a"].length is None
+    assert back["a"].reward == -3.5
 
 
 def test_scores_gpt_out_of_range_on_read(tmp_path):
@@ -526,7 +526,7 @@ def test_scores_malformed_line_rejected(tmp_path, line):
 
 def test_write_scores_validates():
     cache = ScoreCache()
-    cache.records["a"] = ScoreRecord(gpt=101.0)
+    cache["a"] = ScoreRecord(gpt=101.0)
     with pytest.raises(ScoreOutOfRange):
         write_scores(cache, "/dev/null")
 
@@ -535,7 +535,7 @@ def test_scores_roundtrip_thousand_records(tmp_path):
     rng = np.random.default_rng(11)
     cache = ScoreCache()
     for i in range(1000):
-        cache.records[f"id{i:04d}"] = ScoreRecord(
+        cache[f"id{i:04d}"] = ScoreRecord(
             clip=float(rng.uniform(-1, 1)),
             length=int(rng.integers(0, 400)),
             reward=float(rng.normal() * 10),
@@ -544,9 +544,9 @@ def test_scores_roundtrip_thousand_records(tmp_path):
     path = tmp_path / "scores.jsonl"
     write_scores(cache, path)
     back = read_scores(path)
-    assert len(back.records) == 1000
-    for key, rec in cache.records.items():
-        got = back.records[key]
+    assert len(back) == 1000
+    for key, rec in cache.items():
+        got = back[key]
         assert got.length == rec.length
         assert math.isclose(got.clip, rec.clip, rel_tol=1e-12)
         assert math.isclose(got.reward, rec.reward, rel_tol=1e-12)

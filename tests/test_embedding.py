@@ -142,7 +142,7 @@ def _one_row(record, image_vec, text_vec):
     """A 1-sample corpus: its manifest, score cache and feature matrices."""
     manifest = make_manifest(1)
     cache = ScoreCache()
-    cache.records[manifest[0].id] = record
+    cache[manifest[0].id] = record
     features = {"image": np.array([image_vec], dtype=float),
                 "text_llm": np.array([text_vec], dtype=float)}
     return manifest, cache, features
@@ -150,7 +150,7 @@ def _one_row(record, image_vec, text_vec):
 
 def test_assemble_direct_concatenation():
     manifest, features, cache = _scored_corpus(12, seed=13)
-    cache.records[manifest[0].id] = ScoreRecord(clip=0.5, length=120, reward=1.2, gpt=85.0)
+    cache[manifest[0].id] = ScoreRecord(clip=0.5, length=120, reward=1.2, gpt=85.0)
     emb = assemble_corpus(manifest, cache, *_joined(features), m=6, standardized=False)
     assert emb.shape == (12, 10)
     assert np.array_equal(emb[0, :4], [0.5, 120.0, 1.2, 85.0])
@@ -184,7 +184,7 @@ def test_assemble_matches_hand_composition():
     ])
     cache = ScoreCache()
     for i, t in enumerate(manifest):
-        cache.records[t.id] = ScoreRecord(clip=score_mat[i, 0], length=int(score_mat[i, 1]),
+        cache[t.id] = ScoreRecord(clip=score_mat[i, 0], length=int(score_mat[i, 1]),
                                           reward=score_mat[i, 2], gpt=score_mat[i, 3])
     means, stds = two_pass_oracle(score_mat)
     projected, _ = _power_projection(np.hstack([features["image"], features["text_llm"]]), 3)
@@ -211,7 +211,7 @@ def _scored_corpus(n=3, seed=12):
     rng = np.random.default_rng(seed)
     cache = ScoreCache()
     for t in manifest:
-        cache.records[t.id] = ScoreRecord(
+        cache[t.id] = ScoreRecord(
             clip=float(rng.uniform(-1, 1)), length=int(rng.integers(1, 50)),
             reward=float(rng.normal()), gpt=float(rng.uniform(0, 100)),
         )
@@ -231,7 +231,7 @@ def test_assemble_corpus_order_and_agreement():
 
 def test_assemble_corpus_missing_reward():
     manifest, features, cache = _scored_corpus(4)
-    cache.records[manifest[2].id].reward = None
+    cache[manifest[2].id].reward = None
     with pytest.raises(MissingScore) as err:
         assemble_corpus(manifest, cache, *_joined(features), m=2, standardized=False)
     assert (err.value.sample_id, err.value.indicator) == (manifest[2].id, "reward")

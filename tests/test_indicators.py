@@ -349,21 +349,24 @@ def test_any_reply_gives_a_float_or_scoring_failed(fuzz_stub, make_client, statu
 # -- corpus-level scoring -------------------------------------------------
 
 class CountingProvider:
-    """Duck-typed provider recording every call."""
+    """Duck-typed provider recording every call, also as (provider, id) in
+    ``log``, which providers may share."""
 
-    def __init__(self, value=1.0):
+    def __init__(self, value=1.0, log=None):
         self.value = value
         self.calls = []
+        self.log = [] if log is None else log
 
     def score(self, triplet):
         self.calls.append(triplet.id)
+        self.log.append((self, triplet.id))
         return self.value
 
 
 def _full_cache(manifest):
     cache = ScoreCache()
     for t in manifest:
-        cache.records[t.id] = ScoreRecord(clip=0.1, length=2, reward=0.5, gpt=40.0)
+        cache[t.id] = ScoreRecord(clip=0.1, length=2, reward=0.5, gpt=40.0)
     return cache
 
 
@@ -371,10 +374,10 @@ def test_score_corpus_cache_only_passthrough():
     manifest = make_manifest(3)
     features = make_features(manifest)
     cache = _full_cache(manifest)
-    before = {k: ScoreRecord(**vars(v)) for k, v in cache.records.items()}
+    before = {k: ScoreRecord(**vars(v)) for k, v in cache.items()}
     out = score_corpus(manifest, features, cache, None, None)
     assert out is cache
-    assert cache.records == before
+    assert cache == before
 
 
 def test_score_corpus_fills_from_stubs():
@@ -384,7 +387,7 @@ def test_score_corpus_fills_from_stubs():
     gpt, reward = CountingProvider(60.0), CountingProvider(-0.5)
     score_corpus(manifest, features, cache, gpt, reward)
     for i, t in enumerate(manifest):
-        rec = cache.records[t.id]
+        rec = cache[t.id]
         assert rec.missing() is None
         assert rec.gpt == 60.0 and rec.reward == -0.5
         assert rec.length == length_score(t.response)
@@ -395,7 +398,7 @@ def test_score_corpus_cache_only_missing_gpt():
     manifest = make_manifest(3)
     features = make_features(manifest)
     cache = _full_cache(manifest)
-    cache.records[manifest[1].id].gpt = None
+    cache[manifest[1].id].gpt = None
     with pytest.raises(MissingScore) as err:
         score_corpus(manifest, features, cache, None, None)
     assert err.value.sample_id == manifest[1].id
@@ -415,6 +418,23 @@ def test_score_corpus_idempotent_zero_calls_on_rerun():
     assert gpt.calls == [] and reward.calls == []
 
 
+def test_score_corpus_one_worker_calls_missing_slots_in_manifest_order():
+    manifest = make_manifest(4)
+    features = make_features(manifest)
+    cache = _full_cache(manifest)
+    cache[manifest[0].id].reward = None
+    cache[manifest[1].id].gpt = None
+    del cache[manifest[3].id]
+    log = []
+    gpt, reward = CountingProvider(70.0, log), CountingProvider(0.5, log)
+    recorders = ThreadRecorder(gpt), ThreadRecorder(reward)
+    score_corpus(manifest, features, cache, *recorders)
+    ids = [t.id for t in manifest]
+    assert log == [(reward, ids[0]), (gpt, ids[1]), (reward, ids[3]), (gpt, ids[3])]
+    assert all(r.threads == {threading.get_ident()} for r in recorders)
+    assert cache[ids[3]].missing() is None
+
+
 def test_score_corpus_parallel_scores_each_id_once():
     manifest = make_manifest(20)
     features = make_features(manifest)
@@ -423,7 +443,7 @@ def test_score_corpus_parallel_scores_each_id_once():
     score_corpus(manifest, features, cache, gpt, reward, workers=4)
     assert sorted(gpt.calls) == sorted(t.id for t in manifest)
     assert sorted(reward.calls) == sorted(t.id for t in manifest)
-    assert all(cache.records[t.id].missing() is None for t in manifest)
+    assert all(cache[t.id].missing() is None for t in manifest)
 
 
 class ThreadRecorder:
@@ -464,8 +484,8 @@ def test_score_corpus_workers_keep_one_connection_per_thread():
     template = default_prompt_template()
     for t in manifest:
         system, _ = render_gpt_prompt(template, t.instruction, t.response)
-        assert cache.records[t.id].reward == len(t.response) / 4
-        assert cache.records[t.id].gpt == len(system) % 97
+        assert cache[t.id].reward == len(t.response) / 4
+        assert cache[t.id].gpt == len(system) % 97
 
 
 def test_instruction_does_not_leak_into_local_indicators():
@@ -479,5 +499,5 @@ def test_instruction_does_not_leak_into_local_indicators():
     score_corpus(manifest, features, c1, CountingProvider(5.0), CountingProvider(0.0))
     score_corpus(altered, features, c2, CountingProvider(5.0), CountingProvider(0.0))
     for t in manifest:
-        assert c1.records[t.id].clip == c2.records[t.id].clip
-        assert c1.records[t.id].length == c2.records[t.id].length
+        assert c1[t.id].clip == c2[t.id].clip
+        assert c1[t.id].length == c2[t.id].length

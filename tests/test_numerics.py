@@ -3,8 +3,12 @@
 import itertools
 import tracemalloc
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vlcurate.errors import (
     BadRank,
@@ -616,8 +620,10 @@ def test_spectral_embedding_rejects_bad_k(monkeypatch):
 
 
 def test_spectral_embedding_empty_matrix_raises_bad_rank():
-    with pytest.raises(BadRank):
-        spectral_embedding(np.empty((0, 4)), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadRank):
+            spectral_embedding(np.empty((0, 4)), 1)
 
 
 def test_spectral_embedding_matches_dense_oracle_across_block_boundaries(monkeypatch):
@@ -656,6 +662,16 @@ def test_spectral_embedding_memory_peak():
 
 def test_rank_data_tie_averaging():
     assert list(rank_data(np.array([10.0, 20.0, 20.0, 30.0]))) == [1.0, 2.5, 2.5, 4.0]
+
+
+@given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0]) | st.floats(allow_nan=False),
+                max_size=40))
+def test_rank_data_matches_pairwise_tie_averaging(values):
+    # O(n^2) oracle: the values below, plus the mean of the tied positions
+    below = [sum(w < v for w in values) for v in values]
+    tied = [sum(w == v for w in values) for v in values]
+    expected = [b + (t + 1) / 2.0 for b, t in zip(below, tied)]
+    assert rank_data(np.array(values, dtype=float)).tolist() == expected
 
 
 def test_spearman_endpoints():

@@ -42,7 +42,7 @@ def test_generate_shapes_and_ids():
     q = np.array(list(corpus.oracle.values()))
     assert np.all((q >= 0.0) & (q <= 1.0))
     for t in corpus.manifest:
-        rec = corpus.scores.records[t.id]
+        rec = corpus.scores[t.id]
         # the cache ships with the remote-judge scores only; clip and
         # length are left for the scoring stage to derive
         assert rec.reward is not None and rec.gpt is not None
@@ -65,8 +65,8 @@ def test_generate_is_deterministic():
         assert np.array_equal(a.features[name], b.features[name])
     assert a.oracle == b.oracle
     assert all(
-        a.scores.records[i].reward == b.scores.records[i].reward
-        and a.scores.records[i].gpt == b.scores.records[i].gpt
+        a.scores[i].reward == b.scores[i].reward
+        and a.scores[i].gpt == b.scores[i].gpt
         for i in a.oracle
     )
 
@@ -120,7 +120,7 @@ def test_indicators_track_planted_quality():
 def test_clip_scores_live_in_valid_range():
     corpus = generate(200, seed=2)
     score_corpus(corpus.manifest, corpus.features, corpus.scores)
-    clip = np.array([corpus.scores.records[t.id].clip for t in corpus.manifest])
+    clip = np.array([corpus.scores[t.id].clip for t in corpus.manifest])
     assert np.all((clip >= -1.0) & (clip <= 1.0))
 
 
@@ -128,7 +128,7 @@ def test_response_word_counts_match_length_score():
     corpus = generate(80, seed=5)
     score_corpus(corpus.manifest, corpus.features, corpus.scores)
     for t in corpus.manifest:
-        rec = corpus.scores.records[t.id]
+        rec = corpus.scores[t.id]
         assert rec.length == length_score(t.response) == len(t.response.split())
         assert rec.length >= 1
 
