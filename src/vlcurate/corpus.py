@@ -50,11 +50,12 @@ tie-break downstream refers to it. Images are never opened here --
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
+import multiprocessing
 import os
 import re
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,6 +77,11 @@ REQUIRED_MATRICES = ("image", "text_clip", "text_llm")
 
 # the directory under the workdir that holds the feature files' binary twins
 MATRIX_STORE = ".matrices"
+
+# a feature file of at least this many values is formatted by one process
+# per CPU (write_feature_file); below it a fork costs more than it saves,
+# so the paper-width features and the embeddings are written in-process
+PARALLEL_MIN_VALUES = 1 << 18
 
 # the four indicator scores, in score-cache and embedding slot order
 SCORE_SLOTS = ("clip", "length", "reward", "gpt")
@@ -279,17 +285,61 @@ def write_feature_file(
     path: str | Path, ids: Iterable[str], matrix: np.ndarray, store: str | Path
 ) -> None:
     """Write ``matrix`` as a feature file, one row per id, and its twin in
-    ``store`` (see read_matrix)."""
+    ``store`` (see read_matrix).
+
+    A matrix of at least PARALLEL_MIN_VALUES values is formatted by one
+    process per usable CPU, each taking one contiguous range of rows: the
+    parent formats the first range into the file, forked children format
+    the others into unnamed temporary files, and the parent appends those
+    in order, so the bytes and their sha256 are those of one serial pass.
+    A child that fails raises OSError and leaves the previous file whole."""
     matrix = np.asarray(matrix, dtype=float)
     ids = list(ids)
     digest = hashlib.sha256()
-    rows = (f"{sample_id} {' '.join(map(repr, row.tolist()))}\n"
-            for sample_id, row in zip(ids, matrix))
-    with atomic_write(path, binary=True) as fh:
-        for line in itertools.chain([f"id {matrix.shape[1]}\n"], rows):
-            data = line.encode()
-            digest.update(data)
-            fh.write(data)
+    n_rows = min(len(ids), len(matrix))
+    workers = _usable_cpus() if matrix.size >= PARALLEL_MIN_VALUES else 1
+    workers = max(1, min(workers, n_rows))
+    bounds = [n_rows * j // workers for j in range(workers + 1)]
+    parts: list[IO[bytes]] = []
+    children = []
+    try:
+        if workers > 1:
+            # forked, not spawned, so that a child reads the matrix it
+            # inherits instead of a pickled copy; Process.start flushes the
+            # standard streams first, or a child would write their buffered
+            # text again as it ends. No child inherits the output file
+            fork = multiprocessing.get_context("fork")
+            # beside the output, on the file system that must hold it anyway
+            parts = [tempfile.TemporaryFile(dir=Path(path).parent)
+                     for _ in bounds[2:]]
+            for part, lo, hi in zip(parts, bounds[1:], bounds[2:]):
+                child = fork.Process(target=_format_part,
+                                     args=(part, ids[lo:hi], matrix[lo:hi]))
+                child.start()
+                children.append(child)
+
+        with atomic_write(path, binary=True) as fh:
+            def emit(data: bytes) -> None:
+                digest.update(data)
+                fh.write(data)
+
+            emit(f"id {matrix.shape[1]}\n".encode())
+            _format_rows(emit, ids[:bounds[1]], matrix[:bounds[1]])
+            for child, part, lo, hi in zip(children, parts, bounds[1:], bounds[2:]):
+                child.join()
+                if child.exitcode != 0:
+                    raise OSError(f"{path}: the process formatting rows {lo}-{hi} "
+                                  f"exited with code {child.exitcode}")
+                part.seek(0)
+                for chunk in iter(lambda: part.read(1 << 20), b""):
+                    emit(chunk)
+    finally:
+        for child in children:
+            if child.exitcode is None:
+                child.terminate()
+            child.join()
+        for part in parts:
+            part.close()
     # a twin must hold what parsing the text gives, so none is written for
     # text that does not parse back: a short id list or matrix, ids that
     # are empty or hold whitespace, no columns, non-finite values
@@ -297,6 +347,26 @@ def write_feature_file(
             and all(sample_id.split() == [sample_id] for sample_id in ids)
             and np.isfinite(matrix).all()):
         _write_twin(Path(store), Path(path).stem, digest.hexdigest(), ids, matrix)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _format_rows(emit: Callable[[bytes], object], ids: list[str],
+                 matrix: np.ndarray) -> None:
+    """Pass each row's line of feature-file text to ``emit``."""
+    for sample_id, row in zip(ids, matrix):
+        emit(f"{sample_id} {' '.join(map(repr, row.tolist()))}\n".encode())
+
+
+def _format_part(part: IO[bytes], ids: list[str], matrix: np.ndarray) -> None:
+    """A forked child's work: its rows' text, written to ``part``."""
+    _format_rows(part.write, ids, matrix)
+    part.flush()
 
 
 def read_matrix(

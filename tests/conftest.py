@@ -165,3 +165,11 @@ def make_features(manifest, image_dim=4, text_dim=6, seed=0):
         "text_clip": rng.normal(size=(n, image_dim)),
         "text_llm": rng.normal(size=(n, text_dim)),
     }
+
+
+def feature_text(ids, matrix):
+    """Feature-file bytes as one serial pass formats them: ``repr`` of each
+    float, the spec that every write must reproduce."""
+    return ("id %d\n" % matrix.shape[1] + "".join(
+        f"{sample_id} {' '.join(map(repr, row.tolist()))}\n"
+        for sample_id, row in zip(ids, matrix))).encode()

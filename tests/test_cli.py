@@ -42,9 +42,9 @@ from vlcurate.corpus import (
 from vlcurate.errors import BadConfig, VlcurateError
 from vlcurate.numerics import spearman
 from vlcurate.report import svg_histogram, uplift_stats
-from vlcurate.synth import read_oracle
+from vlcurate.synth import generate, read_oracle
 
-from conftest import StubEndpoint, make_manifest
+from conftest import StubEndpoint, feature_text, make_manifest
 
 
 # ------------------------------------------------------------------ config
@@ -1141,3 +1141,24 @@ def test_embed_peak_holds_two_copies_of_the_joined_features(tmp_path):
     d = image_dim + text_dim
     joined, square = n * d * 8, d * d * 8
     assert peak <= 2 * joined + 2 * square + (1 << 20)
+
+
+def test_paper_width_features_are_written_in_process(tmp_path, monkeypatch):
+    # at N = 3439 and widths 16/24 every feature file, and the embeddings,
+    # is below the size at which write_feature_file forks
+    def no_fork(method=None):
+        raise AssertionError("write_feature_file forked")
+
+    monkeypatch.setattr(corpus_mod.multiprocessing, "get_context", no_fork)
+    work = tmp_path / "work"
+    run_stages(work, (["synth", "--n", "3439", "--seed", "1",
+                       "--image-dim", "16", "--text-dim", "24"], ["score"], ["embed"]))
+    cfg = PipelineConfig(workdir=str(work))
+    ids = [t.id for t in load_manifest(cfg.manifest_path())]
+    matrices = {cfg.features_path() / f"{name}.txt": matrix for name, matrix
+                in generate(3439, seed=1, image_dim=16, text_dim=24).features.items()}
+    embeddings = cfg.embeddings_path()
+    matrices[embeddings] = np.load(
+        cfg.matrix_store() / f"embeddings.{hash_file(embeddings)}.npy")
+    for path, matrix in matrices.items():
+        assert path.read_bytes() == feature_text(ids, matrix), path.name

@@ -3,6 +3,11 @@
 import io
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +49,7 @@ from vlcurate.quality_labels import read_eval_reports
 from vlcurate.selector import init_selector, load_selector, save_selector
 from vlcurate.synth import read_oracle
 
-from conftest import make_manifest
+from conftest import feature_text, make_manifest
 
 
 def _write_lines(path, rows):
@@ -466,6 +471,99 @@ def test_text_that_does_not_parse_back_gets_no_twin(tmp_path):
         _read_matrix(tmp_path / "a.txt", ["z"], store)
     with pytest.raises(NonFiniteFeature):
         _read_matrix(tmp_path / "d.txt", ["x"], store)
+
+
+def _split_writes(monkeypatch, cpus):
+    """Make write_feature_file split every matrix among ``cpus`` processes."""
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_VALUES", 0)
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_ids", [5, 7, 9])
+def test_split_write_is_byte_identical(tmp_path, monkeypatch, cpus, n_ids):
+    rng = np.random.default_rng(cpus)
+    mat = rng.normal(size=(7, 3))
+    mat[0] = [1e-05, 1e16, -0.0]
+    mat[3] = [5e-324, 1 / 3, -1e-300]
+    ids = [f"s{i}" for i in range(n_ids)]
+    serial, split = tmp_path / "serial", tmp_path / "split"
+    for work in (serial, split):
+        work.mkdir()
+    write_feature_file(serial / "image.txt", ids, mat, serial / ".matrices")
+    _split_writes(monkeypatch, cpus)
+    write_feature_file(split / "image.txt", ids, mat, split / ".matrices")
+    text = (split / "image.txt").read_bytes()
+    assert text == (serial / "image.txt").read_bytes() == feature_text(ids, mat)
+    twins = _twins(split / ".matrices")
+    assert twins == _twins(serial / ".matrices")
+    assert len(twins) == (2 if n_ids == 7 else 0)
+    for twin in twins:
+        # keyed by the text's sha256, and holding the same bytes
+        assert twin.split(".")[1] == hash_file(split / "image.txt")
+        assert ((split / ".matrices" / twin).read_bytes()
+                == (serial / ".matrices" / twin).read_bytes())
+
+
+def test_split_write_gives_no_twin_to_text_that_does_not_parse_back(tmp_path,
+                                                                    monkeypatch):
+    _split_writes(monkeypatch, 2)
+    store = tmp_path / ".matrices"
+    nan = np.ones((4, 2))
+    nan[3, 1] = math.nan
+    ids = ["w", "x", "y", "z"]
+    for name, mat in (("nan", nan), ("empty", np.ones((4, 0)))):
+        write_feature_file(tmp_path / f"{name}.txt", ids, mat, store)
+        assert (tmp_path / f"{name}.txt").read_bytes() == feature_text(ids, mat)
+    assert _twins(store) == []
+
+
+def test_failed_split_write_leaves_the_previous_file(tmp_path, monkeypatch):
+    path, store = tmp_path / "image.txt", tmp_path / ".matrices"
+    ids = [f"s{i}" for i in range(9)]
+    write_feature_file(path, ids, np.ones((9, 2)), store)
+    before, twins = path.read_bytes(), _twins(store)
+    _split_writes(monkeypatch, 3)
+    parent, format_rows = os.getpid(), corpus._format_rows
+
+    def dies_partway(emit, part_ids, matrix):
+        if os.getpid() == parent:
+            return format_rows(emit, part_ids, matrix)
+        format_rows(emit, part_ids[:1], matrix[:1])
+        os._exit(3)
+
+    monkeypatch.setattr(corpus, "_format_rows", dies_partway)
+    with pytest.raises(OSError, match="exited with code 3"):
+        write_feature_file(path, ids, np.zeros((9, 2)), store)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".matrices", "image.txt"]
+    assert _twins(store) == twins
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(corpus, "_format_rows", format_rows)
+    write_feature_file(path, ids, np.zeros((9, 2)), store)
+    assert path.read_bytes() == feature_text(ids, np.zeros((9, 2)))
+    assert multiprocessing.active_children() == []
+
+
+def test_split_write_duplicates_no_buffered_output(tmp_path):
+    # stdout on a pipe is block-buffered, so the marker is still in the
+    # buffer when the children fork; each child flushes its copy as it ends
+    script = (
+        "import numpy as np\n"
+        "from vlcurate import corpus\n"
+        "corpus._usable_cpus = lambda: 3\n"
+        "print('unflushed-marker')\n"
+        "corpus.write_feature_file(%r, [f's{i}' for i in range(64)],\n"
+        "    np.ones((64, corpus.PARALLEL_MIN_VALUES // 64)), %r)\n"
+        % (str(tmp_path / "image.txt"), str(tmp_path / ".matrices")))
+    src = str(Path(corpus.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("unflushed-marker") == 1
+    assert len(_twins(tmp_path / ".matrices")) == 2
 
 
 # -- score cache ---------------------------------------------------------
