@@ -5,12 +5,14 @@ Four scalar signals are computed per sample: an image/response cosine
 (``reward``), and an LLM auto-grader rating in [0, 100] (``gpt``). The
 two model-backed scores come either from a warm cache or from generic
 HTTP-JSON endpoints; the pure functions here never touch the network.
-The endpoint clients speak HTTP/1.1 through the standard library's
-``http.client``: each worker thread keeps one keep-alive connection per
-endpoint and reopens it once, without spending a retry, when the server
-closed it while it sat idle. ``score_corpus`` writes the scores into the
-plain id -> ScoreRecord dict of corpus.py; each worker writes only the
-records of the samples it was handed.
+The endpoint clients speak HTTP/1.1: each worker thread keeps one
+keep-alive connection per endpoint and reopens it once, without spending
+a retry, when the server closed it while it sat idle. The standard
+library's ``http.client`` only opens those connections; each request
+goes out in one write, and replies are parsed in this module.
+``score_corpus`` writes the scores into the plain id -> ScoreRecord dict
+of corpus.py; each worker writes only the records of the samples it was
+handed.
 
 Instructions deliberately do not influence clip/length/reward values --
 they enter only through the rating prompt's instruction slot.
@@ -45,7 +47,6 @@ from .errors import (
 
 _PLACEHOLDERS = ("[Instruction]", "[Caption]")
 _SLOT_RE = re.compile(r"\[Instruction\]|\[Caption\]")
-_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
 def _load_asset(name: str) -> str:
@@ -126,17 +127,135 @@ def length_score(response: str) -> int:
 
 # -- providers ---------------------------------------------------------
 
+class _Connection:
+    """Mixin for http.client's connections, which here only open and close
+    the socket, adding one buffered reader for the replies."""
+
+    reader = None
+
+    def connect(self) -> None:
+        super().connect()
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.reader is not None:
+            self.reader.close()  # else the socket's fd stays open
+            self.reader = None
+        super().close()
+
+
+class _HTTPConnection(_Connection, http.client.HTTPConnection):
+    pass
+
+
+class _HTTPSConnection(_Connection, http.client.HTTPSConnection):
+    pass
+
+
+_CONNECTIONS = {"http": _HTTPConnection, "https": _HTTPSConnection}
+# a header line: an ASCII name without colons, then a Latin-1 value; no CR, LF or NUL
+_HEADER_RE = re.compile(r"[!-9;-~][\t -9;-~]*: [^\r\n\0\u0100-\U0010ffff]*")
+_MAX_LINE, _MAX_FIELDS = 65536, 100   # http.client's limits
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
+_STATUS = re.compile(rb"HTTP/1\.[0-9] [1-9][0-9][0-9](?: .*)?\r?\n", re.DOTALL)
+_PIECE = 1 << 20
+
+
+def _line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.HTTPException(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _fields(reader) -> dict[bytes, bytes]:
+    """Header or trailer fields up to the blank line, by lower-cased name."""
+    fields = {}
+    for _ in range(_MAX_FIELDS + 1):
+        line = _line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.partition(b":")
+        fields[name.strip().lower()] = value.strip()
+    raise http.client.HTTPException(f"more than {_MAX_FIELDS} header lines")
+
+
+def _exact(reader, size: int) -> bytes:
+    # read in pieces, so that a length the server made up sizes no allocation
+    data = b""
+    while len(data) < size:
+        piece = reader.read(min(size - len(data), _PIECE))
+        if not piece:
+            raise http.client.HTTPException(f"reply ended {size - len(data)} bytes early")
+        data += piece
+    return data
+
+
+def _chunked(reader) -> bytes:
+    chunks = []
+    while True:
+        size = _line(reader).partition(b";")[0].strip()
+        if not _HEX.fullmatch(size):
+            raise http.client.HTTPException(f"bad chunk size {size[:40]!r}")
+        if int(size, 16) == 0:
+            _fields(reader)  # the trailer
+            return b"".join(chunks)
+        chunks.append(_exact(reader, int(size, 16) + 2)[:-2])
+
+
+def _read_reply(reader, line: bytes) -> tuple[int, bytes, bool]:
+    """Read the rest of an HTTP/1.x reply (RFC 9112) whose status line is
+    ``line``: its status, its body, and whether the connection stays open.
+    Interim 1xx replies are skipped."""
+    while True:
+        if not _STATUS.fullmatch(line):
+            raise http.client.HTTPException(f"bad status line {line[:80]!r}")
+        status = int(line[9:12])
+        fields = _fields(reader)
+        if status >= 200:
+            break
+        line = _line(reader)
+    connection = fields.get(b"connection", b"").lower()
+    keep = (b"keep-alive" in connection if line.startswith(b"HTTP/1.0 ")
+            else b"close" not in connection)
+    if status in (204, 304):
+        # no body; bytes sent anyway would be read as the next status line
+        return status, b"", False
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _chunked(reader), keep
+    length = fields.get(b"content-length")
+    if length is None:
+        return status, reader.read(), False   # the body ends at close
+    if not length.isdigit():
+        raise http.client.HTTPException(f"bad Content-Length {length[:40]!r}")
+    return status, _exact(reader, int(length)), keep
+
+
+def _send(conn: _Connection, request: bytes) -> bytes:
+    """Send a request in one write and read its reply's status line."""
+    if conn.sock is None:
+        conn.connect()
+    conn.sock.sendall(request)
+    line = _line(conn.reader)
+    if not line:
+        raise ConnectionResetError("connection closed before the reply's status line")
+    return line
+
+
 class _JsonClient:
     """POST a JSON payload, read one field of the JSON reply; retried on failure.
 
     Each worker thread keeps one keep-alive connection to the endpoint,
-    opened on its first call. A connection that was reused and turns out
+    opened on its first call. A request goes out in one write: its head is
+    built once, as http.client would send it, and only the body and its
+    length change per call. A connection that was reused and turns out
     to have been closed by the server -- a reset or broken pipe before the
-    reply's status line -- is reopened and the request sent once more;
-    that resend is not an attempt. Any other failed attempt counts against
-    ``retries``: a transport error or timeout, which also closes the
-    connection, or a reply -- always read in full, so the connection stays
-    usable -- with an HTTP error status, a body that is not an object
+    reply's status line, or no status line at all -- is reopened and the
+    request sent once more; that resend is not an attempt. Any other failed
+    attempt counts against ``retries``: a transport error, timeout or
+    malformed reply, which also closes the connection, or a reply -- always
+    read in full, so the connection stays usable unless the reply closes
+    it -- with an HTTP error status, a body that is not an object
     holding the field, or a value ``parse`` rejects. Once they are spent
     the call raises ScoringFailed.
     """
@@ -151,23 +270,38 @@ class _JsonClient:
         try:
             parts = urlsplit(url)
             port = parts.port
+            host = parts.hostname or ""
+            host = host if host.isascii() else host.encode("idna").decode()
         except ValueError as exc:
             raise BadConfig(f"provider URL {url!r}: {exc}") from None
         if parts.scheme not in _CONNECTIONS or not parts.hostname or "@" in parts.netloc:
             raise BadConfig(f"provider URL {url!r} is not http:// or https:// with a "
                             "host and without user info")
         self.retries = retries
-        self.headers = {"Content-Type": "application/json", **(headers or {})}
-        self._connect = functools.partial(_CONNECTIONS[parts.scheme], parts.hostname,
-                                          port, timeout=timeout)
+        connection = _CONNECTIONS[parts.scheme]
+        port = connection.default_port if port is None else port
+        self._connect = functools.partial(connection, parts.hostname, port, timeout=timeout)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         # percent-encode spaces and non-ASCII; keep reserved characters and escapes
         self._target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
+        # the head http.client sends: Content-Length comes before the given headers
+        if ":" in host:
+            host = f"[{host.partition('%')[0]}]"
+        if port != connection.default_port:
+            host += f":{port}"
+        self._head = (f"POST {self._target} HTTP/1.1\r\nHost: {host}\r\n"
+                      "Accept-Encoding: identity\r\nContent-Length: ").encode()
+        fields = [f"{name}: {value}" for name, value
+                  in {"Content-Type": "application/json", **(headers or {})}.items()]
+        if not all(map(_HEADER_RE.fullmatch, fields)):
+            raise BadConfig("a provider header holds CR, LF or NUL, or is not an ASCII "
+                            "name without colons with a Latin-1 value")
+        self._tail = "\r\n".join(["", *fields, "", ""]).encode("latin-1")
         self._local = threading.local()
-        self._opened: list[http.client.HTTPConnection] = []
+        self._opened: list[_Connection] = []
         self._lock = threading.Lock()
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:  # connects on its first request
             conn = self._local.conn = self._connect()
@@ -181,23 +315,20 @@ class _JsonClient:
             for conn in self._opened:
                 conn.close()
 
-    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> tuple[int, bytes]:
+    def _exchange(self, conn: _Connection, body: bytes) -> tuple[int, bytes]:
+        request = b"%b%d%b%b" % (self._head, len(body), self._tail, body)
         reused = conn.sock is not None
         try:
-            conn.request("POST", self._target, body, self.headers)
-            reply = conn.getresponse()
+            line = _send(conn, request)
         except (BrokenPipeError, ConnectionResetError):
             if not reused:
                 raise
             conn.close()
-            conn.request("POST", self._target, body, self.headers)
-            reply = conn.getresponse()
-        data = reply.read()
-        if reply.status in (204, 304):
-            # http.client reads no body here; bytes sent anyway would be
-            # read as the next reply's status line
+            line = _send(conn, request)
+        status, data, keep = _read_reply(conn.reader, line)
+        if not keep:
             conn.close()
-        return reply.status, data
+        return status, data
 
     def _post(self, sample_id: str, payload: dict, field: str, parse) -> float:
         body = json.dumps(payload).encode()

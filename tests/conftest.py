@@ -126,6 +126,90 @@ class KeepAliveStub(StubEndpoint):
         request.close_connection = request.close_connection or self.drop_idle
 
 
+class Hangup(bytes):
+    """A scripted RawStub reply after which the server closes the connection."""
+
+
+class RawStub:
+    """Local TCP server that answers each HTTP request with scripted bytes.
+
+    The n-th request, counted from 0 over all connections, is answered with
+    ``replies[n]``, or with the last entry once they run out, sent as is;
+    after a ``Hangup`` entry the server closes the connection. ``requests``
+    holds the bytes of each request, head and body, and ``connections``
+    counts the connections accepted.
+    """
+
+    def __init__(self):
+        self.replies = [b""]
+        self.requests = []
+        self.connections = 0
+        self._lock = threading.Lock()
+        self._socks = []
+        self._threads = []
+        self._server = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._server.getsockname()[1]}/"
+        self._accepting = threading.Thread(target=self._accept, daemon=True)
+        self._accepting.start()
+
+    def _accept(self):
+        while True:
+            try:
+                sock, _ = self._server.accept()
+            except OSError:  # the server was shut down
+                return
+            serving = threading.Thread(target=self._serve, args=(sock,), daemon=True)
+            with self._lock:
+                self.connections += 1
+                self._socks.append(sock)
+                self._threads.append(serving)
+            serving.start()
+
+    def _serve(self, sock):
+        with sock, sock.makefile("rb") as reader:
+            try:
+                while True:
+                    head = b""
+                    while not head.endswith(b"\r\n\r\n"):
+                        line = reader.readline()
+                        if not line:
+                            return
+                        head += line
+                    size = re.search(rb"\r\nContent-Length: (\d+)\r\n", head)
+                    request = head + reader.read(int(size.group(1)) if size else 0)
+                    with self._lock:
+                        self.requests.append(request)
+                        reply = self.replies[min(len(self.requests), len(self.replies)) - 1]
+                    sock.sendall(reply)
+                    if isinstance(reply, Hangup):
+                        return
+            except OSError:
+                return
+
+    def close(self):
+        self._server.shutdown(socket.SHUT_RDWR)  # wakes the accepting thread
+        self._server.close()
+        self._accepting.join(timeout=10)
+        with self._lock:
+            socks, threads = list(self._socks), list(self._threads)
+        for sock in socks:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed
+                pass
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not self._accepting.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+
+
+@pytest.fixture
+def raw_stub():
+    stub = RawStub()
+    yield stub
+    stub.close()
+
+
 @pytest.fixture
 def http_stub():
     stub = StubEndpoint()

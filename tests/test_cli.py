@@ -1107,6 +1107,25 @@ def test_score_endpoints_from_environment(tmp_path, monkeypatch):
         rating_stub.close()
 
 
+def test_score_api_key_with_a_line_break_is_bad_config(tmp_path, capsys, monkeypatch):
+    # a key that would inject a header line is refused before any call
+    work = tmp_path / "work"
+    assert main(["synth", "--n", "30", "--seed", "3", "--workdir", str(work)]) == 0
+    (work / "scores.jsonl").unlink()
+    stub = StubEndpoint()
+    monkeypatch.setenv("VLCURATE_API_KEY", "sekrit\r\nX-Injected: 1")
+    try:
+        capsys.readouterr()
+        code = main(["score", "--provider", "http", "--reward-url", stub.url,
+                     "--rating-url", stub.url, "--workdir", str(work)])
+    finally:
+        stub.close()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[BadConfig]" in err and "Traceback" not in err and "sekrit" not in err
+    assert stub.received == [] and stub.connections == 0
+
+
 # ------------------------------------------------------------------ memory
 
 def test_embed_peak_holds_two_copies_of_the_joined_features(tmp_path):

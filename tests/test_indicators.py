@@ -1,8 +1,10 @@
 """Indicator scoring: cosine, length, prompt rendering, HTTP providers."""
 
 import http.client
+import io
 import json
 import math
+import os
 import socket
 import ssl
 import sys
@@ -37,7 +39,7 @@ from vlcurate.indicators import (
     score_corpus,
 )
 
-from conftest import KeepAliveStub, make_features, make_manifest
+from conftest import Hangup, KeepAliveStub, RawStub, make_features, make_manifest
 
 
 def test_clip_score_identical_direction():
@@ -344,6 +346,263 @@ def test_any_reply_gives_a_float_or_scoring_failed(fuzz_stub, make_client, statu
         pass
     finally:
         client.close()
+
+
+# -- HTTP/1.1 framing and request bytes ------------------------------------
+
+_BODY = b'{"score": 2.5, "content": "2.5"}'   # a 2.5 for either client
+_SIZED = b"Content-Length: %d" % len(_BODY)
+_HEADERS = {"Authorization": "Bearer sk-test"}
+
+
+def _reply(*fields, body=_BODY, status=b"HTTP/1.1 200 OK"):
+    """Reply bytes: the status line, the header fields, a blank line, the body."""
+    return b"\r\n".join((status, *fields, b"", body))
+
+
+def _chunked(size):
+    """A chunked reply whose one chunk of _BODY declares ``size``."""
+    return _reply(b"Transfer-Encoding: chunked", body=size + b"\r\n" + _BODY + b"\r\n0\r\n\r\n")
+
+
+_FRAMED = {   # reply -> connections that two calls take
+    "chunked-extension-trailer": (_reply(
+        b"Transfer-Encoding: chunked",
+        body=b'5;ext="a b"\r\n{"sco\r\n1B\r\nre": 2.5, "content": "2.5"}\r\n'
+             b"0\r\nX-Checksum: 1\r\n\r\n"), 1),
+    "http10-body-to-close": (Hangup(_reply(status=b"HTTP/1.0 200 OK")), 2),
+    "http10-keep-alive": (_reply(b"Connection: keep-alive", _SIZED,
+                                 status=b"HTTP/1.0 200 OK"), 1),
+    "connection-close": (_reply(b"Connection: close", _SIZED), 2),
+    "100-continue": (b"HTTP/1.1 100 Continue\r\n\r\n" + _reply(_SIZED), 1),
+    "100-header-lines": (_reply(*(b"X-%d: v" % i for i in range(99)), _SIZED), 1),
+    "65536-byte-line": (_reply(b"X-Long: " + b"a" * (65536 - 10), _SIZED), 1),
+}
+
+
+@pytest.mark.parametrize("reply, connections", _FRAMED.values(), ids=_FRAMED)
+@pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
+def test_framed_reply_gives_its_score(raw_stub, make_client, reply, connections):
+    # the server never closes a connection that its reply keeps open
+    raw_stub.replies = [reply]
+    client = make_client(raw_stub.url, retries=1, timeout=5.0)
+    try:
+        assert [client.score(_triplet(i)) for i in range(2)] == [2.5, 2.5]
+    finally:
+        client.close()
+    assert len(raw_stub.requests) == 2
+    assert raw_stub.connections == connections
+
+
+_MALFORMED = {
+    "65537-byte-line": _reply(b"X-Long: " + b"a" * (65537 - 10), _SIZED),
+    "101-header-lines": _reply(*(b"X-%d: v" % i for i in range(100)), _SIZED),
+    "status-without-code": _reply(_SIZED, status=b"HTTP/1.1 OK"),
+    "status-not-http": _reply(_SIZED, status=b"ICY 200 OK"),
+    "body-short-of-length": Hangup(_reply(b"Content-Length: %d" % (len(_BODY) + 5))),
+    "negative-length": _reply(b"Content-Length: -5"),
+    "non-numeric-length": _reply(b"Content-Length: abc"),
+    "30-digit-length": Hangup(_reply(b"Content-Length: 1" + b"0" * 30)),
+    "chunk-size-negative": _chunked(b"-5"),
+    "chunk-size-0x": _chunked(b"0x20"),
+    "chunk-size-empty": _chunked(b""),
+}
+
+
+@pytest.mark.parametrize("reply", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_reply_fails_and_the_next_call_reconnects(raw_stub, reply):
+    raw_stub.replies = [reply, reply, _reply(_SIZED)]
+    client = RewardClient(raw_stub.url, retries=2, timeout=5.0)
+    try:
+        with pytest.raises(ScoringFailed):
+            client.score(_triplet())
+        assert len(raw_stub.requests) == 2
+        assert client.score(_triplet()) == 2.5
+    finally:
+        client.close()
+    # each failed attempt closed its connection, also where the server did not
+    assert raw_stub.connections == 3
+
+
+class _Recorder:
+    """Socket stand-in that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def close(self):
+        pass
+
+
+def _http_client_request(connection, host, port, target, payload):
+    """The bytes http.client sends for the clients' POST: the oracle."""
+    conn = connection(host, port)
+    conn.sock = _Recorder()
+    conn.request("POST", target, json.dumps(payload).encode(),
+                 {"Content-Type": "application/json", **_HEADERS})
+    return b"".join(conn.sock.writes)
+
+
+def _payload(make_client, triplet):
+    if make_client is RewardClient:
+        return {"question": triplet.instruction, "answer": triplet.response}
+    system, user = render_gpt_prompt(default_prompt_template(), triplet.instruction,
+                                     triplet.response)
+    return {"system": system, "user": user}
+
+
+@pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
+def test_request_bytes_are_those_of_http_client(raw_stub, make_client):
+    raw_stub.replies = [_reply(_SIZED)]
+    client = make_client(raw_stub.url + "v1/ré te?model=a%2Fb", retries=1,
+                         headers=_HEADERS)
+    try:
+        assert client.score(_triplet()) == 2.5
+    finally:
+        client.close()
+    port = int(raw_stub.url.rsplit(":", 1)[1].strip("/"))
+    assert raw_stub.requests == [_http_client_request(
+        http.client.HTTPConnection, "127.0.0.1", port, "/v1/r%C3%A9%20te?model=a%2Fb",
+        _payload(make_client, _triplet()))]
+
+
+@pytest.mark.parametrize("url, host, port", [
+    ("http://[::1]/r", "::1", 80),
+    ("http://[::1]:8080/r", "::1", 8080),
+    ("http://Grader.example:80/r", "grader.example", 80),
+    ("https://grader.example/r", "grader.example", 443),
+    ("https://grader.example:80/r", "grader.example", 80),
+    ("http://bücher.example:81/r", "bücher.example", 81),
+])
+def test_host_header_takes_http_clients_form(url, host, port):
+    client = RewardClient(url, retries=1, headers=_HEADERS)
+    conn = client._connection()
+    assert (conn.host, conn.port) == (host, port)
+    # no network: a recorder stands in for the socket, bytes for the reply
+    conn.sock, conn.reader = _Recorder(), io.BufferedReader(io.BytesIO(_reply(_SIZED)))
+    assert client.score(_triplet()) == 2.5
+    connection = http.client.HTTPSConnection if url.startswith("https") else \
+        http.client.HTTPConnection
+    assert conn.sock.writes == [_http_client_request(
+        connection, host, port, "/r", _payload(RewardClient, _triplet()))]
+
+
+class _CountingSocket:
+    """Passes a socket's calls on, counting its writes."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.writes = 0
+
+    def sendall(self, data):
+        self.writes += 1
+        self.sock.sendall(data)
+
+    def send(self, data):
+        self.writes += 1
+        return self.sock.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def test_each_request_goes_out_in_one_write(keepalive_stub):
+    keepalive_stub.handler = lambda payload: {"score": 0.5}
+    client = RewardClient(keepalive_stub.url, retries=1, headers=_HEADERS)
+    conn = client._connection()
+    conn.connect()
+    conn.sock = counting = _CountingSocket(conn.sock)
+    try:
+        assert [client.score(_triplet(i)) for i in range(3)] == [0.5] * 3
+    finally:
+        client.close()
+    assert counting.writes == 3
+    assert keepalive_stub.connections == 1
+
+
+@pytest.mark.parametrize("headers", [
+    pytest.param({"Authorization": "Bearer sk-1\r\nX-Injected: 1"}, id="crlf-in-value"),
+    pytest.param({"Authorization": "Bearer sk-2\n"}, id="lf-in-value"),
+    pytest.param({"Authorization": "Bearer sk-3\r"}, id="cr-in-value"),
+    pytest.param({"Authorization": "Bearer \0sk-4"}, id="nul-in-value"),
+    pytest.param({"X-Bad\r\nX-Injected": "sk-5"}, id="crlf-in-name"),
+    pytest.param({"X-Nul\0": "sk-6"}, id="nul-in-name"),
+    pytest.param({"X-Colon:": "sk-7"}, id="colon-in-name"),
+    pytest.param({"Authorization": "Bearer ключ-sk-8"}, id="value-not-latin-1"),
+])
+@pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
+def test_unsafe_header_is_bad_config_before_any_call(make_client, headers):
+    with pytest.raises(BadConfig) as err:
+        make_client("http://127.0.0.1:9/r", headers=headers)
+    assert "sk-" not in str(err.value)  # the message never shows the key
+
+
+_VALID_REPLIES = [_reply(_SIZED), _FRAMED["chunked-extension-trailer"][0],
+                  _reply(status=b"HTTP/1.0 200 OK"), _FRAMED["100-continue"][0]]
+
+
+@st.composite
+def _mutated_replies(draw):
+    """A valid reply with up to three byte ranges cut, replaced or inserted."""
+    reply = bytearray(draw(st.sampled_from(_VALID_REPLIES)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(reply)))
+        reply[at:at + draw(st.integers(0, 8))] = draw(st.binary(max_size=8))
+    return bytes(reply)
+
+
+@pytest.fixture(scope="module")
+def raw_fuzz_stub():
+    stub = RawStub()
+    yield stub
+    stub.close()
+
+
+@given(reply=st.one_of(st.binary(max_size=256), _mutated_replies()))
+@settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
+def test_any_raw_reply_gives_a_float_or_scoring_failed(raw_fuzz_stub, make_client, reply):
+    raw_fuzz_stub.replies = [Hangup(reply)]
+    retries, timeout = 2, 1.0
+    client = make_client(raw_fuzz_stub.url, retries=retries, timeout=timeout)
+    started = time.monotonic()
+    try:
+        assert isinstance(client.score(_triplet()), float)
+    except ScoringFailed:
+        pass
+    finally:
+        client.close()
+    assert time.monotonic() - started < retries * timeout
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_client_holds_no_sockets():
+    # keep-alive, close-delimited, failed, and closed-while-idle replies
+    replies = [_reply(_SIZED), _reply(_SIZED), Hangup(_reply(status=b"HTTP/1.0 200 OK")),
+               _reply(_SIZED, status=b"HTTP/1.1 OK"), Hangup(_reply(_SIZED))]
+    before = _open_fds()
+    stub = RawStub()
+    stub.replies = replies * 15
+    client = RewardClient(stub.url, retries=1, timeout=5.0)
+    outcomes = []
+    try:
+        for i in range(50):
+            try:
+                outcomes.append(client.score(_triplet(i)))
+            except ScoringFailed:
+                outcomes.append(None)
+    finally:
+        client.close()
+        stub.close()
+    assert set(outcomes) == {2.5, None}
+    assert _open_fds() <= before
 
 
 # -- corpus-level scoring -------------------------------------------------
