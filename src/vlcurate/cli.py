@@ -179,7 +179,8 @@ def _report(cfg: PipelineConfig, args, digests) -> str:
     note = ""
     if "oracle_comparison" in report:
         comp = report["oracle_comparison"]
-        note = f" uplift={comp['uplift']:.4f} z={comp['z']:.1f}"
+        z = "null" if comp["z"] is None else f"{comp['z']:.1f}"
+        note = f" uplift={comp['uplift']:.4f} z={z}"
     return f"wrote {cfg.curated_path() / 'report.json'}{note}"
 
 

@@ -40,7 +40,9 @@ MalformedRecord, with one policy for every file: UTF-8 text, one object
 per non-blank line (or one object per file), and invalid JSON, nesting too
 deep to decode, integers too long to convert and non-finite numbers
 (``NaN``, ``Infinity``, ``1e999``) all rejected. ``write_jsonl`` /
-``write_json`` write them back through ``atomic_write``.
+``write_json`` write them back through ``atomic_write``, and raise
+ValueError, leaving the previous file whole, for the non-finite numbers
+that reading back would reject.
 
 Manifest file order is the canonical dataset order; every deterministic
 tie-break downstream refers to it. Images are never opened here --
@@ -160,7 +162,7 @@ def finite_float(value) -> float:
 # built once: json.loads and json.dumps build a new decoder or encoder per
 # call whenever an argument differs from the defaults
 _DECODER = json.JSONDecoder(parse_float=finite_float, parse_constant=finite_float)
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
 
 
 def _decode(text: str, line_no: int | None, path: str | Path) -> dict:
@@ -203,7 +205,7 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 def write_json(path: str | Path, blob: dict) -> None:
     with atomic_write(path) as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
+        json.dump(blob, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -285,7 +287,11 @@ def write_feature_file(
     path: str | Path, ids: Iterable[str], matrix: np.ndarray, store: str | Path
 ) -> None:
     """Write ``matrix`` as a feature file, one row per id, and its twin in
-    ``store`` (see read_matrix).
+    ``store`` (see read_matrix). Input whose text would not parse back (an
+    id count other than the row count, no columns, an id that is empty or
+    holds whitespace, a non-finite value) raises the DimensionMismatch or
+    NonFiniteFeature that read_feature_file would, before any file is
+    written or process started.
 
     A matrix of at least PARALLEL_MIN_VALUES values is formatted by one
     process per usable CPU, each taking one contiguous range of rows: the
@@ -295,11 +301,17 @@ def write_feature_file(
     A child that fails raises OSError and leaves the previous file whole."""
     matrix = np.asarray(matrix, dtype=float)
     ids = list(ids)
+    if matrix.ndim != 2 or matrix.shape[1] < 1 or len(ids) != len(matrix):
+        raise DimensionMismatch(f"{path}: {len(ids)} ids for a matrix of shape {matrix.shape}")
+    for sample_id in ids:
+        if sample_id.split() != [sample_id]:
+            raise DimensionMismatch(f"{path}: id {sample_id!r} is empty or holds whitespace")
+    if not np.isfinite(matrix).all():
+        raise NonFiniteFeature(f"{path}: non-finite entry")
     digest = hashlib.sha256()
-    n_rows = min(len(ids), len(matrix))
     workers = _usable_cpus() if matrix.size >= PARALLEL_MIN_VALUES else 1
-    workers = max(1, min(workers, n_rows))
-    bounds = [n_rows * j // workers for j in range(workers + 1)]
+    workers = max(1, min(workers, len(ids)))
+    bounds = [len(ids) * j // workers for j in range(workers + 1)]
     parts: list[IO[bytes]] = []
     children = []
     try:
@@ -340,20 +352,14 @@ def write_feature_file(
             child.join()
         for part in parts:
             part.close()
-    # a twin must hold what parsing the text gives, so none is written for
-    # text that does not parse back: a short id list or matrix, ids that
-    # are empty or hold whitespace, no columns, non-finite values
-    if (len(ids) == len(matrix) and matrix.shape[1] >= 1
-            and all(sample_id.split() == [sample_id] for sample_id in ids)
-            and np.isfinite(matrix).all()):
-        _write_twin(Path(store), Path(path).stem, digest.hexdigest(), ids, matrix)
+    _write_twin(Path(store), Path(path).stem, digest.hexdigest(), ids, matrix)
 
 
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
+    except AttributeError:  # missing where fork may be too (Windows): stay in-process
+        return 1
 
 
 def _format_rows(emit: Callable[[bytes], object], ids: list[str],

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import http.client
 import json
-import math
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +32,7 @@ from urllib.parse import quote, urlsplit
 
 import numpy as np
 
-from .corpus import ScoreCache, ScoreRecord, Triplet
+from .corpus import ScoreCache, ScoreRecord, Triplet, finite_float
 from .errors import (
     BadConfig,
     DegenerateEmbedding,
@@ -366,22 +365,13 @@ class RatingClient(_JsonClient):
                           "content", parse_gpt_reply)
 
 
-def _finite_reward(value) -> float:
-    # a NaN or infinite reward would fail the cache's validation and so
-    # keep every other paid score from being written; fail the call instead
-    score = float(value)
-    if not math.isfinite(score):
-        raise ScoreOutOfRange(f"non-finite reward {score}")
-    return score
-
-
 class RewardClient(_JsonClient):
     """HTTP reward model: POST {question, answer}, reply {score} (unbounded real)."""
 
     def score(self, triplet: Triplet) -> float:
         return self._post(triplet.id,
                           {"question": triplet.instruction, "answer": triplet.response},
-                          "score", _finite_reward)
+                          "score", finite_float)
 
 
 # -- corpus-level scoring ----------------------------------------------

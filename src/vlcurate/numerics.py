@@ -28,7 +28,7 @@ points refill under-capacity clusters closest-first, and the final
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -347,10 +347,4 @@ def spectral_cluster(data: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     if k > data.shape[0]:
         raise TooManyClusters(f"k={k} exceeds {data.shape[0]} rows")
     _, rows = spectral_embedding(data, k)
-    assignment = kmeans_pp(rows, k, seed)
-    return ClusterAssignment(
-        labels=assignment.labels,
-        centroids=None,
-        sizes=assignment.sizes,
-        inertia=assignment.inertia,
-    )
+    return replace(kmeans_pp(rows, k, seed), centroids=None, inertia_history=None)

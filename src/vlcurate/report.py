@@ -85,7 +85,8 @@ def uplift_stats(
 
     z = (selected mean - mean of random-subset means) / pooled SE, where
     the pooled SE combines the spread of the random means with the
-    selected mean's own standard error.
+    selected mean's own standard error (0 for a single pick); z is None
+    when the pooled SE is 0.
     """
     alpha = len(selected_ids)
     q_all = np.array([oracle[i] for i in all_ids])
@@ -96,7 +97,7 @@ def uplift_stats(
         for _ in range(n_random)
     ])
     se_random = float(random_means.std(ddof=1))
-    se_selected = float(q_sel.std(ddof=1) / np.sqrt(alpha))
+    se_selected = float(q_sel.std(ddof=1) / np.sqrt(alpha)) if alpha > 1 else 0.0
     pooled = float(np.sqrt(se_random**2 + se_selected**2))
     uplift = float(q_sel.mean() - random_means.mean())
     return {
@@ -106,7 +107,7 @@ def uplift_stats(
         "random_means": [float(v) for v in random_means],
         "uplift": uplift,
         "pooled_se": pooled,
-        "z": uplift / pooled if pooled > 0.0 else float("inf"),
+        "z": uplift / pooled if pooled > 0.0 else None,
     }
 
 
@@ -172,9 +173,9 @@ def write_report(
 ) -> dict:
     """Render report.json plus histogram SVGs from a persisted selection,
     and delete the histograms of clusters beyond the summary's that an
-    earlier report left. A summary field of the wrong type or length, or a
-    manifest or selected id the oracle lacks, raises MalformedRecord before
-    any file is written."""
+    earlier report left. A summary field of the wrong type or length, a
+    manifest or selected id the oracle lacks, or no selected id to compare
+    with it raises MalformedRecord before any file is written."""
     out_dir = Path(out_dir)
     path = out_dir / "summary.json"
     summary = read_json(path, (
@@ -210,6 +211,8 @@ def write_report(
             lacking = [i for i in [*ids, *summary["selected_ids"]] if i not in oracle]
             if lacking:
                 raise MalformedRecord(None, f"oracle has no quality for id {lacking[0]!r}")
+            if not summary["selected_ids"]:
+                raise MalformedRecord(None, f"{path}: no selected ids to compare")
             report["oracle_comparison"] = uplift_stats(
                 oracle, summary["selected_ids"], ids, seed=seed)
             report["oracle_comparison"]["spearman_q"] = spearman(

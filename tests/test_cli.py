@@ -34,8 +34,10 @@ from vlcurate.corpus import (
     hash_file,
     load_manifest,
     read_feature_file,
+    read_json,
     read_scores,
     write_feature_file,
+    write_jsonl,
     write_manifest,
     write_scores,
 )
@@ -240,6 +242,19 @@ def test_svg_histogram_renders():
     assert svg == same
 
 
+@pytest.mark.parametrize("values", [np.zeros(40), np.full(3, -2.5), np.zeros(0)],
+                         ids=["zeros", "constant", "empty"])
+def test_svg_histogram_renders_constant_values(values):
+    # an untrained selector scores every sample 0.0
+    svg = svg_histogram(values, bins=4)
+    lo = values[0] if values.size else 0.0
+    bars = re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="([^"]*)"', svg)
+    assert bars == [f"{190.0 if values.size else 0.0:.2f}"] + ["0.00"] * 3
+    labels = re.findall(r'font-size="10">([^<]*)<', svg)
+    assert labels == [f"{lo:.3g}", f"{lo + 0.5:.3g}", f"{lo + 1:.3g}",
+                      str(max(values.size, 1))]
+
+
 def test_uplift_stats_flags_planted_signal():
     ids = [f"s{i}" for i in range(100)]
     oracle = {s: i / 99.0 for i, s in enumerate(ids)}
@@ -253,6 +268,19 @@ def test_uplift_stats_flags_planted_signal():
     assert len(stats["random_means"]) == 20
     again = uplift_stats(oracle, ids[-10:], ids, seed=0)
     assert stats == again
+
+
+def test_uplift_stats_of_one_pick_and_of_no_spread():
+    ids = [f"s{i}" for i in range(30)]
+    oracle = {s: i / 29.0 for i, s in enumerate(ids)}
+    one = uplift_stats(oracle, ids[-1:], ids, seed=0)
+    # one pick has no spread of its own: only the random means' counts
+    assert one["pooled_se"] == pytest.approx(np.std(one["random_means"], ddof=1))
+    assert one["z"] == pytest.approx(one["uplift"] / one["pooled_se"])
+    flat = uplift_stats(dict.fromkeys(ids, 0.5), ids[:3], ids, seed=0)
+    assert flat["pooled_se"] == 0.0
+    assert flat["uplift"] == 0.0
+    assert flat["z"] is None
 
 
 # --------------------------------------------------------------- CLI usage
@@ -382,6 +410,32 @@ def test_pipeline_report_consistent(pipeline):
     direct["spearman_q"] = spearman(np.array(summary["item_scores"]),
                                     np.array([oracle[t.id] for t in manifest]))
     assert comp == pytest.approx(direct)
+
+
+def test_report_on_one_pick_writes_finite_json(pipeline, tmp_path, capsys):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    capsys.readouterr()
+    assert main(["curate", "--alpha", "1", "--clusters", "1", "--seed", "0",
+                 "--workdir", str(work)]) == 0
+    assert main([*REPORT, "--workdir", str(work)]) == 0
+    comp = read_json(work / "curated" / "report.json")["oracle_comparison"]
+    assert comp["alpha"] == 1
+    assert comp["z"] == pytest.approx(comp["uplift"] / comp["pooled_se"], rel=1e-9)
+    assert f"z={comp['z']:.1f} (" in capsys.readouterr().out
+
+
+def test_report_of_zero_pooled_se_logs_null_z(pipeline, tmp_path, capsys):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    write_jsonl(work / "oracle.jsonl", ({"id": sample_id, "q": 0.5}
+                                        for sample_id in read_oracle(work / "oracle.jsonl")))
+    capsys.readouterr()
+    assert main([*REPORT, "--workdir", str(work)]) == 0
+    assert "uplift=0.0000 z=null (" in capsys.readouterr().out
+    comp = read_json(work / "curated" / "report.json")["oracle_comparison"]
+    assert comp["pooled_se"] == 0.0
+    assert comp["z"] is None
 
 
 def test_pipeline_rerun_is_noop(pipeline, capsys):
@@ -833,6 +887,9 @@ def _tree(work):
     (CURATE, "selector_model/meta.json", lambda text: DEEP, "ModelLoadError"),
     (CURATE, "selector_model/meta.json", _big_int, "ModelLoadError"),
     (CURATE, "selector_model/meta.json", _set_key("layers", 10**15), "ModelLoadError"),
+    (["score"], "manifest.jsonl", _sub(r'"id": "[^"]*"', '"id": ""'), "MalformedRecord"),
+    (CURATE, "selector_model/meta.json", _drop_key("d_model"), "ModelLoadError"),
+    (REPORT, "curated/summary.json", _set_key("selected_ids", []), "MalformedRecord"),
 ], ids=["unknown-member", "subsets-not-json", "no-subsets-key", "no-member-ids",
         "subsets-not-object", "summary-not-json", "no-item-scores-key",
         "summary-field-type", "selected-id-unknown", "oracle-lacks-id",
@@ -843,7 +900,8 @@ def _tree(work):
         "eval-reports-nan", "eval-reports-overflow", "subsets-deep", "subsets-big-int",
         "summary-deep", "summary-big-int", "summary-sizes-not-list", "summary-nan-string", "summary-k-huge",
         "meta-deep",
-        "meta-big-int", "meta-layers-huge"])
+        "meta-big-int", "meta-layers-huge", "manifest-empty-id", "meta-no-d-model",
+        "summary-no-picks"])
 def test_malformed_stage_input_exits_1(pipeline, tmp_path, capsys, argv, relpath,
                                        edit, error):
     work = tmp_path / "work"

@@ -362,6 +362,8 @@ _DAMAGED = {
     "row-count": lambda good: _npy(np.ones((3, 2))),
     "object": lambda good: _npy(np.array([[1.0, None], [2.0, 3.0]], dtype=object)),
     "header-overstates": lambda good: good.replace(b"(2, 2)", b"(9, 2)"),
+    "npy-3.0": lambda good: good[:6] + b"\x03\x00" + good[8:],
+    "npy-9.1": lambda good: good[:6] + b"\x09\x01" + good[8:],
 }
 
 
@@ -435,13 +437,15 @@ def test_any_twin_bytes_raise_only_typed_errors(tmp_path, data, which):
 
 @pytest.mark.parametrize("text,ids,error", [
     (b"dim 4\n", ["a"], DimensionMismatch),
+    (b"id 0\na\n", ["a"], DimensionMismatch),
     (b"id 3\na 1.0 2.0 3.0\nb 1.0 2.0\n", ["a"], DimensionMismatch),
     (b"id 2\na 1.0 nan\n", ["a"], NonFiniteFeature),
     (b"id 2\na 1.0 2.0\nb 1.0 abc\n", ["a"], MalformedRecord),
     (b"id 1\na \xff\n", ["a"], MalformedRecord),
     (b"id 1\na 1.0\n", ["a", "b"], MissingFeature),
     (None, ["a"], FileNotFoundError),
-], ids=["header", "ragged", "nan", "non-numeric", "not-utf8", "missing-id", "absent"])
+], ids=["header", "zero-dim", "ragged", "nan", "non-numeric", "not-utf8", "missing-id",
+        "absent"])
 def test_foreign_text_without_twin_raises_as_before(tmp_path, text, ids, error):
     path, store = tmp_path / "image.txt", tmp_path / ".matrices"
     if text is not None:
@@ -459,18 +463,46 @@ def test_foreign_text_without_twin_raises_as_before(tmp_path, text, ids, error):
     assert bool(_twins(store)) == (error is MissingFeature)
 
 
+# input that no feature text parses back to, and the error a write of it raises
+_UNPARSEABLE = {
+    "more-ids": (["x", "y", "z"], np.ones((2, 1)), DimensionMismatch),
+    "more-rows": (["x"], np.ones((2, 1)), DimensionMismatch),
+    "no-columns": (["x", "z"], np.ones((2, 0)), DimensionMismatch),
+    "one-dim": (["x", "z"], np.ones(2), DimensionMismatch),
+    "empty-id": (["", "z"], np.ones((2, 1)), DimensionMismatch),
+    "space-in-id": (["x y", "z"], np.ones((2, 1)), DimensionMismatch),
+    "newline-in-id": (["x\ny", "z"], np.ones((2, 1)), DimensionMismatch),
+    "nan": (["x", "z"], np.array([[1.0], [math.nan]]), NonFiniteFeature),
+    "inf": (["x", "z"], np.array([[-math.inf], [1.0]]), NonFiniteFeature),
+}
+
+
+def _refuses_every_unparseable_write(path, store):
+    """Each _UNPARSEABLE write raises its reader's error and leaves the
+    directory of ``path`` and ``store`` as they were."""
+    before = {p: p.read_bytes() for p in path.parent.rglob("*") if p.is_file()}
+    for ids, matrix, error in _UNPARSEABLE.values():
+        with pytest.raises(error):
+            write_feature_file(path, ids, matrix, store)
+        assert {p: p.read_bytes() for p in path.parent.rglob("*") if p.is_file()} == before
+
+
 def test_text_that_does_not_parse_back_gets_no_twin(tmp_path):
-    store = tmp_path / ".matrices"
-    write_feature_file(tmp_path / "a.txt", ["x y", "z"], np.ones((2, 1)), store)
-    write_feature_file(tmp_path / "b.txt", ["", "z"], np.ones((2, 1)), store)
-    write_feature_file(tmp_path / "c.txt", ["x", "z"], np.ones((1, 1)), store)
-    write_feature_file(tmp_path / "d.txt", ["x"], [[math.nan]], store)
-    write_feature_file(tmp_path / "e.txt", ["x"], np.ones((1, 0)), store)
-    assert _twins(store) == []
-    with pytest.raises(DimensionMismatch):
-        _read_matrix(tmp_path / "a.txt", ["z"], store)
-    with pytest.raises(NonFiniteFeature):
-        _read_matrix(tmp_path / "d.txt", ["x"], store)
+    # where the input can be formatted at all, reading that text raises the same
+    for name, (ids, matrix, error) in _UNPARSEABLE.items():
+        if name not in ("more-ids", "more-rows", "one-dim"):
+            (tmp_path / "loose.txt").write_bytes(feature_text(ids, matrix))
+            with pytest.raises(error):
+                read_feature_file(tmp_path / "loose.txt")
+    work, store = tmp_path / "work", tmp_path / "work" / ".matrices"
+    work.mkdir()
+    # no file and no twin where there was none
+    _refuses_every_unparseable_write(work / "image.txt", store)
+    assert sorted(work.iterdir()) == []
+    # nor a change to the previous file or its twins
+    write_feature_file(work / "image.txt", ["a", "b"], np.ones((2, 1)), store)
+    _refuses_every_unparseable_write(work / "image.txt", store)
+    assert len(_twins(store)) == 2
 
 
 def _split_writes(monkeypatch, cpus):
@@ -483,7 +515,7 @@ def _split_writes(monkeypatch, cpus):
 @pytest.mark.parametrize("n_ids", [5, 7, 9])
 def test_split_write_is_byte_identical(tmp_path, monkeypatch, cpus, n_ids):
     rng = np.random.default_rng(cpus)
-    mat = rng.normal(size=(7, 3))
+    mat = rng.normal(size=(n_ids, 3))
     mat[0] = [1e-05, 1e16, -0.0]
     mat[3] = [5e-324, 1 / 3, -1e-300]
     ids = [f"s{i}" for i in range(n_ids)]
@@ -497,7 +529,7 @@ def test_split_write_is_byte_identical(tmp_path, monkeypatch, cpus, n_ids):
     assert text == (serial / "image.txt").read_bytes() == feature_text(ids, mat)
     twins = _twins(split / ".matrices")
     assert twins == _twins(serial / ".matrices")
-    assert len(twins) == (2 if n_ids == 7 else 0)
+    assert len(twins) == 2
     for twin in twins:
         # keyed by the text's sha256, and holding the same bytes
         assert twin.split(".")[1] == hash_file(split / "image.txt")
@@ -507,15 +539,27 @@ def test_split_write_is_byte_identical(tmp_path, monkeypatch, cpus, n_ids):
 
 def test_split_write_gives_no_twin_to_text_that_does_not_parse_back(tmp_path,
                                                                     monkeypatch):
-    _split_writes(monkeypatch, 2)
-    store = tmp_path / ".matrices"
-    nan = np.ones((4, 2))
-    nan[3, 1] = math.nan
-    ids = ["w", "x", "y", "z"]
-    for name, mat in (("nan", nan), ("empty", np.ones((4, 0)))):
-        write_feature_file(tmp_path / f"{name}.txt", ids, mat, store)
-        assert (tmp_path / f"{name}.txt").read_bytes() == feature_text(ids, mat)
-    assert _twins(store) == []
+    get_context = multiprocessing.get_context
+
+    def no_fork(method):
+        raise AssertionError(f"a refused write asked for a {method} context")
+
+    ids, mat = ["v", "w", "x", "y", "z"], np.ones((5, 2))
+    for cpus in (2, 3):
+        work = tmp_path / f"cpus{cpus}"
+        work.mkdir()
+        path, store = work / "image.txt", work / ".matrices"
+        _split_writes(monkeypatch, cpus)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        _refuses_every_unparseable_write(path, store)
+        assert sorted(work.iterdir()) == []
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        write_feature_file(path, ids, mat, store)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        _refuses_every_unparseable_write(path, store)
+        assert path.read_bytes() == feature_text(ids, mat)
+        assert len(_twins(store)) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_split_write_leaves_the_previous_file(tmp_path, monkeypatch):
@@ -563,6 +607,21 @@ def test_split_write_duplicates_no_buffered_output(tmp_path):
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("unflushed-marker") == 1
+    assert len(_twins(tmp_path / ".matrices")) == 2
+
+
+def test_write_without_cpu_affinity_stays_in_process(tmp_path, monkeypatch):
+    # where the platform offers no sched_getaffinity, fork may be missing too
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+
+    def no_context(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_context)
+    ids = [f"s{i}" for i in range(64)]
+    mat = np.random.default_rng(5).normal(size=(64, corpus.PARALLEL_MIN_VALUES // 64))
+    write_feature_file(tmp_path / "image.txt", ids, mat, tmp_path / ".matrices")
+    assert (tmp_path / "image.txt").read_bytes() == feature_text(ids, mat)
     assert len(_twins(tmp_path / ".matrices")) == 2
 
 
@@ -676,6 +735,22 @@ def test_json_roundtrip_sorts_keys(tmp_path):
     assert read_json(path, ("a", "b")) == {"a": {"c": 3, "d": 2}, "b": 1}
     with pytest.raises(MalformedRecord, match="missing key"):
         read_json(path, ("a", "z"))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")],
+                         ids=["nan", "inf", "minus-inf", "numpy-nan"])
+def test_json_writers_refuse_non_finite_numbers(tmp_path, value):
+    for write, good, bad in (
+        (write_json, {"a": 1.5}, {"a": 1.5, "b": {"c": [value]}}),
+        (write_jsonl, [{"a": 1.5}], [{"a": 1.5}, {"b": value}]),
+    ):
+        path = tmp_path / "record.json"
+        write(path, good)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write(path, bad)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("line", [

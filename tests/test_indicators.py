@@ -218,6 +218,7 @@ def test_reward_client_table_driven(http_stub):
 
 @pytest.mark.parametrize("body", [[1, 2], {"content": 5}, {"score": None}, "plain",
                                   '{"score": NaN}', '{"score": -Infinity}',
+                                  '{"score": 1e999}', '{"score": "inf"}',
                                   pytest.param('{"score": 1' + "0" * 400 + "}", id="huge-int"),
                                   pytest.param("[" * 100_000, id="deep-nesting")])
 @pytest.mark.parametrize("make_client", [RatingClient, RewardClient])
