@@ -6,15 +6,16 @@
     split           build the labeled training subsets
     train-selector  fit the quality selector on (subset, label) pairs
     curate          cluster, allocate quotas, select the final alpha samples
-    report          render report.json and score histograms
+    report          render report.json and the score histograms, scores.svg
 
 Config precedence: defaults < config file < environment < flags. The
-environment may only set provider endpoints and the API credential.
-``stage_table`` is the one place that lists each stage's input files,
-fingerprinted config keys and output files; ``run_stage`` fingerprints
-them, skips a stage whose inputs, config and output digests are
-unchanged, and otherwise runs its body, hands it the input digests and
-logs why it ran. Exit codes: 0 success, 1 pipeline error, 2 usage error.
+environment may only set provider endpoints and the API credential; every
+stage flag sets a config key. ``stage_table`` is the one place that lists each
+stage's input files, fingerprinted config keys and output files, from the
+config alone; ``run_stage`` fingerprints them, skips a stage whose inputs,
+config and output digests are unchanged, and otherwise runs its body, hands
+it the input digests and logs why it ran. Exit codes: 0 success, 1 pipeline
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ from .selector import KINDS, init_selector, load_selector, predict_items, save_s
 # -- stage bodies: each does its stage's work and returns its log message;
 # ``digests`` holds the sha256 of each declared input, keyed by its path ---
 
-def _synth(cfg: PipelineConfig, args, digests) -> str:
+def _synth(cfg: PipelineConfig, digests) -> str:
     corpus = synth_mod.generate(cfg.synth_n, cfg.seed, cfg.image_dim, cfg.text_dim)
     synth_mod.write_corpus(corpus, cfg)
     return f"n={cfg.synth_n} seed={cfg.seed} -> {cfg.manifest_path()}"
 
 
-def _score(cfg: PipelineConfig, args, digests) -> str:
+def _score(cfg: PipelineConfig, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_clip"),
                              cfg.matrix_store(), digests)
@@ -87,7 +88,7 @@ def _score(cfg: PipelineConfig, args, digests) -> str:
     return f"scored {len(manifest)} samples"
 
 
-def _embed(cfg: PipelineConfig, args, digests) -> str:
+def _embed(cfg: PipelineConfig, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_llm"),
                              cfg.matrix_store(), digests)
@@ -101,9 +102,9 @@ def _embed(cfg: PipelineConfig, args, digests) -> str:
     return f"embedded {len(embeddings)} samples, dim {4 + cfg.m}"
 
 
-def _split(cfg: PipelineConfig, args, digests) -> str:
+def _split(cfg: PipelineConfig, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
-    oracle = synth_mod.read_oracle(cfg.oracle_path()) if args.oracle_reports else None
+    oracle = synth_mod.read_oracle(cfg.oracle_path()) if cfg.oracle_reports else None
     ids = [t.id for t in manifest]
     if cfg.subset_space == "image":
         data = load_features(cfg.features_path(), manifest, ("image",),
@@ -129,7 +130,7 @@ def _split(cfg: PipelineConfig, args, digests) -> str:
     return f"{cfg.n_subsets} subsets x {blob['capacity']} samples"
 
 
-def _train_selector(cfg: PipelineConfig, args, digests) -> str:
+def _train_selector(cfg: PipelineConfig, digests) -> str:
     path = cfg.subsets_path() / "subsets.json"
     try:
         entries = [(int(entry["subset_id"]), tuple(entry["member_ids"]))
@@ -151,7 +152,7 @@ def _train_selector(cfg: PipelineConfig, args, digests) -> str:
             f"{result.losses[-1]:.4f} over {cfg.epochs} epochs")
 
 
-def _curate(cfg: PipelineConfig, args, digests) -> str:
+def _curate(cfg: PipelineConfig, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image",), cfg.matrix_store(),
                              digests)
@@ -172,7 +173,7 @@ def _curate(cfg: PipelineConfig, args, digests) -> str:
             f"{len(result.quotas)} clusters")
 
 
-def _report(cfg: PipelineConfig, args, digests) -> str:
+def _report(cfg: PipelineConfig, digests) -> str:
     oracle = synth_mod.read_oracle(cfg.oracle_path()) if cfg.oracle_path().exists() else None
     manifest = load_manifest(cfg.manifest_path())
     report = report_mod.write_report(cfg.curated_path(), manifest, oracle, seed=cfg.seed)
@@ -189,7 +190,7 @@ def _report(cfg: PipelineConfig, args, digests) -> str:
 @dataclass(frozen=True)
 class Stage:
     """One stage: the files it reads, the config it depends on, the files
-    it writes, and ``body(cfg, args, digests) -> log message``.
+    it writes, and ``body(cfg, digests) -> log message``.
     ``handed_on`` are outputs that a later stage rewrites (``synth``'s score
     cache, which ``score`` fills): only their presence keeps the stage
     current, while the other outputs must also keep the digests recorded
@@ -198,17 +199,17 @@ class Stage:
     inputs: list[Path]
     config: dict
     outputs: list[Path]
-    body: Callable[[PipelineConfig, argparse.Namespace, dict[Path, str]], str]
+    body: Callable[[PipelineConfig, dict[Path, str]], str]
     handed_on: tuple[Path, ...] = ()
 
 
-def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stage]:
-    """Every stage's declared inputs, config subset and outputs.
+def stage_table(cfg: PipelineConfig) -> dict[str, Stage]:
+    """Every stage's declared inputs, config subset and outputs, from the
+    config alone.
 
     A stage reruns when the bytes of an input or a config value change, or
     when an output is missing or its bytes changed. The outputs are every
-    file a body writes; ``report``'s cluster histograms are counted from
-    ``summary.json``.
+    file a body writes.
     """
     def features(*names: str) -> list[Path]:
         return [cfg.features_path() / f"{name}.txt" for name in names]
@@ -216,7 +217,6 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
     model = [cfg.model_path() / "meta.json", cfg.model_path() / "params.txt"]
     subsets = cfg.subsets_path() / "subsets.json"
     summary = cfg.curated_path() / "summary.json"
-    oracle_reports = bool(getattr(args, "oracle_reports", False))
     return {
         "synth": Stage(
             inputs=[],
@@ -245,14 +245,14 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
             inputs=[cfg.manifest_path(),
                     *(features("image") if cfg.subset_space == "image"
                       else [cfg.embeddings_path()]),
-                    *([cfg.oracle_path()] if oracle_reports else [])],
+                    *([cfg.oracle_path()] if cfg.oracle_reports else [])],
             config={"n_subsets": cfg.n_subsets, "capacity": cfg.capacity,
                     "seed": cfg.seed, "subset_space": cfg.subset_space,
-                    "oracle": oracle_reports},
+                    "oracle": cfg.oracle_reports},
             outputs=[subsets,
                      *(subset_manifest_path(cfg.subsets_path(), subset_id)
                        for subset_id in range(cfg.n_subsets)),
-                     *([cfg.reports_path()] if oracle_reports else [])],
+                     *([cfg.reports_path()] if cfg.oracle_reports else [])],
             body=_split,
         ),
         "train-selector": Stage(
@@ -277,24 +277,23 @@ def stage_table(cfg: PipelineConfig, args: argparse.Namespace) -> dict[str, Stag
             inputs=[cfg.manifest_path(), summary,
                     *([cfg.oracle_path()] if cfg.oracle_path().exists() else [])],
             config={"seed": cfg.seed},
-            outputs=[cfg.curated_path() / "report.json",
-                     *report_mod.declared_plots(cfg.curated_path())],
+            outputs=[cfg.curated_path() / "report.json", cfg.curated_path() / "scores.svg"],
             body=_report,
         ),
     }
 
 
-def run_stage(name: str, cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def run_stage(name: str, cfg: PipelineConfig) -> int:
     """Run one stage unless its inputs, config and outputs are current, and
     say why it ran."""
-    stage = stage_table(cfg, args)[name]
+    stage = stage_table(cfg)[name]
     value = fingerprint(stage.inputs, stage.config)
     reason = rerun_reason(cfg.workdir, name, value, [*stage.outputs, *stage.handed_on])
     if reason is None:
         print(f"[{name}] up-to-date, skipping")
         return 0
     started = time.perf_counter()
-    message = stage.body(cfg, args, value.inputs)
+    message = stage.body(cfg, value.inputs)
     stage_mark_done(cfg.workdir, name, value, stage.outputs)
     print(f"[{name}] {message} ({time.perf_counter() - started:.2f}s), ran because {reason}")
     return 0
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=int)
     p.add_argument("--space", dest="subset_space", choices=("embedding", "image"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--oracle", dest="oracle_reports", action="store_true",
+    p.add_argument("--oracle", dest="oracle_reports", action="store_const", const=True,
                    help="also derive eval reports from the planted oracle")
 
     p = sub.add_parser("train-selector", parents=[common], help="train the selector")
@@ -374,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         cfg = build_config(args.config, flag_values)
-        return run_stage(args.command, cfg, args)
+        return run_stage(args.command, cfg)
     except (VlcurateError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

@@ -71,6 +71,7 @@ class PipelineConfig:
     standardize: bool = True
     reducer_mode: str = "joint"
     subset_space: str = "embedding"
+    oracle_reports: bool = False  # split also derives eval reports from the planted oracle
     indicator: str = ""        # set to clip|length|reward|gpt for single-indicator runs
     clustering: bool = True
     # providers

@@ -23,11 +23,11 @@ is given the text's sha256, the input digest that the stage's fingerprint
 record holds (see config.py), and loads the twin with that key, so an
 edited text file is parsed again without being hashed twice. A twin is
 trusted like the score cache: a twin that cannot be read, is not a finite
-float64 matrix, or whose row count differs from its id count is a miss,
-never an error; a miss parses the text and writes its twin, unless the
-text's bytes no longer hash to the given digest after the parse. The
-store lies under the workdir, not beside the text, because the feature
-directory may be a read-only encoder output.
+float64 matrix, whose row count differs from its id count or whose ids
+repeat is a miss, never an error; a miss parses the text and writes its
+twin, unless the text's bytes no longer hash to the given digest after
+the parse. The store lies under the workdir, not beside the text, because
+the feature directory may be a read-only encoder output.
 
 The other JSON record files are decoded by their own modules, but framed
 here: ``oracle.jsonl`` (synth), ``eval_reports.jsonl`` and the shipped
@@ -251,7 +251,8 @@ def write_manifest(triplets: Iterable[Triplet], path: str | Path) -> None:
 # -- feature matrices --------------------------------------------------------
 
 def read_feature_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
-    """Parse one ``id <dim>`` header + rows file into an id->vector map."""
+    """Parse one ``id <dim>`` header + rows file into an id->vector map; an
+    id on a second row raises DuplicateId."""
     rows: dict[str, np.ndarray] = {}
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -279,6 +280,8 @@ def read_feature_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
                 ) from None
             if not np.isfinite(vec).all():
                 raise NonFiniteFeature(f"{path}:{line_no}: non-finite entry")
+            if parts[0] in rows:
+                raise DuplicateId(f"{path}:{line_no}: duplicate id {parts[0]!r}")
             rows[parts[0]] = vec
     return rows, dim
 
@@ -289,9 +292,9 @@ def write_feature_file(
     """Write ``matrix`` as a feature file, one row per id, and its twin in
     ``store`` (see read_matrix). Input whose text would not parse back (an
     id count other than the row count, no columns, an id that is empty or
-    holds whitespace, a non-finite value) raises the DimensionMismatch or
-    NonFiniteFeature that read_feature_file would, before any file is
-    written or process started.
+    holds whitespace, a non-finite value, a repeated id) raises the
+    DimensionMismatch, NonFiniteFeature or DuplicateId that
+    read_feature_file would, before any file is written or process started.
 
     A matrix of at least PARALLEL_MIN_VALUES values is formatted by one
     process per usable CPU, each taking one contiguous range of rows: the
@@ -303,9 +306,13 @@ def write_feature_file(
     ids = list(ids)
     if matrix.ndim != 2 or matrix.shape[1] < 1 or len(ids) != len(matrix):
         raise DimensionMismatch(f"{path}: {len(ids)} ids for a matrix of shape {matrix.shape}")
+    seen: set[str] = set()
     for sample_id in ids:
         if sample_id.split() != [sample_id]:
             raise DimensionMismatch(f"{path}: id {sample_id!r} is empty or holds whitespace")
+        if sample_id in seen:
+            raise DuplicateId(f"{path}: duplicate id {sample_id!r}")
+        seen.add(sample_id)
     if not np.isfinite(matrix).all():
         raise NonFiniteFeature(f"{path}: non-finite entry")
     digest = hashlib.sha256()
@@ -395,10 +402,9 @@ def read_matrix(
         if hash_file(path) == digest:
             _write_twin(store, path.stem, digest, *twin)
     file_ids, matrix = twin
-    # a repeated id keeps its first position and its last row, as the parse does
-    position = {sample_id: i for i, sample_id in enumerate(file_ids)}
-    if len(position) == len(file_ids) and ids == file_ids:
+    if ids == file_ids:
         return matrix
+    position = {sample_id: i for i, sample_id in enumerate(file_ids)}
     for sample_id in ids:
         if sample_id not in position:
             raise MissingFeature(sample_id, path.stem)
@@ -455,7 +461,7 @@ def _read_twin(store: Path, stem: str, digest: str) -> tuple[list[str], np.ndarr
     except UnicodeDecodeError:
         return None
     ids = text.split("\n") if text else []
-    if len(ids) != len(matrix):
+    if len(ids) != len(matrix) or len(set(ids)) != len(ids):
         return None
     return ids, matrix
 

@@ -117,8 +117,8 @@ class BadConfig(VlcurateError):
 
 
 class DivergedTraining(VlcurateError):
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+    def __init__(self, epoch: int, first: float, loss: float):
+        super().__init__(f"loss rose from {first:.6g} to {loss:.6g} at epoch {epoch}")
         self.epoch = epoch
 
 

@@ -1,11 +1,12 @@
 """Selection reports: quota tables, score histograms, oracle comparison.
 
-Plots are self-contained SVG files written with fixed-precision
-coordinates, so identical inputs produce byte-identical output. When a
-planted-quality oracle is available the report compares the selected
-subset's mean quality against seed-matched random subsets of the same
-size, and gives the Spearman correlation of item score and planted
-quality over the whole corpus (``spearman_q``).
+The score histograms, full corpus first and then one per cluster, are the
+panels of one SVG, ``scores.svg``, written in one atomic write with
+fixed-precision coordinates, so identical inputs produce byte-identical
+output. When a planted-quality oracle is available the report compares
+the selected subset's mean quality against seed-matched random subsets of
+the same size, and gives the Spearman correlation of item score and
+planted quality over the whole corpus (``spearman_q``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .corpus import (
     Triplet,
     atomic_write,
     read_json,
-    remove_numbered,
     write_json,
     write_jsonl,
     write_manifest,
@@ -27,10 +27,14 @@ from .curate import CurationResult
 from .errors import MalformedRecord
 from .numerics import spearman
 
+PANEL_WIDTH, PANEL_HEIGHT = 480, 260
+
 
 def svg_histogram(
-    values, bins: int = 20, width: int = 480, height: int = 260, title: str = ""
+    values, bins: int = 20, width: int = PANEL_WIDTH, height: int = PANEL_HEIGHT,
+    title: str = "", y: int = 0,
 ) -> str:
+    """A histogram of ``values`` as an ``<svg>`` panel whose top edge is at ``y``."""
     values = np.asarray(values, dtype=float)
     lo = float(values.min()) if values.size else 0.0
     hi = float(values.max()) if values.size else 1.0
@@ -40,7 +44,7 @@ def svg_histogram(
     top = max(int(counts.max()), 1)
     margin, plot_w, plot_h = 40, width - 60, height - 70
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" y="{y}" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{title}</text>',
@@ -143,39 +147,16 @@ def write_selection(
     write_json(out_dir / "summary.json", summary)
 
 
-def _cluster_plot(j: int) -> str:
-    return f"cluster_{j:02d}_scores.svg"
-
-
-def plot_paths(out_dir: str | Path, k: int) -> list[Path]:
-    """The histograms ``write_report`` renders for k clusters: the corpus
-    one, then one per cluster."""
-    out_dir = Path(out_dir)
-    return [out_dir / "score_hist.svg", *(out_dir / _cluster_plot(j) for j in range(k))]
-
-
-def declared_plots(out_dir: str | Path) -> list[Path]:
-    """``plot_paths`` for the clusters of ``out_dir/summary.json``, counted
-    by its quotas; the corpus histogram alone while the summary is missing
-    or unreadable, which ``write_report`` rejects anyway."""
-    try:
-        quotas = read_json(Path(out_dir) / "summary.json", ("quotas",))["quotas"]
-    except (OSError, MalformedRecord):
-        quotas = []
-    return plot_paths(out_dir, len(quotas) if isinstance(quotas, list) else 0)
-
-
 def write_report(
     out_dir: str | Path,
     manifest: list[Triplet],
     oracle: dict[str, float] | None = None,
     seed: int = 0,
 ) -> dict:
-    """Render report.json plus histogram SVGs from a persisted selection,
-    and delete the histograms of clusters beyond the summary's that an
-    earlier report left. A summary field of the wrong type or length, a
-    manifest or selected id the oracle lacks, or no selected id to compare
-    with it raises MalformedRecord before any file is written."""
+    """Render report.json and the histograms' scores.svg from a persisted
+    selection. A summary field of the wrong type or length, a manifest or
+    selected id the oracle lacks, or no selected id to compare with it
+    raises MalformedRecord before any file is written."""
     out_dir = Path(out_dir)
     path = out_dir / "summary.json"
     summary = read_json(path, (
@@ -220,16 +201,15 @@ def write_report(
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise MalformedRecord(None, f"{path}: bad summary field ({exc!r})") from None
 
-    corpus_plot, *cluster_plots = plot_paths(out_dir, k)
-    with atomic_write(corpus_plot) as fh:
-        fh.write(svg_histogram(scores, title="selector scores, full corpus"))
-    for j, (plot, member_scores) in enumerate(zip(cluster_plots, members)):
-        with atomic_write(plot) as fh:
-            fh.write(svg_histogram(
-                member_scores,
-                title=f"cluster {j}: {member_scores.size} samples, "
-                      f"quota {summary['quotas'][j]}",
-            ))
-    remove_numbered(out_dir, _cluster_plot, k)
+    panels = [(scores, "selector scores, full corpus"), *(
+        (member_scores, f"cluster {j}: {member_scores.size} samples, "
+                        f"quota {summary['quotas'][j]}")
+        for j, member_scores in enumerate(members))]
+    with atomic_write(out_dir / "scores.svg") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
+                 f'height="{PANEL_HEIGHT * len(panels)}">\n')
+        for i, (values, title) in enumerate(panels):
+            fh.write(svg_histogram(values, title=title, y=PANEL_HEIGHT * i))
+        fh.write("</svg>\n")
     write_json(out_dir / "report.json", report)
     return report

@@ -328,7 +328,11 @@ def train(
     lr: float = 0.01,
     optimizer: str = "adam",
 ) -> TrainResult:
-    """Full-batch training; one parameter update per epoch."""
+    """Full-batch training; one parameter update per epoch.
+
+    Raises DivergedTraining at the first epoch whose loss is not finite or
+    exceeds epoch 0's, the loss of the zero-head selector that scores
+    every set 0.0, and when the last update leaves a non-finite parameter."""
     if optimizer not in ("adam", "sgd"):
         raise BadConfig(f"unknown optimizer {optimizer!r}")
     if epochs < 1 or lr <= 0.0:
@@ -349,8 +353,9 @@ def train(
     for epoch in range(epochs):
         grad.fill(0.0)
         loss = _add_loss_grad(current, p, sets, labels, g)
-        if not np.isfinite(loss):
-            raise DivergedTraining(epoch)
+        first = losses[0] if losses else loss
+        if not (np.isfinite(loss) and loss <= first):
+            raise DivergedTraining(epoch, first, loss)
         losses.append(loss)
         if optimizer == "adam":
             t = epoch + 1
@@ -362,7 +367,7 @@ def train(
         else:
             params -= lr * grad
     if not np.all(np.isfinite(params)):
-        raise DivergedTraining(epochs)
+        raise DivergedTraining(epochs, losses[0], math.nan)
     return TrainResult(model=current, losses=losses)
 
 

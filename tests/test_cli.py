@@ -11,6 +11,7 @@ import shutil
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -355,9 +356,7 @@ def test_pipeline_artifacts_exist(pipeline):
         "curated/selection.jsonl",
         "curated/summary.json",
         "curated/report.json",
-        "curated/score_hist.svg",
-        "curated/cluster_00_scores.svg",
-        "curated/cluster_02_scores.svg",
+        "curated/scores.svg",
     ):
         assert (pipeline / rel).exists(), rel
     assert not (pipeline / "embedding_bundle").exists()
@@ -522,7 +521,7 @@ def _stage_entry(work, argv):
     args = build_parser().parse_args([*argv, "--workdir", str(work)])
     flags = {k: v for k, v in vars(args).items()
              if k in config_keys() and v is not None}
-    return stage_table(build_config(None, flags), args)[args.command]
+    return stage_table(build_config(None, flags))[args.command]
 
 
 def test_pipeline_without_twins_writes_the_same_bytes(pipeline, tmp_path):
@@ -596,9 +595,9 @@ def test_stages_read_only_declared_files(pipeline, tmp_path, monkeypatch):
         return run
 
     # record the body's reads only, not the fingerprint's
-    monkeypatch.setattr(cli, "stage_table", lambda cfg, args: {
+    monkeypatch.setattr(cli, "stage_table", lambda cfg: {
         name: dataclasses.replace(stage, body=recorded(stage.body))
-        for name, stage in real_table(cfg, args).items()
+        for name, stage in real_table(cfg).items()
     })
     monkeypatch.setattr(io, "open", recording_open)
     monkeypatch.setattr(builtins, "open", recording_open)
@@ -706,26 +705,77 @@ def test_deleting_a_declared_output_reruns_its_stage(pipeline, tmp_path, capsys)
     assert checked >= 20
 
 
-def test_fewer_clusters_remove_stale_cluster_plots(pipeline, tmp_path, capsys):
-    """A report for fewer clusters deletes the histograms of the clusters it
-    no longer has, and no file named otherwise; deleting a histogram reruns
-    ``report``."""
+def test_report_draws_every_histogram_as_a_panel_of_one_svg(pipeline, tmp_path, capsys):
+    """``scores.svg`` nests the corpus histogram and then one per cluster,
+    titled with the cluster's size and quota, for any cluster count; deleting
+    it reruns ``report``."""
     work = tmp_path / "work"
     shutil.copytree(pipeline, work)
-    curated = work / "curated"
-    for name in ("cluster_2_scores.svg", "cluster_002_scores.svg", "cluster_02_scores.txt"):
-        (curated / name).write_text("kept\n", encoding="utf-8")
-    assert main(["curate", "--alpha", "12", "--clusters", "2", "--seed", "0",
-                 "--workdir", str(work)]) == 0
-    assert main([*REPORT, "--workdir", str(work)]) == 0
-    assert sorted(p.name for p in curated.glob("cluster_*")) == [
-        "cluster_002_scores.svg", "cluster_00_scores.svg", "cluster_01_scores.svg",
-        "cluster_02_scores.txt", "cluster_2_scores.svg"]
-    (curated / "score_hist.svg").unlink()
+    for k in (3, 2):
+        assert main(["curate", "--alpha", "12", "--clusters", str(k), "--seed", "0",
+                     "--workdir", str(work)]) == 0
+        assert main([*REPORT, "--workdir", str(work)]) == 0
+        root = ElementTree.parse(work / "curated" / "scores.svg").getroot()
+        panels = root.findall("{http://www.w3.org/2000/svg}svg")
+        assert len(panels) == k + 1
+        assert [panel.get("y") for panel in panels] == [str(260 * i) for i in range(k + 1)]
+        titles = [panel.find("{http://www.w3.org/2000/svg}text").text for panel in panels]
+        table = read_json(work / "curated" / "report.json")["quota_table"]
+        assert titles == ["selector scores, full corpus", *(
+            f"cluster {row['cluster']}: {row['size']} samples, quota {row['quota']}"
+            for row in table)]
+    assert sorted(p.name for p in (work / "curated").glob("*.svg")) == ["scores.svg"]
+    (work / "curated" / "scores.svg").unlink()
     capsys.readouterr()
     assert main([*REPORT, "--workdir", str(work)]) == 0
-    assert "ran because output curated/score_hist.svg is missing" in capsys.readouterr().out
-    assert (curated / "score_hist.svg").exists()
+    assert "ran because output curated/scores.svg is missing" in capsys.readouterr().out
+    assert (work / "curated" / "scores.svg").exists()
+
+
+def test_checking_stages_reads_no_summary(pipeline, tmp_path, monkeypatch, capsys):
+    """Every stage's declaration comes from the config alone: checking a
+    finished workdir's stages before ``report`` opens ``summary.json`` only
+    to hash it as ``curate``'s output, never as text to parse."""
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    summary = (work / "curated" / "summary.json").resolve()
+    opened = []
+    real_open = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append((Path(file).resolve(), "b" in mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    capsys.readouterr()
+    run_stages(work, STAGES[:-1])
+    assert capsys.readouterr().out.count("up-to-date, skipping") == len(STAGES) - 1
+    assert (summary, True) in opened and (summary, False) not in opened
+
+
+def test_oracle_reports_from_config_file_equals_the_flag(pipeline, tmp_path):
+    """``oracle_reports = true`` in a config file and ``split --oracle``
+    write the same bytes, record included, under the record key ``oracle``."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("oracle_reports = true\n", encoding="utf-8")
+    runs = {}
+    for name, extra in (("flag", ["--oracle"]), ("file", ["--config", str(cfg)])):
+        work = tmp_path / name
+        shutil.copytree(pipeline, work)
+        shutil.rmtree(work / "subsets")
+        (work / "eval_reports.jsonl").unlink()
+        (work / ".fingerprints" / "split.sha256").unlink()
+        assert main(["split", "--n-subsets", "6", "--seed", "0", *extra,
+                     "--workdir", str(work)]) == 0
+        runs[name] = {p.relative_to(work): p.read_bytes() for p in work.rglob("*")
+                      if p.is_file()}
+    assert runs["flag"] == runs["file"]
+    record = read_json(tmp_path / "file" / ".fingerprints" / "split.sha256")
+    assert set(record["config"]) == {"n_subsets", "capacity", "seed", "subset_space",
+                                     "oracle"}
+    assert "eval_reports.jsonl" in record["outputs"]
 
 
 def test_each_file_is_hashed_once_per_stage(tmp_path, monkeypatch):
@@ -773,6 +823,26 @@ def test_score_non_numeric_feature_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error[MalformedRecord]" in err
     assert "Traceback" not in err
+
+
+def test_train_selector_whose_loss_rises_exits_1(tmp_path, capsys):
+    """Features scaled by 1e150 make the first update overshoot: the loss
+    rises above the zero-head selector's and training stops there, before
+    any overflow, leaving no model."""
+    work = tmp_path / "work"
+    assert main(["synth", "--n", "60", "--seed", "0", "--workdir", str(work)]) == 0
+    for name in ("image", "text_llm"):
+        path = work / "features" / f"{name}.txt"
+        rows, _ = read_feature_file(path)
+        write_feature_file(path, list(rows), np.array(list(rows.values())) * 1e150,
+                           work / ".matrices")
+    run_stages(work, (["score"], ["embed"], ["split", "--n-subsets", "6", "--oracle"]))
+    capsys.readouterr()
+    assert main(["train-selector", "--workdir", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error\[DivergedTraining\]: loss rose from 145\.231 to "
+                        r"\S+e\+\d+ at epoch 1\n", err), err
+    assert not (work / "selector_model" / "params.txt").exists()
 
 
 def _drop_key(key):

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -270,18 +271,37 @@ def test_twin_hit_is_bit_equal_to_parse(tmp_path, monkeypatch, ids):
     assert got.tobytes() == parsed.tobytes()
 
 
-def test_twin_of_repeated_ids_keeps_first_position_and_last_row(tmp_path, monkeypatch):
-    mat = np.arange(8.0).reshape(4, 2) + 0.5
+def test_repeated_ids_are_refused(tmp_path, monkeypatch):
+    """A feature file holds each id once: the parse refuses a second row of
+    an id, a write refuses repeated ids before any file, twin or process
+    exists, and a twin whose ids repeat is a miss."""
     path, store = tmp_path / "image.txt", tmp_path / ".matrices"
-    write_feature_file(path, ["a", "b", "a", "c"], mat, store)
-    rows, _ = read_feature_file(path)
-    assert list(rows) == ["a", "b", "c"]
-    for ids in (["a", "b", "a", "c"], ["a", "b", "c"], ["c", "a"]):
-        parsed = _parse(path, ids)
-        assert np.array_equal(parsed[ids.index("a")], mat[2])
+    path.write_bytes(b"id 2\na 0.5 1.5\nb 2.5 3.5\na 4.5 5.5\n")
+    with pytest.raises(DuplicateId, match=re.escape(f"{path}:4: duplicate id 'a'")):
+        read_feature_file(path)
+    with pytest.raises(DuplicateId):
+        _read_matrix(path, ["a", "b"], store)
+    assert _twins(store) == []
+    path.unlink()
+
+    def no_fork(method):
+        raise AssertionError(f"a refused write asked for a {method} context")
+
+    for cpus in (1, 2):
         with monkeypatch.context() as patch:
-            _no_parse(patch)
-            assert _read_matrix(path, ids, store).tobytes() == parsed.tobytes()
+            _split_writes(patch, cpus)
+            patch.setattr(multiprocessing, "get_context", no_fork)
+            with pytest.raises(DuplicateId, match=re.escape(f"{path}: duplicate id 'a'")):
+                write_feature_file(path, ["a", "b", "a", "c"], np.ones((4, 2)), store)
+        assert sorted(tmp_path.iterdir()) == []
+
+    mat = np.array([[0.5, 1.25], [2.0, -3.5]])
+    write_feature_file(path, ["a", "b"], mat, store)
+    ids_twin = next(store.glob("image.*.ids.npy"))
+    good = ids_twin.read_bytes()
+    ids_twin.write_bytes(_id_text(b"a\na"))
+    assert np.array_equal(_read_matrix(path, ["b", "a"], store), mat[::-1])
+    assert ids_twin.read_bytes() == good
 
 
 def test_twin_keeps_ids_that_differ_only_by_a_trailing_nul(tmp_path, monkeypatch):
