@@ -23,8 +23,10 @@ from __future__ import annotations
 import functools
 import http.client
 import json
+import random
 import re
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -43,6 +45,7 @@ from .errors import (
     TemplateError,
     UnparseableScore,
 )
+from .numerics import row_dots
 
 _PLACEHOLDERS = ("[Instruction]", "[Caption]")
 _SLOT_RE = re.compile(r"\[Instruction\]|\[Caption\]")
@@ -103,20 +106,24 @@ def parse_gpt_reply(body: str) -> float:
     raise UnparseableScore("empty reply")
 
 
+def clip_scores(image: np.ndarray, text: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each row pair of (N, d) image and response
+    embeddings, clamped to [-1, 1]; each with the bits of
+    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))``."""
+    image, text = np.asarray(image, dtype=float), np.asarray(text, dtype=float)
+    if image.shape != text.shape:
+        raise DimensionMismatch(f"vector shapes differ: {image.shape} vs {text.shape}")
+    norm_i, norm_t = np.sqrt(row_dots(image, image)), np.sqrt(row_dots(text, text))
+    if (norm_i == 0.0).any() or (norm_t == 0.0).any():
+        raise DegenerateEmbedding("zero-norm embedding")
+    cosine = row_dots(image, text) / (norm_i * norm_t)
+    cosine = np.where(cosine > -1.0, cosine, -1.0)   # a NaN clamps to -1, as in max(-1.0, x)
+    return np.where(cosine < 1.0, cosine, 1.0)
+
+
 def clip_score(image_vec: np.ndarray, text_vec: np.ndarray) -> float:
     """Cosine similarity between an image embedding and a response embedding."""
-    image_vec = np.asarray(image_vec, dtype=float)
-    text_vec = np.asarray(text_vec, dtype=float)
-    if image_vec.shape != text_vec.shape:
-        raise DimensionMismatch(
-            f"vector shapes differ: {image_vec.shape} vs {text_vec.shape}"
-        )
-    norm_i = float(np.linalg.norm(image_vec))
-    norm_t = float(np.linalg.norm(text_vec))
-    if norm_i == 0.0 or norm_t == 0.0:
-        raise DegenerateEmbedding("zero-norm embedding")
-    cosine = float(np.dot(image_vec, text_vec) / (norm_i * norm_t))
-    return min(1.0, max(-1.0, cosine))
+    return float(clip_scores(np.asarray(image_vec)[None], np.asarray(text_vec)[None])[0])
 
 
 def length_score(response: str) -> int:
@@ -158,6 +165,11 @@ _MAX_LINE, _MAX_FIELDS = 65536, 100   # http.client's limits
 _HEX = re.compile(rb"[0-9A-Fa-f]+")
 _STATUS = re.compile(rb"HTTP/1\.[0-9] [1-9][0-9][0-9](?: .*)?\r?\n", re.DOTALL)
 _PIECE = 1 << 20
+# full-jitter exponential backoff: after its a-th failed attempt, counted from
+# 0, a client waits a uniform draw in [0, min(BACKOFF_CAP, BACKOFF_BASE * 2**a)]
+# seconds; a 429 or 503 reply's Retry-After seconds, under the cap, replace it
+BACKOFF_BASE = 0.5
+BACKOFF_CAP = 30.0
 
 
 def _line(reader) -> bytes:
@@ -202,10 +214,10 @@ def _chunked(reader) -> bytes:
         chunks.append(_exact(reader, int(size, 16) + 2)[:-2])
 
 
-def _read_reply(reader, line: bytes) -> tuple[int, bytes, bool]:
+def _read_reply(reader, line: bytes) -> tuple[int, dict[bytes, bytes], bytes, bool]:
     """Read the rest of an HTTP/1.x reply (RFC 9112) whose status line is
-    ``line``: its status, its body, and whether the connection stays open.
-    Interim 1xx replies are skipped."""
+    ``line``: its status, its header fields, its body, and whether the
+    connection stays open. Interim 1xx replies are skipped."""
     while True:
         if not _STATUS.fullmatch(line):
             raise http.client.HTTPException(f"bad status line {line[:80]!r}")
@@ -219,15 +231,15 @@ def _read_reply(reader, line: bytes) -> tuple[int, bytes, bool]:
             else b"close" not in connection)
     if status in (204, 304):
         # no body; bytes sent anyway would be read as the next status line
-        return status, b"", False
+        return status, fields, b"", False
     if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
-        return status, _chunked(reader), keep
+        return status, fields, _chunked(reader), keep
     length = fields.get(b"content-length")
     if length is None:
-        return status, reader.read(), False   # the body ends at close
+        return status, fields, reader.read(), False   # the body ends at close
     if not length.isdigit():
         raise http.client.HTTPException(f"bad Content-Length {length[:40]!r}")
-    return status, _exact(reader, int(length)), keep
+    return status, fields, _exact(reader, int(length)), keep
 
 
 def _send(conn: _Connection, request: bytes) -> bytes:
@@ -256,8 +268,13 @@ class _JsonClient:
     read in full, so the connection stays usable unless the reply closes
     it -- with an HTTP error status, a body that is not an object
     holding the field, or a value ``parse`` rejects. Once they are spent
-    the call raises ScoringFailed.
+    the call raises ScoringFailed. Between two attempts the client calls
+    ``sleep`` with the backoff's wait, drawn with ``draw`` (uniform in
+    [0, 1)); both may be replaced, on the class or on a client.
     """
+
+    sleep = staticmethod(time.sleep)
+    draw = staticmethod(random.random)
 
     def __init__(
         self,
@@ -314,7 +331,7 @@ class _JsonClient:
             for conn in self._opened:
                 conn.close()
 
-    def _exchange(self, conn: _Connection, body: bytes) -> tuple[int, bytes]:
+    def _exchange(self, conn: _Connection, body: bytes) -> tuple[int, dict, bytes]:
         request = b"%b%d%b%b" % (self._head, len(body), self._tail, body)
         reused = conn.sock is not None
         try:
@@ -324,24 +341,37 @@ class _JsonClient:
                 raise
             conn.close()
             line = _send(conn, request)
-        status, data, keep = _read_reply(conn.reader, line)
+        status, fields, data, keep = _read_reply(conn.reader, line)
         if not keep:
             conn.close()
-        return status, data
+        return status, fields, data
+
+    def _wait(self, failed: int, retry_after: bytes | None) -> float:
+        """The backoff's wait after the ``failed``-th failed attempt (from
+        0); ``retry_after`` is the Retry-After field of a 429 or 503 reply."""
+        if retry_after is not None and retry_after.isdigit():
+            return min(BACKOFF_CAP, float(retry_after))
+        # the exponent stops at 64, far past the cap, as 2.0 ** 1024 overflows
+        return self.draw() * min(BACKOFF_CAP, BACKOFF_BASE * 2.0 ** min(failed, 64))
 
     def _post(self, sample_id: str, payload: dict, field: str, parse) -> float:
         body = json.dumps(payload).encode()
-        last_error = "no attempts made"
-        for _ in range(max(1, self.retries)):
+        last_error, retry_after = "no attempts made", None
+        for attempt in range(max(1, self.retries)):
+            if attempt:
+                self.sleep(self._wait(attempt - 1, retry_after))
+                retry_after = None
             conn = self._connection()
             try:
-                status, data = self._exchange(conn, body)
+                status, fields, data = self._exchange(conn, body)
             except (OSError, http.client.HTTPException, ValueError) as exc:
                 conn.close()  # the exchange may have stopped anywhere
                 last_error = f"{type(exc).__name__}: {exc}"
                 continue
             if not 200 <= status < 300:
                 last_error = f"HTTP status {status}"
+                if status in (429, 503):
+                    retry_after = fields.get(b"retry-after")
                 continue
             try:
                 reply = json.loads(data)
@@ -388,23 +418,27 @@ def score_corpus(
 
     Cached values are reused, never recomputed. clip comes from the rows of
     the image and text_clip feature matrices, which follow the manifest
-    order; length from the response text; reward and gpt from the cache,
+    order, in one ``clip_scores`` pass over the rows it is missing for;
+    length from the response text; reward and gpt from the cache,
     else the provider, else MissingScore when the provider is absent
-    (cache-only mode). Each manifest id's record is looked up once; the
-    remote calls then run one sample at a time in the calling thread, or
-    on ``workers`` threads that each write only the record of the sample
-    they were handed, so the threads share no state.
+    (cache-only mode). The cache is changed only once every missing clip
+    is computed. The remote calls then run one sample at a time in the
+    calling thread, or on ``workers`` threads that each write only the
+    record of the sample they were handed, so the threads share no state.
     """
     image, text = features["image"], features["text_clip"]
     if len(image) != len(manifest) or len(text) != len(manifest):
         raise DimensionMismatch(
             f"feature rows ({len(image)}, {len(text)}) != manifest size {len(manifest)}"
         )
+    rows = [i for i, triplet in enumerate(manifest)
+            if (record := cache.get(triplet.id)) is None or record.clip is None]
+    clips = dict(zip(rows, clip_scores(image[rows], text[rows]).tolist())) if rows else {}
     pending = []
     for i, triplet in enumerate(manifest):
         record = cache.setdefault(triplet.id, ScoreRecord())
         if record.clip is None:
-            record.clip = clip_score(image[i], text[i])
+            record.clip = clips[i]
         if record.length is None:
             record.length = length_score(triplet.response)
         if record.reward is None or record.gpt is None:

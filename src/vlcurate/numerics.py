@@ -23,6 +23,15 @@ Balanced k-means adds a capacity post-pass on top of standard Lloyd:
 each oversized cluster keeps its ``capacity`` closest members, evicted
 points refill under-capacity clusters closest-first, and the final
 ``N - k * capacity`` leftovers carry label -1.
+
+``row_dots`` gives each row pair's dot product with the bits of
+``np.dot(a[i], b[i])``, so a per-row loop of dots or of
+``np.linalg.norm`` (which is ``sqrt(x.dot(x))``) becomes one call. Each
+row pair is one (1, d) @ (d, 1) product in a stack, and numpy's matmul
+hands a product with a 1 x 1 result to the same BLAS dot that ``np.dot``
+calls on two vectors. At width 1 matmul instead adds the lone product to
++0.0, which would turn a -0.0 product into +0.0, so that width is
+multiplied out.
 """
 
 from __future__ import annotations
@@ -49,6 +58,14 @@ LANDMARKS = 500
 NEIGHBOURS = 5
 # rows per block of spectral_embedding's nearest-landmark search
 DISTANCE_BLOCK = 512
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N,) dot products of the rows of two (N, d) arrays, each with the
+    bits of ``np.dot(a[i], b[i])``."""
+    if a.shape[1] == 1:
+        return a[:, 0] * b[:, 0]
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 # -- PCA -----------------------------------------------------------------
@@ -255,6 +272,18 @@ def kmeans_pp(
 
 # -- spectral clustering -------------------------------------------------
 
+def first_copies(data: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first copy of each distinct row of a finite
+    (N, d) matrix, d >= 1, those of ``np.unique(data, axis=0,
+    return_index=True)``: each row is keyed by its bytes after adding 0.0,
+    which turns -0.0 into 0.0."""
+    rows = np.ascontiguousarray(data) + 0.0
+    first: dict[bytes, int] = {}
+    for i, key in enumerate(rows.view(np.dtype((np.void, rows.strides[0]))).ravel().tolist()):
+        first.setdefault(key, i)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
+
+
 def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues (ascending) of the normalized Laplacian
     L = I - W of the landmark graph, plus the row-normalized (N, k) matrix
@@ -275,7 +304,7 @@ def spectral_embedding(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     does for another thread count."""
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
-    firsts = np.sort(np.unique(data, axis=0, return_index=True)[1])
+    firsts = first_copies(data)
     p = min(len(firsts), LANDMARKS)
     if p == 0:   # no rows, so no distances for the kernel width's median
         raise BadRank(f"k={k} outside [1, 0]")

@@ -6,7 +6,11 @@ documented bands (SPEARMAN_BANDS) and a selector trained on subset labels
 derived from q has a recoverable signal. The clip cosine is planted
 exactly: the text_clip vector is constructed in the plane spanned by the
 image vector and a random orthogonal direction so that
-cos(image, text_clip) equals the target to float precision.
+cos(image, text_clip) equals the target to float precision. Draw order:
+q; blob centers, labels, noise; clip targets; one (N, d) block of those
+directions; a redraw, one row at a time in row order, of each direction
+whose part orthogonal to its image row has norm <= 1e-9; text_llm noise;
+word counts; reward and gpt noise; then each sample's words, instruction.
 
 Image vectors are drawn around 10 well-separated blob centers, giving the
 spectral clustering stage real structure to find. An oracle file maps id
@@ -34,6 +38,7 @@ from .corpus import (
     write_scores,
 )
 from .errors import BadConfig, MalformedRecord
+from .numerics import row_dots
 from .quality_labels import EvalReport
 
 N_BLOBS = 10
@@ -98,21 +103,19 @@ def generate(
     blob = rng.integers(0, N_BLOBS, n)
     image = centers[blob] + rng.normal(0.0, 0.2, (n, image_dim))
 
-    clip_target = np.clip(
-        0.1 + 0.75 * q + rng.normal(0.0, 0.05, n), -1.0, 1.0
-    )
-    text_clip = np.empty_like(image)
-    for i in range(n):
-        u = image[i] / np.linalg.norm(image[i])
-        while True:
+    clip_target = np.clip(0.1 + 0.75 * q + rng.normal(0.0, 0.05, n), -1.0, 1.0)
+    u = image / np.sqrt(row_dots(image, image))[:, None]
+    v = rng.normal(0.0, 1.0, (n, image_dim))
+    v -= row_dots(v, u)[:, None] * u
+    norm = np.sqrt(row_dots(v, v))
+    for i in np.flatnonzero(~(norm > 1e-9)):
+        while not norm[i] > 1e-9:
             w = rng.normal(0.0, 1.0, image_dim)
-            v = w - (w @ u) * u
-            norm = np.linalg.norm(v)
-            if norm > 1e-9:
-                break
-        v /= norm
-        c = clip_target[i]
-        text_clip[i] = c * u + np.sqrt(max(0.0, 1.0 - c * c)) * v
+            v[i] = w - (w @ u[i]) * u[i]
+            norm[i] = np.linalg.norm(v[i])
+    v /= norm[:, None]
+    sine = np.sqrt(np.maximum(0.0, 1.0 - clip_target * clip_target))[:, None]
+    text_clip = clip_target[:, None] * u + sine * v
 
     # language-model text features: leading dims strongly loaded on q so the
     # top principal component of [image | text_llm] is a quality direction
@@ -127,24 +130,21 @@ def generate(
     reward = 4.0 * q - 2.0 + rng.normal(0.0, 0.3, n)
     gpt = np.clip(100.0 * q + rng.normal(0.0, 5.0, n), 0.0, 100.0)
 
+    ids = [f"syn-{i:05d}" for i in range(n)]
     manifest = []
-    scores: ScoreCache = {}
-    oracle: dict[str, float] = {}
-    for i in range(n):
-        sample_id = f"syn-{i:05d}"
-        words = rng.choice(len(_VOCAB), size=word_counts[i])
+    for sample_id, count in zip(ids, word_counts.tolist()):
+        words = rng.integers(0, len(_VOCAB), size=count).tolist()
         manifest.append(
             Triplet(
                 id=sample_id,
                 image_ref=f"images/{sample_id}.png",
                 instruction=_INSTRUCTIONS[int(rng.integers(len(_INSTRUCTIONS)))],
-                response=" ".join(_VOCAB[w] for w in words),
+                response=" ".join([_VOCAB[w] for w in words]),
             )
         )
-        scores[sample_id] = ScoreRecord(
-            reward=float(reward[i]), gpt=float(gpt[i])
-        )
-        oracle[sample_id] = float(q[i])
+    scores: ScoreCache = {sample_id: ScoreRecord(reward=r, gpt=g)
+                          for sample_id, r, g in zip(ids, reward.tolist(), gpt.tolist())}
+    oracle = dict(zip(ids, q.tolist()))
 
     features = {"image": image, "text_clip": text_clip, "text_llm": text_llm}
     return SynthCorpus(manifest=manifest, features=features, scores=scores, oracle=oracle)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from vlcurate.corpus import Triplet
+from vlcurate.indicators import _JsonClient
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 
@@ -201,6 +202,15 @@ class RawStub:
             thread.join(timeout=10)
         assert not self._accepting.is_alive()
         assert not any(thread.is_alive() for thread in threads)
+
+
+@pytest.fixture(autouse=True)
+def waits(monkeypatch):
+    """The waits scoring clients take between attempts, recorded instead of
+    slept, so that no test sleeps through a backoff."""
+    waited = []
+    monkeypatch.setattr(_JsonClient, "sleep", staticmethod(waited.append))
+    return waited
 
 
 @pytest.fixture

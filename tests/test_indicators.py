@@ -28,10 +28,13 @@ from vlcurate.errors import (
     UnparseableScore,
 )
 from vlcurate.indicators import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
     PromptTemplate,
     RatingClient,
     RewardClient,
     clip_score,
+    clip_scores,
     default_prompt_template,
     length_score,
     parse_gpt_reply,
@@ -606,6 +609,97 @@ def test_closed_client_holds_no_sockets():
     assert _open_fds() <= before
 
 
+# -- backoff between attempts ----------------------------------------------
+
+def _status(code, *fields):
+    return _reply(*fields, b"Content-Length: 0", body=b"", status=b"HTTP/1.1 %d x" % code)
+
+
+def test_429_waits_its_retry_after_seconds(raw_stub, waits):
+    raw_stub.replies = [_status(429, b"Retry-After: 2"), _reply(_SIZED)]
+    client = RewardClient(raw_stub.url, retries=3, timeout=5.0)
+    try:
+        assert client.score(_triplet()) == 2.5
+    finally:
+        client.close()
+    assert waits == [2.0]
+
+
+@pytest.mark.parametrize("fields", [(), (b"Retry-After: Wed, 21 Oct 2026 07:28:00 GMT",),
+                                    (b"Retry-After: -1",)])
+def test_503_without_retry_after_seconds_waits_within_the_bounds(raw_stub, waits, fields):
+    raw_stub.replies = [_status(503, *fields), _status(503, *fields), _reply(_SIZED)]
+    client = RewardClient(raw_stub.url, retries=3, timeout=5.0)
+    try:
+        assert client.score(_triplet()) == 2.5
+    finally:
+        client.close()
+    assert len(waits) == 2
+    assert 0.0 <= waits[0] <= BACKOFF_BASE
+    assert 0.0 <= waits[1] <= 2 * BACKOFF_BASE
+
+
+def test_waits_are_full_jitter_draws_doubling_to_the_cap(raw_stub, waits):
+    raw_stub.replies = [_status(500, b"Retry-After: 1")]   # ignored: not 429 or 503
+    client = RewardClient(raw_stub.url, retries=10, timeout=5.0)
+    client.draw = iter([0.5, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.25]).__next__
+    try:
+        with pytest.raises(ScoringFailed):
+            client.score(_triplet())
+    finally:
+        client.close()
+    assert len(raw_stub.requests) == 10
+    assert waits == [0.5 * BACKOFF_BASE, 2 * BACKOFF_BASE, 0.0,
+                     *(min(BACKOFF_CAP, BACKOFF_BASE * 2 ** a) for a in range(3, 8)),
+                     0.25 * BACKOFF_CAP]
+    client.draw = lambda: 1.0
+    assert client._wait(5000, None) == BACKOFF_CAP   # no overflow on a long run
+
+
+def test_retry_after_is_capped(raw_stub, waits):
+    raw_stub.replies = [_status(429, b"Retry-After: " + b"9" * 400), _reply(_SIZED)]
+    client = RewardClient(raw_stub.url, retries=2, timeout=5.0)
+    try:
+        assert client.score(_triplet()) == 2.5
+    finally:
+        client.close()
+    assert waits == [BACKOFF_CAP]
+
+
+def test_transport_error_then_success_waits_once(raw_stub, waits):
+    raw_stub.replies = [Hangup(b""), _reply(_SIZED)]
+    client = RewardClient(raw_stub.url, retries=3, timeout=5.0)
+    try:
+        assert client.score(_triplet()) == 2.5
+    finally:
+        client.close()
+    assert raw_stub.connections == 2
+    assert len(waits) == 1 and 0.0 <= waits[0] <= BACKOFF_BASE
+
+
+def test_no_wait_after_the_last_attempt(http_stub, waits):
+    http_stub.handler = lambda payload: 503
+    with pytest.raises(ScoringFailed):
+        RewardClient(http_stub.url, retries=1).score(_triplet())
+    assert waits == []
+    with pytest.raises(ScoringFailed):
+        RewardClient(http_stub.url, retries=3).score(_triplet())
+    assert len(waits) == 2
+
+
+def test_success_and_the_free_resend_never_wait(keepalive_stub, waits):
+    keepalive_stub.handler = lambda payload: {"score": 1.0}
+    client = RewardClient(keepalive_stub.url, retries=3)
+    try:
+        assert [client.score(_triplet(i)) for i in range(3)] == [1.0] * 3
+        keepalive_stub.drop_idle = True   # each reuse now needs the free resend
+        assert [client.score(_triplet(i)) for i in range(3)] == [1.0] * 3
+    finally:
+        client.close()
+    assert len(keepalive_stub.received) == 6
+    assert waits == []
+
+
 # -- corpus-level scoring -------------------------------------------------
 
 class CountingProvider:
@@ -652,6 +746,67 @@ def test_score_corpus_fills_from_stubs():
         assert rec.gpt == 60.0 and rec.reward == -0.5
         assert rec.length == length_score(t.response)
         assert rec.clip == clip_score(features["image"][i], features["text_clip"][i])
+
+
+def _one_pair_clip(image_vec, text_vec):
+    """The cosine as one pair's formula: norms, dot, clamp."""
+    norm_i, norm_t = float(np.linalg.norm(image_vec)), float(np.linalg.norm(text_vec))
+    return min(1.0, max(-1.0, float(np.dot(image_vec, text_vec) / (norm_i * norm_t))))
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 256, 1024])
+def test_clip_scores_have_the_bits_of_the_one_pair_formula(d):
+    rng = np.random.default_rng(d)
+    image, text = rng.normal(size=(2, 300, d))
+    text[:5] = 3.0 * image[:5]      # cosine 1 up to rounding: the clamp acts
+    text[5:10] = -0.5 * image[5:10]
+    text[10:15] *= 1e-150
+    text[15:20] *= 1e150
+    want = [_one_pair_clip(a, b) for a, b in zip(image, text)]
+    got = clip_scores(image, text)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert [clip_score(a, b) for a, b in zip(image[:20], text[:20])] == want[:20]
+
+
+def test_clip_scores_clamp_an_overflowed_cosine_like_the_one_pair_formula():
+    image = np.array([[1e200, 1e200], [1.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [_one_pair_clip(a, b) for a, b in zip(image, image)]
+        assert clip_scores(image, image).tolist() == want == [-1.0, 1.0]
+
+
+def test_score_corpus_computes_only_missing_clips():
+    manifest = make_manifest(40)
+    features = make_features(manifest, image_dim=16)
+    cache = _full_cache(manifest)
+    for record in cache.values():
+        record.clip = None
+    cache[manifest[3].id].clip = 0.125
+    features["image"][3] = 0.0   # cached, so never computed: no DegenerateEmbedding
+    score_corpus(manifest, features, cache)
+    for i, t in enumerate(manifest):
+        want = 0.125 if i == 3 else _one_pair_clip(features["image"][i],
+                                                   features["text_clip"][i])
+        assert type(cache[t.id].clip) is float and cache[t.id].clip == want
+
+
+def test_score_corpus_rejects_a_zero_norm_or_narrower_row_it_must_score():
+    manifest = make_manifest(6)
+    features = make_features(manifest)
+    features["text_clip"][4] = 0.0
+    cache = _full_cache(manifest) | {manifest[4].id: ScoreRecord()}
+    del cache[manifest[5].id]
+    before = {k: ScoreRecord(**vars(v)) for k, v in cache.items()}
+    with pytest.raises(DegenerateEmbedding):
+        score_corpus(manifest, features, cache)
+    assert cache == before   # nothing half-scored
+    features = make_features(manifest)
+    features["text_clip"] = features["text_clip"][:, :3]
+    cache = _full_cache(manifest)
+    score_corpus(manifest, features, cache)   # every clip cached: widths unread
+    cache[manifest[0].id].clip = None
+    with pytest.raises(DimensionMismatch):
+        score_corpus(manifest, features, cache)
 
 
 def test_score_corpus_cache_only_missing_gpt():

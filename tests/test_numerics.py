@@ -19,11 +19,13 @@ from vlcurate.errors import (
 )
 from vlcurate import numerics
 from vlcurate.numerics import (
+    first_copies,
     kmeans_pp,
     pca_fit,
     pca_inverse_transform,
     pca_transform,
     rank_data,
+    row_dots,
     spearman,
     spectral_cluster,
     spectral_embedding,
@@ -688,3 +690,51 @@ def test_spearman_matches_textbook_formula():
     d = rank_data(x) - rank_data(y)
     expected = 1.0 - 6.0 * float((d * d).sum()) / (50 * (50 ** 2 - 1))
     assert spearman(x, y) == pytest.approx(expected, abs=1e-12)
+
+
+# -- row_dots and first_copies ---------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-9, 1.0, 1e9, 1e150])
+def test_row_dots_has_the_bits_of_np_dot_per_row(scale):
+    rng = np.random.default_rng(21)
+    for d in range(1, 1025):
+        a, b = rng.normal(size=(2, 3, d)) * scale
+        want = np.array([np.dot(x, y) for x, y in zip(a, b)])
+        assert row_dots(a, b).tobytes() == want.tobytes(), d
+        norms = np.array([np.linalg.norm(x) for x in a])
+        assert np.sqrt(row_dots(a, a)).tobytes() == norms.tobytes(), d
+
+
+def test_row_dots_keeps_signed_zeros_and_reads_strided_rows():
+    # at width 1 a product that underflows or is a signed zero keeps its sign
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1.5, -2.0])
+    a, b = np.repeat(values, len(values))[:, None], np.tile(values, len(values))[:, None]
+    want = np.array([np.dot(x, y) for x, y in zip(a, b)])
+    assert row_dots(a, b).tobytes() == want.tobytes()
+    wide = np.random.default_rng(22).normal(size=(40, 2, 64))
+    a, b = wide[:, 0, ::2], wide[::-1, 1, 1::2]
+    want = np.array([np.dot(x, y) for x, y in zip(a, b)])
+    assert row_dots(a, b).tobytes() == want.tobytes()
+
+
+def _unique_firsts(data):
+    return np.sort(np.unique(data, axis=0, return_index=True)[1])
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (50, 1), (200, 3), (3439, 16), (400, 256)])
+def test_first_copies_matches_np_unique(n, d):
+    rng = np.random.default_rng(n + d)
+    data = np.round(rng.normal(size=(n, d)), 1 if d < 3 else 8)
+    data[rng.integers(n, size=n // 4)] = data[rng.integers(n, size=n // 4)]   # copies
+    data[rng.random((n, d)) < 0.1] = 0.0
+    data[rng.random((n, d)) < 0.1] = -0.0
+    got = first_copies(data)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _unique_firsts(data))
+    assert np.array_equal(first_copies(np.asfortranarray(data)), got)
+    assert len(first_copies(np.empty((0, d)))) == 0
+
+
+def test_first_copies_takes_signed_zeros_for_one_row():
+    data = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [1.0, 1.0]])
+    assert first_copies(data).tolist() == _unique_firsts(data).tolist() == [0, 2, 4]

@@ -2,17 +2,25 @@
 the stand-in evaluation loop."""
 
 import filecmp
+import warnings
 
 import numpy as np
 import pytest
 
 from vlcurate.config import PipelineConfig
+from vlcurate.corpus import ScoreRecord, Triplet
 from vlcurate.errors import BadConfig, MalformedRecord
 from vlcurate.indicators import indicator_matrix, length_score, score_corpus
 from vlcurate.numerics import spearman
 from vlcurate.synth import (
+    _INSTRUCTIONS,
+    _VOCAB,
     MIN_SAMPLES,
+    N_BLOBS,
+    Q2_LOADING,
+    Q_LOADINGS,
     SPEARMAN_BANDS,
+    SynthCorpus,
     generate,
     oracle_eval_reports,
     read_oracle,
@@ -96,6 +104,116 @@ def test_write_corpus_byte_identical(tmp_path):
     for name in names + [f".matrices/{twin}" for twin in twins]:
         assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "two" / name,
                            shallow=False), name
+
+
+def _reference_generate(n, seed, image_dim=16, text_dim=24):
+    """``generate`` as a loop per sample: per-row norms, a redraw in place,
+    ``rng.choice`` for the words."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.0, 1.0, n)
+    centers = rng.normal(0.0, 1.0, (N_BLOBS, image_dim)) * 0.8
+    blob = rng.integers(0, N_BLOBS, n)
+    image = centers[blob] + rng.normal(0.0, 0.2, (n, image_dim))
+    clip_target = np.clip(0.1 + 0.75 * q + rng.normal(0.0, 0.05, n), -1.0, 1.0)
+    text_clip = np.empty_like(image)
+    for i in range(n):
+        u = image[i] / np.linalg.norm(image[i])
+        while True:
+            w = rng.normal(0.0, 1.0, image_dim)
+            v = w - (w @ u) * u
+            norm = np.linalg.norm(v)
+            if norm > 1e-9:
+                break
+        v /= norm
+        c = clip_target[i]
+        text_clip[i] = c * u + np.sqrt(max(0.0, 1.0 - c * c)) * v
+    text_llm = rng.normal(0.0, 0.3, (n, text_dim))
+    for dim, coef in enumerate(Q_LOADINGS):
+        text_llm[:, dim] += coef * q
+    text_llm[:, len(Q_LOADINGS)] += Q2_LOADING * q * q
+    word_counts = np.maximum(1, 8 + np.rint(80.0 * q + rng.normal(0.0, 4.0, n)).astype(int))
+    reward = 4.0 * q - 2.0 + rng.normal(0.0, 0.3, n)
+    gpt = np.clip(100.0 * q + rng.normal(0.0, 5.0, n), 0.0, 100.0)
+    manifest, scores, oracle = [], {}, {}
+    for i in range(n):
+        sample_id = f"syn-{i:05d}"
+        words = rng.choice(len(_VOCAB), size=word_counts[i])
+        manifest.append(Triplet(
+            id=sample_id,
+            image_ref=f"images/{sample_id}.png",
+            instruction=_INSTRUCTIONS[int(rng.integers(len(_INSTRUCTIONS)))],
+            response=" ".join(_VOCAB[w] for w in words),
+        ))
+        scores[sample_id] = ScoreRecord(reward=float(reward[i]), gpt=float(gpt[i]))
+        oracle[sample_id] = float(q[i])
+    features = {"image": image, "text_clip": text_clip, "text_llm": text_llm}
+    return SynthCorpus(manifest=manifest, features=features, scores=scores, oracle=oracle)
+
+
+def _assert_same_corpus(got, want):
+    assert got.manifest == want.manifest
+    assert list(got.features) == list(want.features)
+    for name, matrix in want.features.items():
+        assert got.features[name].dtype == matrix.dtype, name
+        assert got.features[name].shape == matrix.shape, name
+        assert got.features[name].tobytes() == matrix.tobytes(), name
+    assert list(got.scores.items()) == list(want.scores.items())
+    assert all(type(value) is float for record in got.scores.values()
+               for value in (record.reward, record.gpt))
+    assert list(got.oracle.items()) == list(want.oracle.items())
+    assert all(type(value) is float for value in got.oracle.values())
+
+
+@pytest.mark.parametrize("dims", [(2, 8), (16, 24), (256, 1024)])
+@pytest.mark.parametrize("n", [30, 600, 3439])
+def test_generate_matches_reference_loop(dims, n):
+    # equal bytes, not just equal values: the corpus is the benchmark's and
+    # the tests' fixed input, and numpy draws that change fail here
+    for seed in (0, 1, 2, 7):
+        _assert_same_corpus(generate(n, seed, *dims), _reference_generate(n, seed, *dims))
+
+
+class _ParallelDirection:
+    """A generator that hands out, for row ``row`` of the block of
+    directions, a multiple of that row's image vector, so the part
+    orthogonal to it is rounding noise and the row must be redrawn."""
+
+    def __init__(self, rng, image, row):
+        self._rng, self._image, self._row = rng, image, row
+
+    def normal(self, loc, scale, size):
+        draw = self._rng.normal(loc, scale, size)
+        if size == self._image.shape and scale == 1.0:
+            draw[self._row] = 3.0 * self._image[self._row]
+        return draw
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("image_dim", [2, 16])
+def test_direction_parallel_to_its_image_row_is_redrawn(image_dim, monkeypatch):
+    plain = generate(40, 3, image_dim, 8)
+    row, default_rng = 5, np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ParallelDirection(
+        default_rng(seed), plain.features["image"], row))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forced = generate(40, 3, image_dim, 8)
+    image, text_clip = forced.features["image"], forced.features["text_clip"]
+    assert image.tobytes() == plain.features["image"].tobytes()
+    # every other row keeps its direction; the redraw comes after the block
+    others = np.arange(40) != row
+    assert text_clip[others].tobytes() == plain.features["text_clip"][others].tobytes()
+    assert not np.array_equal(text_clip[row], plain.features["text_clip"][row])
+    assert not np.array_equal(forced.features["text_llm"], plain.features["text_llm"])
+
+    def cosine(a, b):
+        return a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+
+    planted = cosine(image[row], plain.features["text_clip"][row])
+    assert cosine(image[row], text_clip[row]) == pytest.approx(planted, abs=1e-12)
+    assert np.linalg.norm(text_clip[row]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_text_clip_rows_are_unit_norm():
