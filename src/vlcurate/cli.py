@@ -92,11 +92,8 @@ def _embed(cfg: PipelineConfig, digests) -> str:
     manifest = load_manifest(cfg.manifest_path())
     features = load_features(cfg.features_path(), manifest, ("image", "text_llm"),
                              cfg.matrix_store(), digests)
-    image_dim = features["image"].shape[1]
-    # popped, so that the per-file matrices are freed once joined
-    joint = np.hstack([features.pop("image"), features.pop("text_llm")])
-    embeddings = assemble_corpus(manifest, read_scores(cfg.scores_path()), joint,
-                                 image_dim, cfg.m, cfg.reducer_mode, cfg.standardize)
+    embeddings = assemble_corpus(manifest, read_scores(cfg.scores_path()), features["image"],
+                                 features["text_llm"], cfg.m, cfg.reducer_mode, cfg.standardize)
     write_feature_file(cfg.embeddings_path(), [t.id for t in manifest], embeddings,
                        cfg.matrix_store())
     return f"embedded {len(embeddings)} samples, dim {4 + cfg.m}"

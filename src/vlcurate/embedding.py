@@ -9,9 +9,9 @@ Slot order is positional and stable; m defaults to 6, giving dimension 10.
 Standardization (z-scoring the four score slots over the corpus) is applied
 because raw scales differ by orders of magnitude; ``standardized=False``
 keeps the raw scores. The PCA runs on the row-wise concatenation of the
-image and LLM-text feature matrices; a split mode reduces the two blocks
-separately for the feature-ablation runs, on column views of the joined
-matrix; only the centering in ``pca_fit`` and ``pca_transform`` copies it.
+image and LLM-text feature matrices, which ``pca_fit`` reads as two column
+blocks without joining them; a split mode reduces the two matrices
+separately for the feature-ablation runs.
 """
 
 from __future__ import annotations
@@ -36,16 +36,15 @@ def standardize(scores: np.ndarray) -> np.ndarray:
 
 
 def fit_feature_reducer(
-    joint: np.ndarray, image_dim: int, m: int = 6, mode: str = "joint"
+    image: np.ndarray, text: np.ndarray, m: int = 6, mode: str = "joint"
 ) -> np.ndarray:
-    """The (N, m) PCA features of [image ‖ llm-text], whose first ``image_dim``
-    columns are the image block: one PCA over the joined rows, or in split
-    mode m // 2 components of the image block beside m - m // 2 of the text."""
+    """The (N, m) PCA features of the (N, d_image) image and (N, d_text)
+    llm-text matrices: one PCA over [image ‖ text], or in split mode m // 2
+    components of the image matrix beside m - m // 2 of the text."""
     if mode == "joint":
-        return pca_transform(pca_fit(joint, m), joint)
+        return pca_transform(pca_fit((image, text), m), (image, text))
     if mode == "split":
         m_image = m // 2
-        image, text = joint[:, :image_dim], joint[:, image_dim:]
         return np.hstack([pca_transform(pca_fit(image, m_image), image),
                           pca_transform(pca_fit(text, m - m_image), text)])
     raise ValueError(f"unknown reducer mode {mode!r}")
@@ -54,15 +53,15 @@ def fit_feature_reducer(
 def assemble_corpus(
     manifest: list[Triplet],
     cache: ScoreCache,
-    joint: np.ndarray,
-    image_dim: int,
+    image: np.ndarray,
+    text: np.ndarray,
     m: int = 6,
     mode: str = "joint",
     standardized: bool = True,
 ) -> np.ndarray:
     """The (N, 4 + m) embedding matrix, rows in manifest order, from the
-    joined features of ``fit_feature_reducer``. An incomplete score record
+    feature matrices of ``fit_feature_reducer``. An incomplete score record
     raises MissingScore naming the indicator."""
     scores = indicator_matrix(manifest, cache)
     return np.hstack([standardize(scores) if standardized else scores,
-                      fit_feature_reducer(joint, image_dim, m, mode)])
+                      fit_feature_reducer(image, text, m, mode)])

@@ -109,14 +109,25 @@ def parse_gpt_reply(body: str) -> float:
 def clip_scores(image: np.ndarray, text: np.ndarray) -> np.ndarray:
     """Cosine similarity of each row pair of (N, d) image and response
     embeddings, clamped to [-1, 1]; each with the bits of
-    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))``."""
+    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))``, except for a
+    pair whose squared norm overflows, or underflows to 0 from a nonzero
+    row: that pair is scored again as ``a.b / sqrt(a.a * b.b)``, with each
+    row divided by its largest absolute value first, so nothing overflows
+    or underflows to 0."""
     image, text = np.asarray(image, dtype=float), np.asarray(text, dtype=float)
     if image.shape != text.shape:
         raise DimensionMismatch(f"vector shapes differ: {image.shape} vs {text.shape}")
-    norm_i, norm_t = np.sqrt(row_dots(image, image)), np.sqrt(row_dots(text, text))
-    if (norm_i == 0.0).any() or (norm_t == 0.0).any():
-        raise DegenerateEmbedding("zero-norm embedding")
-    cosine = row_dots(image, text) / (norm_i * norm_t)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq_i, sq_t = row_dots(image, image), row_dots(text, text)
+        redo = ~np.isfinite(sq_i) | ~np.isfinite(sq_t) | (sq_i == 0.0) | (sq_t == 0.0)
+        cosine = row_dots(image, text) / (np.sqrt(sq_i) * np.sqrt(sq_t))
+        if redo.any():
+            a, b = image[redo], text[redo]
+            if not (a.any(axis=1) & b.any(axis=1)).all():
+                raise DegenerateEmbedding("zero-norm embedding")
+            a /= np.abs(a).max(axis=1, keepdims=True)
+            b /= np.abs(b).max(axis=1, keepdims=True)
+            cosine[redo] = row_dots(a, b) / np.sqrt(row_dots(a, a) * row_dots(b, b))
     cosine = np.where(cosine > -1.0, cosine, -1.0)   # a NaN clamps to -1, as in max(-1.0, x)
     return np.where(cosine < 1.0, cosine, 1.0)
 

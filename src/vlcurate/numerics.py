@@ -1,8 +1,8 @@
 """Deterministic numerical engines: PCA, k-means++, spectral clustering.
 
 Everything is seeded and pure: identical (data, seed) always reproduces
-identical output. ``np.linalg.eigh`` solves PCA's d x d covariance and
-the p x p landmark Gram of spectral clustering. Spectral clustering is
+identical output, and no input is modified. ``np.linalg.eigh`` solves the
+p x p landmark Gram of spectral clustering. Spectral clustering is
 landmark-based (Chen & Cai, AAAI 2011): instead of an N x N affinity it
 links each point to a few of p seeded landmark rows, so its memory and
 time grow linearly in N. The nearest landmarks are searched over blocks
@@ -13,9 +13,29 @@ its nearest landmarks and shrink the kernel width to rounding noise.
 Tests cross-check the results against independent brute-force routes,
 dense ``eigh`` of the landmark graph's N x N affinity among them.
 
-``pca_fit`` holds one centered copy of its input and frees it before
-``eigh``. Lloyd's centroids are per-column ``np.bincount`` sums over the
-members in row order, the bytes of ``data[labels == j].mean(axis=0)``, but
+``pca_fit`` takes one matrix or a sequence of column blocks, which it reads
+as their column join without forming it. It sums the column means, then
+the covariance, over blocks of ``PCA_BLOCK`` rows: each block is copied,
+column-joined and centered, into one (PCA_BLOCK, d) buffer, and its
+product with itself goes through one d x d buffer into the covariance.
+``pca_transform`` projects in the same blocks. Those fixed blocks define
+the bits of the model and the projection, and give a matrix and its column
+blocks the same bits. Only the top m eigenpairs of the covariance are
+found, by block Krylov iteration with Rayleigh-Ritz (block Lanczos; Golub &
+Underwood, 1977) on the covariance divided by its largest absolute entry,
+so that no residual overflows. A seeded block of m + ``KRYLOV_OVERSAMPLE``
+columns starts an orthonormal basis, which grows by the covariance times
+its last block, orthogonalized twice against it, dependent columns
+dropped; a block that vanishes is replaced by a fresh seeded block. After
+each block, Rayleigh-Ritz over the whole basis gives the Ritz pairs, and
+the solver stops once each of the m leading ones has a residual at most
+``KRYLOV_TOL`` times the largest Ritz value. The basis gains at least one
+column per step, and once it holds d columns Rayleigh-Ritz is exact, so the
+loop always ends, with no restart and no convergence error. ``eigh`` only
+sees the projected matrix, whose size is the basis's.
+
+Lloyd's centroids are per-column ``np.bincount`` sums over the members in
+row order, the bytes of ``data[labels == j].mean(axis=0)``, but
 a column whose every member is -0.0 gets +0.0, and a one-column matrix,
 whose mean numpy sums pairwise, can differ in the last bit.
 
@@ -58,6 +78,14 @@ LANDMARKS = 500
 NEIGHBOURS = 5
 # rows per block of spectral_embedding's nearest-landmark search
 DISTANCE_BLOCK = 512
+# rows per block of pca_fit's covariance and pca_transform's projection
+PCA_BLOCK = 512
+# pca_fit's eigensolver: its start block has m + KRYLOV_OVERSAMPLE seeded
+# columns; it stops once each Ritz residual is at most KRYLOV_TOL times the
+# largest Ritz value; KRYLOV_DROP is the dependence floor of _extend_basis
+KRYLOV_OVERSAMPLE = 8
+KRYLOV_TOL = 1e-12
+KRYLOV_DROP = 1e-13
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,42 +105,139 @@ class PcaModel:
     explained_variance: np.ndarray  # (m,), nonincreasing
 
 
-def pca_fit(data: np.ndarray, m: int) -> PcaModel:
+def _column_blocks(data) -> tuple[list[np.ndarray], int, int]:
+    """The float (N, d_i) blocks of ``data``, one matrix or a list or tuple
+    of matrices with equal row counts read as their column join, with N and
+    d = sum d_i."""
+    blocks = [np.asarray(block, dtype=float)
+              for block in (data if isinstance(data, (list, tuple)) else [data])]
+    for block in blocks:
+        if block.ndim != 2:
+            raise DimensionMismatch(f"expected a 2-D matrix, got shape {block.shape}")
+    if not blocks or len({block.shape[0] for block in blocks}) != 1:
+        raise DimensionMismatch(f"blocks need equal row counts, got {[b.shape for b in blocks]}")
+    return blocks, blocks[0].shape[0], sum(block.shape[1] for block in blocks)
+
+
+def _row_block(blocks: list[np.ndarray], start: int, mean: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Rows ``start`` .. ``start + PCA_BLOCK`` of the column join of
+    ``blocks``, less ``mean``, written into the (PCA_BLOCK, d) buffer
+    ``out``; returns the filled rows."""
+    stop = min(start + PCA_BLOCK, blocks[0].shape[0])
+    rows, col = out[:stop - start], 0
+    for block in blocks:
+        cut = slice(col, col + block.shape[1])
+        np.subtract(block[start:stop], mean[cut], out=rows[:, cut])
+        col = cut.stop
+    return rows
+
+
+def _extend_basis(basis: list[np.ndarray], block: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the part of ``block`` outside the span
+    of ``basis``, a list of blocks of orthonormal columns. The columns are
+    scaled to unit length first (the span is what counts, and the image of a
+    direction with a small eigenvalue is short), then go through two
+    block Gram-Schmidt passes, each followed by a QR. A direction that the
+    first pass leaves below ``KRYLOV_DROP``, or the second shrinks below
+    half its length, lies in the span to rounding and is dropped."""
+    norms = np.linalg.norm(block, axis=0)
+    block = block[:, norms > 0.0] / norms[norms > 0.0]
+    floor = KRYLOV_DROP
+    for _ in range(2):
+        for done in basis:
+            block -= done @ (done.T @ block)
+        q, r = np.linalg.qr(block)
+        block = q[:, np.abs(np.diag(r)) > floor]
+        floor = 0.5
+    return block
+
+
+def _top_eigenpairs(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m largest eigenvalues (descending) of a symmetric positive
+    semidefinite d x d matrix, m <= d, and orthonormal (d, m) eigenvectors
+    for them, by block Krylov iteration with Rayleigh-Ritz."""
+    d = matrix.shape[0]
+    width = min(d, m + KRYLOV_OVERSAMPLE)
+    rng = np.random.default_rng(0)
+    basis: list[np.ndarray] = []   # orthonormal columns, block by block
+    cuts: list[slice] = []         # the columns of each block in the basis
+    projected = np.empty((0, 0))   # basis^T matrix basis
+    block = rng.standard_normal((d, width))
+    while True:
+        block = _extend_basis(basis, block)
+        if not block.shape[1]:   # the basis spans an invariant subspace
+            block = _extend_basis(basis, rng.standard_normal((d, width)))
+        image = matrix @ block
+        k = len(projected)
+        grown = np.empty((k + block.shape[1],) * 2)
+        grown[:k, :k] = projected
+        for done, cut in zip(basis, cuts):
+            grown[cut, k:] = done.T @ image
+            grown[k:, cut] = grown[cut, k:].T
+        corner = block.T @ image
+        grown[k:, k:] = (corner + corner.T) / 2.0
+        projected = grown
+        basis.append(block)
+        cuts.append(slice(k, len(projected)))
+        theta, coords = np.linalg.eigh(projected)
+        order = np.argsort(-theta, kind="stable")[:m]
+        theta, coords = theta[order], coords[:, order]
+        vectors = sum(done @ coords[cut] for done, cut in zip(basis, cuts))
+        residual = np.linalg.norm(matrix @ vectors - vectors * theta, axis=0)
+        if len(projected) == d or residual.max() <= KRYLOV_TOL * theta[0]:
+            return theta, vectors
+        block = image
+
+
+def pca_fit(data, m: int) -> PcaModel:
     """Top-m eigenvectors of the sample covariance of mean-centered data.
 
-    Sign convention: each component's largest-magnitude entry is positive.
-    Rank deficiency below m is not an error; trailing variances are zero.
+    ``data`` is an (N, d) matrix or a sequence of (N, d_i) matrices read as
+    their column join; either gives the same bits. Sign convention: each
+    component's largest-magnitude entry is positive. Rank deficiency below
+    m is not an error; trailing variances are zero.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {data.shape}")
-    n, d = data.shape
+    blocks, n, d = _column_blocks(data)
     if n < 2:
         raise BadRank("need at least 2 rows to fit")
     if not 1 <= m <= min(n - 1, d):
         raise BadRank(f"target dim {m} outside [1, {min(n - 1, d)}]")
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered
-    del centered   # the one full-size copy; eigh needs only the d x d covariance
-    cov /= n - 1
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(-eigvals, kind="stable")[:m]
-    variance = np.maximum(eigvals[order], 0.0)
-    components = eigvecs[:, order].T.copy()
+    rows, total = np.empty((min(n, PCA_BLOCK), d)), np.zeros(d)
+    for start in range(0, n, PCA_BLOCK):   # x - 0.0 is x, -0.0 included
+        total += _row_block(blocks, start, np.zeros(d), rows).sum(axis=0)
+    mean = total / n
+    cov, product = np.zeros((d, d)), np.empty((d, d))
+    for start in range(0, n, PCA_BLOCK):
+        block = _row_block(blocks, start, mean, rows)
+        np.matmul(block.T, block, out=product)
+        cov += product
+    del rows, block, product
+    scale = max(float(cov.max()), -float(cov.min())) or 1.0
+    cov /= scale
+    eigvals, vectors = _top_eigenpairs(cov, m)
+    variance = np.maximum(eigvals * (scale / (n - 1)), 0.0)
+    components = vectors.T.copy()
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 
-def pca_transform(model: PcaModel, data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=float)
-    if data.shape[-1] != model.mean.shape[0]:
+def pca_transform(model: PcaModel, data) -> np.ndarray:
+    """(N, m) projection of the centered rows of ``data`` (a matrix or a
+    sequence of column blocks, as in ``pca_fit``) on the components."""
+    blocks, n, d = _column_blocks(data)
+    if d != model.mean.shape[0]:
         raise DimensionMismatch(
-            f"data dim {data.shape[-1]} does not match model dim {model.mean.shape[0]}"
+            f"data dim {d} does not match model dim {model.mean.shape[0]}"
         )
-    return (data - model.mean) @ model.components.T
+    out = np.empty((n, model.components.shape[0]))
+    rows = np.empty((min(n, PCA_BLOCK), d))
+    for start in range(0, n, PCA_BLOCK):
+        block = _row_block(blocks, start, model.mean, rows)
+        np.matmul(block, model.components.T, out=out[start:start + len(block)])
+    return out
 
 
 def pca_inverse_transform(model: PcaModel, reduced: np.ndarray) -> np.ndarray:

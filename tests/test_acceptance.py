@@ -88,7 +88,8 @@ def test_criterion_02_embedding_layout():
         )
     scores = indicator_matrix(manifest, cache)
     joint = np.hstack([features["image"], features["text_llm"]])
-    embeddings = assemble_corpus(manifest, cache, joint, features["image"].shape[1], m, "joint")
+    embeddings = assemble_corpus(manifest, cache, features["image"], features["text_llm"], m,
+                                 "joint")
 
     # hand-composed oracle: two-pass fsum z-scores for the four indicator
     # slots, then an explicit centered matrix product for the PCA block

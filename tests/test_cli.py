@@ -19,6 +19,7 @@ import pytest
 from vlcurate import cli
 from vlcurate import config as config_mod
 from vlcurate import corpus as corpus_mod
+from vlcurate import numerics
 from vlcurate.cli import build_parser, main, stage_table
 from vlcurate.config import (
     PipelineConfig,
@@ -1256,12 +1257,14 @@ def test_score_api_key_with_a_line_break_is_bad_config(tmp_path, capsys, monkeyp
 
 # ------------------------------------------------------------------ memory
 
-def test_embed_peak_holds_two_copies_of_the_joined_features(tmp_path):
-    # embed holds the joined [image | llm-text] matrix J, briefly one more
-    # full-size copy (the join, the centered copy, the transform's input)
-    # and two d x d matrices D (the covariance and its eigenvectors). Keeping
-    # the per-file matrices beside the join, and the centered copy through
-    # eigh, peaked at 30.7 MB on this corpus, over the 23.0 MB bound.
+def test_embed_peak_holds_the_features_two_square_matrices_and_one_row_block(tmp_path):
+    # embed holds the image and llm-text matrices, never joined, and pca_fit
+    # adds the d x d covariance, one d x d product buffer and one centered
+    # row block; on this corpus its solver's basis, projected matrix and
+    # eigenvectors (5.4 MB) stay below the product buffer and row block it
+    # frees first. The manifest and scores take 1.1 MB. Joining the two
+    # matrices and centering a copy of the join peaked at 19.7 MB on this
+    # corpus, over the 19.0 MB bound.
     n, image_dim, text_dim = 1500, 128, 512
     cfg = build_config(flag_values={"workdir": str(tmp_path / "work")})
     manifest = make_manifest(n)
@@ -1286,8 +1289,8 @@ def test_embed_peak_holds_two_copies_of_the_joined_features(tmp_path):
     finally:
         tracemalloc.stop()
     d = image_dim + text_dim
-    joined, square = n * d * 8, d * d * 8
-    assert peak <= 2 * joined + 2 * square + (1 << 20)
+    features, square, row_block = n * d * 8, d * d * 8, numerics.PCA_BLOCK * d * 8
+    assert peak <= features + 2 * square + row_block + (2 << 20)
 
 
 def test_paper_width_features_are_written_in_process(tmp_path, monkeypatch):

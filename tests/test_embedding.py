@@ -83,9 +83,9 @@ def test_standardize_rejects_bad_shapes():
 
 # -- feature reducer -------------------------------------------------------
 
-def _joined(features):
-    """The reducer's input: the [image | llm-text] matrix and the image width."""
-    return np.hstack([features["image"], features["text_llm"]]), features["image"].shape[1]
+def _pair(features):
+    """The reducer's input: the image and llm-text matrices."""
+    return features["image"], features["text_llm"]
 
 
 def _power_projection(data, m):
@@ -97,7 +97,7 @@ def _power_projection(data, m):
 def test_reducer_width_default_m():
     manifest = make_manifest(50)
     features = make_features(manifest, image_dim=8, text_dim=8, seed=2)
-    assert fit_feature_reducer(*_joined(features), m=6).shape == (50, 6)
+    assert fit_feature_reducer(*_pair(features), m=6).shape == (50, 6)
 
 
 def test_reducer_full_rank_roundtrip():
@@ -105,7 +105,7 @@ def test_reducer_full_rank_roundtrip():
     # keeps every inner product between samples
     manifest = make_manifest(40)
     features = make_features(manifest, image_dim=4, text_dim=4, seed=3)
-    reduced = fit_feature_reducer(*_joined(features), m=8)
+    reduced = fit_feature_reducer(*_pair(features), m=8)
     joint = np.hstack([features["image"], features["text_llm"]])
     centered = joint - joint.mean(axis=0)
     assert np.abs(reduced @ reduced.T - centered @ centered.T).max() < 1e-9
@@ -114,7 +114,7 @@ def test_reducer_full_rank_roundtrip():
 def test_reducer_matches_power_oracle():
     manifest = make_manifest(50)
     features = make_features(manifest, image_dim=5, text_dim=7, seed=4)
-    reduced = fit_feature_reducer(*_joined(features), m=6)
+    reduced = fit_feature_reducer(*_pair(features), m=6)
     expect, variances = _power_projection(
         np.hstack([features["image"], features["text_llm"]]), 6)
     assert np.abs(reduced - expect).max() < 1e-8
@@ -124,7 +124,7 @@ def test_reducer_matches_power_oracle():
 def test_reducer_split_mode():
     manifest = make_manifest(60)
     features = make_features(manifest, image_dim=6, text_dim=9, seed=5)
-    out = fit_feature_reducer(*_joined(features), m=6, mode="split")
+    out = fit_feature_reducer(*_pair(features), m=6, mode="split")
     assert out.shape == (60, 6)
     manual = np.hstack([
         pca_transform(pca_fit(features["image"], 3), features["image"]),
@@ -151,16 +151,16 @@ def _one_row(record, image_vec, text_vec):
 def test_assemble_direct_concatenation():
     manifest, features, cache = _scored_corpus(12, seed=13)
     cache[manifest[0].id] = ScoreRecord(clip=0.5, length=120, reward=1.2, gpt=85.0)
-    emb = assemble_corpus(manifest, cache, *_joined(features), m=6, standardized=False)
+    emb = assemble_corpus(manifest, cache, *_pair(features), m=6, standardized=False)
     assert emb.shape == (12, 10)
     assert np.array_equal(emb[0, :4], [0.5, 120.0, 1.2, 85.0])
     assert np.array_equal(emb, np.hstack([indicator_matrix(manifest, cache),
-                                          fit_feature_reducer(*_joined(features), m=6)]))
+                                          fit_feature_reducer(*_pair(features), m=6)]))
 
 
 def test_assemble_m2_dimension():
     manifest, features, cache = _scored_corpus(30, seed=7)
-    emb = assemble_corpus(manifest, cache, *_joined(features), m=2, standardized=False)
+    emb = assemble_corpus(manifest, cache, *_pair(features), m=2, standardized=False)
     assert emb.shape == (30, 6)
 
 
@@ -168,7 +168,7 @@ def test_assemble_incomplete_scores():
     scores = ScoreRecord(clip=0.5, length=3, gpt=20.0)  # reward missing
     manifest, cache, features = _one_row(scores, [0.1] * 3, [0.1] * 3)
     with pytest.raises(MissingScore) as err:
-        assemble_corpus(manifest, cache, *_joined(features))
+        assemble_corpus(manifest, cache, *_pair(features))
     assert err.value.indicator == "reward"
 
 
@@ -188,7 +188,7 @@ def test_assemble_matches_hand_composition():
                                           reward=score_mat[i, 2], gpt=score_mat[i, 3])
     means, stds = two_pass_oracle(score_mat)
     projected, _ = _power_projection(np.hstack([features["image"], features["text_llm"]]), 3)
-    emb = assemble_corpus(manifest, cache, *_joined(features), m=3)
+    emb = assemble_corpus(manifest, cache, *_pair(features), m=3)
     for i in range(len(manifest)):
         hand = np.concatenate([(score_mat[i] - means) / stds, projected[i]])
         assert np.abs(emb[i] - hand).max() < 1e-8
@@ -196,13 +196,13 @@ def test_assemble_matches_hand_composition():
 
 def test_assemble_is_pure():
     manifest, features, cache = _scored_corpus(8, seed=14)
-    joint, image_dim = _joined(features)
-    before = joint.copy()
+    image, text = _pair(features)
+    before = image.copy(), text.copy()
     for mode in ("joint", "split"):
-        a = assemble_corpus(manifest, cache, joint, image_dim, m=3, mode=mode)
-        b = assemble_corpus(manifest, cache, joint, image_dim, m=3, mode=mode)
+        a = assemble_corpus(manifest, cache, image, text, m=3, mode=mode)
+        b = assemble_corpus(manifest, cache, image, text, m=3, mode=mode)
         assert np.array_equal(a, b)
-        assert np.array_equal(joint, before)
+        assert np.array_equal(image, before[0]) and np.array_equal(text, before[1])
 
 
 def _scored_corpus(n=3, seed=12):
@@ -221,11 +221,11 @@ def _scored_corpus(n=3, seed=12):
 def test_assemble_corpus_order_and_agreement():
     # rows follow the manifest: a permuted corpus gives the permuted rows
     manifest, features, cache = _scored_corpus(7)
-    embs = assemble_corpus(manifest, cache, *_joined(features), m=4)
+    embs = assemble_corpus(manifest, cache, *_pair(features), m=4)
     assert embs.shape == (7, 8)
     perm = np.random.default_rng(15).permutation(7)
     shuffled = assemble_corpus([manifest[i] for i in perm], cache,
-                               *_joined({name: m[perm] for name, m in features.items()}), m=4)
+                               *_pair({name: m[perm] for name, m in features.items()}), m=4)
     assert np.abs(shuffled - embs[perm]).max() < 1e-10
 
 
@@ -233,13 +233,13 @@ def test_assemble_corpus_missing_reward():
     manifest, features, cache = _scored_corpus(4)
     cache[manifest[2].id].reward = None
     with pytest.raises(MissingScore) as err:
-        assemble_corpus(manifest, cache, *_joined(features), m=2, standardized=False)
+        assemble_corpus(manifest, cache, *_pair(features), m=2, standardized=False)
     assert (err.value.sample_id, err.value.indicator) == (manifest[2].id, "reward")
 
 
 def test_embeddings_file_roundtrip(tmp_path):
     manifest, features, cache = _scored_corpus(6)
-    embs = assemble_corpus(manifest, cache, *_joined(features), m=3)
+    embs = assemble_corpus(manifest, cache, *_pair(features), m=3)
     path = tmp_path / "embeddings.txt"
     write_feature_file(path, [t.id for t in manifest], embs, tmp_path / ".matrices")
     rows, dim = read_feature_file(path)

@@ -768,11 +768,23 @@ def test_clip_scores_have_the_bits_of_the_one_pair_formula(d):
     assert [clip_score(a, b) for a, b in zip(image[:20], text[:20])] == want[:20]
 
 
-def test_clip_scores_clamp_an_overflowed_cosine_like_the_one_pair_formula():
-    image = np.array([[1e200, 1e200], [1.0, 0.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = [_one_pair_clip(a, b) for a, b in zip(image, image)]
-        assert clip_scores(image, image).tolist() == want == [-1.0, 1.0]
+def test_clip_scores_give_a_huge_or_tiny_finite_row_its_true_cosine():
+    # the squared norms of the first two rows overflow and underflow; the
+    # other rows keep the one-pair formula's bits; no RuntimeWarning escapes
+    rng = np.random.default_rng(7)
+    image = np.vstack([[1e200, 1e200], [1e-200, 1e-200], [1e200, -1e200],
+                       [3e-170, 4e-170], rng.normal(size=(4, 2))])
+    text = np.vstack([[1e200, 1e200], [1e-200, 1e-200], [1.0, 1.0],
+                      [4.0, 3.0], rng.normal(size=(4, 2))])
+    got = clip_scores(image, text)
+    assert got[:4].tolist() == [1.0, 1.0, 0.0, 0.96]
+    assert got[4:].tolist() == [_one_pair_clip(a, b) for a, b in zip(image[4:], text[4:])]
+
+
+def test_clip_scores_still_reject_an_all_zero_row_beside_a_rescued_one():
+    image = np.array([[1e-200, 1e-200], [0.0, 0.0]])
+    with pytest.raises(DegenerateEmbedding):
+        clip_scores(image, np.ones((2, 2)))
 
 
 def test_score_corpus_computes_only_missing_clips():

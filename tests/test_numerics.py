@@ -191,6 +191,151 @@ def test_pca_transform_dim_mismatch():
         pca_transform(model, np.ones((3, 5)))
 
 
+# -- PCA's top-m eigensolver against dense eigh -----------------------------
+
+def dense_pca_oracle(data, m):
+    """Top-m variances, sign-fixed components and the covariance, from dense
+    eigh of the explicit covariance."""
+    centered = data - data.mean(axis=0)
+    cov = centered.T @ centered / (len(data) - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1][:m]
+    comps = eigvecs[:, order].T
+    comps *= np.where(comps[np.arange(m), np.abs(comps).argmax(axis=1)] < 0, -1.0, 1.0)[:, None]
+    return np.maximum(eigvals[order], 0.0), comps, cov
+
+
+def largest_angle_sin(a, b):
+    """Sine of the largest principal angle between the spans of the
+    orthonormal rows of a and b."""
+    return float(np.linalg.norm(b.T - a.T @ (a @ b.T), 2))
+
+
+def planted(spectrum, n, seed):
+    """(n, d) data, with a nonzero mean, whose sample covariance is
+    V diag(spectrum) V^T for a seeded orthogonal V."""
+    rng = np.random.default_rng(seed)
+    d = len(spectrum)
+    z = rng.normal(size=(n, d))
+    q, _ = np.linalg.qr(z - z.mean(axis=0))
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return np.sqrt(n - 1.0) * (q * np.sqrt(spectrum)) @ v.T + rng.normal(size=d)
+
+
+SEPARATED = [50.0, 30.0, 20.0, 12.0, 8.0, 5.0] + [1.0] * 34
+
+
+def check_against_dense(data, m, top=None, components=True):
+    """Variances to a relative 1e-10, each component an eigenvector of the
+    covariance to a residual of 1e-10 of the largest variance, the top
+    subspace's largest principal angle to 1e-8, over the leading ``top``
+    (default m) components, and each of those components to 1e-8 if asked."""
+    top = m if top is None else top
+    model = pca_fit(data, m)
+    variances, comps, cov = dense_pca_oracle(data, m)
+    assert np.allclose(model.explained_variance, variances, rtol=1e-10,
+                       atol=1e-10 * variances[0])
+    unit = variances[0]   # residuals in units of it, so that none overflows
+    residual = (cov / unit) @ model.components.T - model.components.T * (
+        model.explained_variance / unit)
+    assert np.linalg.norm(residual, axis=0).max() <= 1e-10
+    assert largest_angle_sin(model.components[:top], comps[:top]) < 1e-8
+    if components:
+        assert np.abs(model.components[:top] - comps[:top]).max() < 1e-8
+    gram = model.components @ model.components.T
+    assert np.abs(gram - np.eye(m)).max() < 1e-12
+    return model, cov
+
+
+def test_pca_solver_separated_spectrum():
+    check_against_dense(planted(SEPARATED, 300, seed=1), 6)
+
+
+def test_pca_solver_tie_at_the_mth_eigenvalue():
+    # lambda_4 = lambda_5: any unit vector of their plane is a 4th
+    # component, so only the top 3 are compared; the residual check puts
+    # the 4th in the plane
+    spectrum = [50.0, 30.0, 20.0, 10.0, 10.0] + [1.0] * 35
+    check_against_dense(planted(spectrum, 300, seed=2), 4, top=3)
+
+
+def test_pca_solver_slowly_decaying_spectrum():
+    # eigenvalues 2 % apart: the basis grows over many blocks, and the
+    # residuals pass the stopping tolerance only gradually
+    check_against_dense(planted(list(10.0 * 0.98 ** np.arange(300)), 600, seed=8), 6)
+
+
+def test_pca_solver_flat_spectrum():
+    # white noise: the top eigenvalues are a few percent apart, so only the
+    # variances and the subspace are compared
+    data = np.random.default_rng(3).normal(size=(3000, 200))
+    check_against_dense(data, 6, components=False)
+
+
+def test_pca_solver_width_at_most_m_plus_oversample():
+    rng = np.random.default_rng(4)
+    for d in (6, 10, 6 + numerics.KRYLOV_OVERSAMPLE):
+        check_against_dense(rng.normal(size=(40, d)) * np.linspace(3.0, 1.0, d), 6)
+
+
+RANK_THREE = [9.0, 4.0, 2.0] + [0.0] * 37
+
+
+def test_pca_solver_rank_below_m():
+    # rank 3 in 40-D with m = 6: the trailing three variances are zero, and
+    # their components any orthonormal directions of the null space
+    model, _ = check_against_dense(planted(RANK_THREE, 200, seed=5), 6, top=3)
+    assert np.abs(model.explained_variance[3:]).max() < 1e-10 * 9.0
+
+
+def test_pca_solver_with_no_tolerance_ends_at_a_full_basis(monkeypatch):
+    # no residual passes a zero tolerance: the rank-3 range is spanned after
+    # one Krylov block, the next block vanishes and a fresh seeded block
+    # follows, until the basis holds all 40 columns and Rayleigh-Ritz is exact
+    monkeypatch.setattr(numerics, "KRYLOV_TOL", 0.0)
+    check_against_dense(planted(RANK_THREE, 200, seed=5), 6, top=3)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_pca_solver_scaled_data(scale):
+    data = planted(SEPARATED, 300, seed=6) * scale
+    check_against_dense(data, 6)
+
+
+# -- PCA over row blocks and column blocks ------------------------------------
+
+@pytest.mark.parametrize("n", [numerics.PCA_BLOCK - 100, numerics.PCA_BLOCK,
+                               2 * numerics.PCA_BLOCK + 37])
+@pytest.mark.parametrize("widths", [(5, 9), (1, 12)])
+def test_pca_of_column_blocks_has_the_bits_of_their_join(n, widths):
+    rng = np.random.default_rng(n)
+    blocks = tuple(rng.normal(size=(n, w)) * rng.uniform(0.5, 3.0, size=w) + 2.0
+                   for w in widths)
+    joined = np.hstack(blocks)
+    whole, split = pca_fit(joined, 4), pca_fit(blocks, 4)
+    for field in ("mean", "components", "explained_variance"):
+        assert getattr(whole, field).tobytes() == getattr(split, field).tobytes(), field
+    assert pca_transform(whole, joined).tobytes() == pca_transform(whole, blocks).tobytes()
+    again = pca_fit(list(blocks), 4)
+    assert again.components.tobytes() == split.components.tobytes()
+
+
+def test_pca_over_many_row_blocks_matches_dense(monkeypatch):
+    # 7-row blocks, so that 100 rows take 15 of them, the last one partial
+    monkeypatch.setattr(numerics, "PCA_BLOCK", 7)
+    data = planted(SEPARATED[:12], 100, seed=7)
+    model, _ = check_against_dense(data, 5)
+    whole = (data - data.mean(axis=0)) @ model.components.T
+    assert np.abs(pca_transform(model, data) - whole).max() < 1e-9
+
+
+def test_pca_blocks_must_share_their_rows():
+    with pytest.raises(DimensionMismatch):
+        pca_fit((np.ones((5, 2)), np.ones((4, 2))), 1)
+    with pytest.raises(DimensionMismatch):
+        pca_fit(np.ones(5), 1)
+
+
 # -- k-means++ ---------------------------------------------------------------
 
 def test_kmeans_two_pairs():
